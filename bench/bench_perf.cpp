@@ -116,9 +116,11 @@ void simulate_obs_case(Table& table, int n, Time T) {
 
 void simulator_throughput() {
   Table table = perf_table();
-  // Light (index-bound) policies get long traces for stable timing; the
-  // LP-based randomized policy costs ~ms per request (its separation
-  // oracle scans the fractional history), so it gets a short one.
+  // Light (index-bound) policies get long traces for stable timing. The
+  // LP-based randomized policy costs tens of microseconds per request, and
+  // more as T grows: Algorithm 2's flush history grows ~0.8 entries per
+  // request and the separation oracle still walks its non-dead part each
+  // call. So it runs at T = 2k and at T = 20k, where that growth shows.
   constexpr Time kLong = 200'000;
   simulate_case<LruPolicy>(table, "simulate/LRU", 256, kLong);
   simulate_case<LruPolicy>(table, "simulate/LRU", 1024, kLong);
@@ -136,6 +138,8 @@ void simulator_throughput() {
   simulate_case<DetOnlineBlockAware>(table, "simulate/BA-Det", 256, 20'000);
   simulate_case<DetOnlineBlockAware>(table, "simulate/BA-Det", 1024, 20'000);
   simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand", 256, 2'000);
+  simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand-T20k", 256,
+                                      20'000);
   bench::emit(table, "bench_perf", "PERF simulator throughput per policy",
               "simulate");
 }

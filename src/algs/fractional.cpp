@@ -1,7 +1,9 @@
 #include "algs/fractional.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -27,14 +29,6 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
   FlushSet* sets[] = {&*S_};
   cov_->advance(p, t, sets);
 
-  struct Candidate {
-    BlockId b;
-    Time t;
-    int coeff;   // capped marginal w.r.t. S'
-    double phi;
-  };
-  std::vector<Candidate> alive;
-
   // Paranoia bound: adoptions raise g(S) by >= 1 (capped at n) and
   // saturation iterations strictly satisfy the oracle's constraint, so the
   // loop terminates; the generous cap guards against numerical stalls.
@@ -48,22 +42,37 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
     const FlushSet& sprime = violation->sprime;
 
     // Gather alive flushes and their capped marginals w.r.t. S'.
-    alive.clear();
+    alive_.clear();
+    rates_.clear();
+    rate_slots_.reset();
     for (BlockId b = 0; b < blocks_->n_blocks(); ++b) {
-      for (Time at : cov_->alive_times(b)) {
+      const double eta = log_term_ / blocks_->cost(b);
+      cov_->alive_times(b, alive_times_);
+      for (Time at : alive_times_) {
         if (at > t) continue;  // flush strictly in the future: untouchable
         const int coeff = sprime.f_marginal(b, at);
         if (coeff <= 0) continue;
-        alive.push_back({b, at, coeff, vars_.get(b, at)});
+        const double rate = eta * coeff;
+        const auto [slot, fresh] = rate_slots_.try_emplace(
+            std::bit_cast<std::uint64_t>(rate), rates_.size());
+        if (fresh) rates_.push_back(rate);
+        alive_.push_back({b, at, coeff, vars_.get(b, at), rate, *slot});
       }
     }
+    // exp(rate * d) once per distinct rate (coeff <= beta, so with equal
+    // block costs there are at most beta of them).
+    growth_.resize(rates_.size());
+    const auto grow_to = [&](double d) {
+      for (std::size_t r = 0; r < rates_.size(); ++r)
+        growth_[r] = std::exp(rates_[r] * d);
+    };
 
     // d_tight: minimal dual increase making some alive flush with
     // coeff >= 1 reach phi = 1 (its dual constraint tightens then).
     double d_tight = std::numeric_limits<double>::infinity();
-    std::size_t chosen = alive.size();
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      const Candidate& c = alive[i];
+    std::size_t chosen = alive_.size();
+    for (std::size_t i = 0; i < alive_.size(); ++i) {
+      const Candidate& c = alive_[i];
       if (c.phi >= 1.0 - 1e-12) {
         // Already fully evicted fractionally but not yet in S: adopt it
         // immediately (d = 0).
@@ -71,15 +80,13 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
         chosen = i;
         break;
       }
-      const double eta = log_term_ / blocks_->cost(c.b);
-      const double d =
-          std::log((1.0 + eps_) / (c.phi + eps_)) / (eta * c.coeff);
+      const double d = std::log((1.0 + eps_) / (c.phi + eps_)) / c.rate;
       if (d < d_tight) {
         d_tight = d;
         chosen = i;
       }
     }
-    if (chosen == alive.size())
+    if (chosen == alive_.size())
       throw std::logic_error(
           "FractionalBlockAware: violated constraint but no alive candidate");
 
@@ -91,11 +98,11 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
     // valid while the constraint is violated.)
     const double rhs = violation->rhs;
     auto lhs_at = [&](double d) {
+      grow_to(d);
       double lhs = 0;
-      for (const Candidate& c : alive) {
-        const double eta = log_term_ / blocks_->cost(c.b);
+      for (const Candidate& c : alive_) {
         const double phi =
-            std::min(1.0, (c.phi + eps_) * std::exp(eta * c.coeff * d) - eps_);
+            std::min(1.0, (c.phi + eps_) * growth_[c.slot] - eps_);
         lhs += static_cast<double>(c.coeff) * phi;
       }
       return lhs;
@@ -116,10 +123,9 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
 
     // Apply the closed-form growth to every alive flush.
     if (dstar > 0) {
-      for (const Candidate& c : alive) {
-        const double eta = log_term_ / blocks_->cost(c.b);
-        double phi_new =
-            (c.phi + eps_) * std::exp(eta * c.coeff * dstar) - eps_;
+      grow_to(dstar);
+      for (const Candidate& c : alive_) {
+        double phi_new = (c.phi + eps_) * growth_[c.slot] - eps_;
         phi_new = std::min(phi_new, 1.0);
         const double delta = phi_new - c.phi;
         if (delta > 0) {
@@ -132,7 +138,7 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
 
     if (adopt) {
       // The tight flush becomes integral.
-      const Candidate& win = alive[chosen];
+      const Candidate& win = alive_[chosen];
       const double topup = vars_.raise_to(win.b, win.t, 1.0);
       if (topup > 0) increments_.push_back({win.b, win.t, topup, 1.0});
       S_->add_flush(win.b, win.t);

@@ -20,6 +20,7 @@
 // them without seeing the future.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "submodular/flush_coverage.hpp"
 #include "submodular/flush_vars.hpp"
 #include "submodular/separation.hpp"
+#include "util/flat_hash.hpp"
 
 namespace bac {
 
@@ -74,6 +76,21 @@ class FractionalBlockAware {
   double dual_obj_ = 0;
   long long integral_flushes_ = 0;
   std::vector<FractionalIncrement> increments_;
+
+  // Per-iteration buffers of step(), kept for their capacity.
+  struct Candidate {
+    BlockId b;
+    Time t;
+    int coeff;         // capped marginal w.r.t. S'
+    double phi;
+    double rate;       // eta_B * coeff: phi + eps grows as exp(rate * d)
+    std::size_t slot;  // index of rate in rates_
+  };
+  std::vector<Candidate> alive_;
+  std::vector<Time> alive_times_;
+  std::vector<double> rates_;   // distinct rates of alive_
+  FlatMap<std::uint64_t, std::size_t> rate_slots_;  // rate bits -> slot
+  std::vector<double> growth_;  // exp(rate * d) per rates_ entry
 };
 
 }  // namespace bac

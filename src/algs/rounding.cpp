@@ -46,21 +46,20 @@ void RandomizedBlockAware::on_request(Time t, PageId p, CacheOps& cache) {
 
   // 2. Structure transform: accumulate raw mass; decide per-block emission.
   //    full_evict: some page crossed x >= 1/2 since its last request.
-  std::vector<std::pair<BlockId, double>> emissions;  // (block, mass)
+  emissions_.clear();
   {
     // Collect blocks touched this step (increments are grouped arbitrarily).
     for (const FractionalIncrement& inc : increments)
       pending_[static_cast<std::size_t>(inc.b)] += inc.delta;
 
-    std::vector<BlockId> touched;
+    touched_.clear();
     for (const FractionalIncrement& inc : increments)
-      if (touched.empty() || touched.back() != inc.b ||
-          std::find(touched.begin(), touched.end(), inc.b) == touched.end())
-        touched.push_back(inc.b);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+      touched_.push_back(inc.b);
+    std::sort(touched_.begin(), touched_.end());
+    touched_.erase(std::unique(touched_.begin(), touched_.end()),
+                   touched_.end());
 
-    for (BlockId b : touched) {
+    for (BlockId b : touched_) {
       double& pend = pending_[static_cast<std::size_t>(b)];
       bool full = false;
       if (options_.apply_structure) {
@@ -77,12 +76,12 @@ void RandomizedBlockAware::on_request(Time t, PageId p, CacheOps& cache) {
         }
       }
       if (full) {
-        emissions.emplace_back(b, 1.0);
+        emissions_.emplace_back(b, 1.0);
         structured_cost_ += blocks_->cost(b);
         pend = 0;
       } else if (pend >= emit_threshold_ && pend > 0) {
         const double mass = std::min(2.0 * pend, 1.0);
-        emissions.emplace_back(b, mass);
+        emissions_.emplace_back(b, mass);
         structured_cost_ += blocks_->cost(b) * mass;
         pend = 0;
       }
@@ -93,7 +92,7 @@ void RandomizedBlockAware::on_request(Time t, PageId p, CacheOps& cache) {
   last_request_[static_cast<std::size_t>(p)] = t;
   half_charged_[static_cast<std::size_t>(p)] = 0;
 
-  for (const auto& [b, mass] : emissions) {
+  for (const auto& [b, mass] : emissions_) {
     last_emit_[static_cast<std::size_t>(b)] = t;
     if (rng_.bernoulli(std::min(1.0, gamma_ * mass)))
       evict_positive(b, t, cache);

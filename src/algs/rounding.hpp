@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "algs/fractional.hpp"
@@ -91,6 +92,9 @@ class RandomizedBlockAware final : public OnlinePolicy {
   std::vector<Time> last_emit_;     // per block: last emission step (0 none)
   std::vector<Time> last_request_;  // per page
   std::vector<char> half_charged_;  // per page: full-evict already charged
+  // Per-request buffers of on_request, kept for their capacity.
+  std::vector<std::pair<BlockId, double>> emissions_;  // (block, mass)
+  std::vector<BlockId> touched_;
   double structured_cost_ = 0;
   long long alterations_ = 0;
   long long fallback_alterations_ = 0;

@@ -88,10 +88,13 @@ double Histogram::quantile(double q) const noexcept {
   for (std::size_t b = 0; b < counts_.size(); ++b) {
     cum += counts_[b];
     if (cum > rank) {
+      // The underflow bucket holds zeros and negatives as well as tiny
+      // positives, so it reports 0 rather than its midpoint (~1.2e-10).
       const int bi = static_cast<int>(b);
       const double lo = bucket_lower(bi);
       const double hi = bucket_upper(bi);
-      const double mid = std::isinf(hi) ? lo : lo + (hi - lo) * 0.5;
+      const double mid =
+          bi == 0 ? 0.0 : std::isinf(hi) ? lo : lo + (hi - lo) * 0.5;
       return std::clamp(mid, min_, max_);
     }
   }

@@ -14,10 +14,10 @@
 //
 // NaN observations are ignored; +inf lands in the overflow bucket.
 // Quantiles report the midpoint of the bucket containing the requested
-// order statistic, clamped to the observed [min, max] — deterministic
-// given identical samples, and within one bucket width of the exact
-// sorted-sample answer. All summary accessors return NaN when empty,
-// matching the StreamingStats::min/max convention.
+// order statistic (0 for the underflow bucket), clamped to the observed
+// [min, max] — deterministic given identical samples, and within one
+// bucket width of the exact sorted-sample answer. All summary accessors
+// return NaN when empty, matching the StreamingStats::min/max convention.
 #pragma once
 
 #include <cstdint>

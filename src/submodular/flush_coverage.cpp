@@ -45,14 +45,19 @@ int FlushCoverage::count_below(BlockId b, Time m) const {
 }
 
 std::vector<Time> FlushCoverage::alive_times(BlockId b) const {
-  const auto& list = sorted_last_[static_cast<std::size_t>(b)];
   std::vector<Time> out;
+  alive_times(b, out);
+  return out;
+}
+
+void FlushCoverage::alive_times(BlockId b, std::vector<Time>& out) const {
+  const auto& list = sorted_last_[static_cast<std::size_t>(b)];
+  out.clear();
   out.reserve(list.size());
   for (Time r : list) {
     const Time t = (r == kNeverRequested) ? 0 : r + 1;
     if (out.empty() || out.back() != t) out.push_back(t);
   }
-  return out;
 }
 
 FlushSet::FlushSet(const FlushCoverage& cov, Time init_flush_time)

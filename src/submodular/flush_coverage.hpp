@@ -58,6 +58,14 @@ class FlushCoverage {
   /// { r(p, tau) + 1 : p in B } (deduplicated, ascending). Alive flushes
   /// are the only ones a competitive algorithm ever needs (Section 3.3).
   [[nodiscard]] std::vector<Time> alive_times(BlockId b) const;
+  /// The same into `out` (cleared first), for callers that reuse a buffer.
+  void alive_times(BlockId b, std::vector<Time>& out) const;
+
+  /// r(p, tau) of block b's pages, ascending (kNeverRequested first): the
+  /// list count_below searches, for callers that walk it in step.
+  [[nodiscard]] std::span<const Time> sorted_last(BlockId b) const {
+    return sorted_last_[static_cast<std::size_t>(b)];
+  }
 
  private:
   friend class FlushSet;

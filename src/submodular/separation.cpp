@@ -1,9 +1,11 @@
 #include "submodular/separation.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace bac {
@@ -54,55 +56,209 @@ std::optional<Violation> check(const FlushSet& sprime, const FlushVars& phi,
 
 }  // namespace
 
+void ThresholdSeparation::sync_dead(BlockId b,
+                                    std::span<const FlushVars::Entry> dead) {
+  auto& cached = dead_[static_cast<std::size_t>(b)];
+  std::size_t keep = cached.size();
+  // Compared bit for bit, so the cache only keeps what phi holds now.
+  const auto same = [](double x, const FlushVars::Entry& e) {
+    return std::bit_cast<std::uint64_t>(x) ==
+           std::bit_cast<std::uint64_t>(e.phi);
+  };
+  if (keep > dead.size() ||
+      !std::equal(cached.begin(), cached.end(), dead.begin(), same)) {
+    // Anything but growth at the back: drop the block's share, re-add.
+    for (const double v : cached)
+      if (v > 0)
+        dead_phi_.erase(
+            std::lower_bound(dead_phi_.begin(), dead_phi_.end(), v));
+    cached.clear();
+    keep = 0;
+  }
+  for (const FlushVars::Entry& e : dead.subspan(keep)) {
+    if (e.phi > 0)
+      dead_phi_.insert(
+          std::upper_bound(dead_phi_.begin(), dead_phi_.end(), e.phi), e.phi);
+    cached.push_back(e.phi);
+  }
+}
+
+double ThresholdSeparation::predecessor(double x, bool strict) const {
+  // dead_phi_ ascends, active_phi_ descends; every candidate is > 0.
+  const auto d = strict
+      ? std::lower_bound(dead_phi_.begin(), dead_phi_.end(), x)
+      : std::upper_bound(dead_phi_.begin(), dead_phi_.end(), x);
+  const auto a = strict
+      ? std::upper_bound(active_phi_.begin(), active_phi_.end(), x,
+                         std::greater<>())
+      : std::lower_bound(active_phi_.begin(), active_phi_.end(), x,
+                         std::greater<>());
+  const double from_dead = d == dead_phi_.begin() ? 0.0 : *(d - 1);
+  const double from_active = a == active_phi_.end() ? 0.0 : *a;
+  return std::max(from_dead, from_active);
+}
+
+double ThresholdSeparation::chosen_lhs(int cap, int g) const {
+  // constraint_lhs's terms in its order (blocks, then time); dead entries
+  // and entries at or before a block's chosen flush contribute nothing.
+  double lhs = 0;
+  for (std::size_t b = 0; b < chosen_.size(); ++b) {
+    const int c = chosen_[b];
+    const int base =
+        c < 0 ? base_[b] : active_[static_cast<std::size_t>(c)].below;
+    const int end = begin_[b + 1];
+    for (int i = c < 0 ? begin_[b] : c + 1; i < end; ++i) {
+      const Active& e = active_[static_cast<std::size_t>(i)];
+      const int gm = e.below - base;
+      if (gm <= 0) continue;
+      lhs += static_cast<double>(std::min(gm, cap - g)) * e.phi;
+    }
+  }
+  return lhs;
+}
+
 std::optional<Violation> ThresholdSeparation::find_violated(
     const FlushSet& S, const FlushVars& phi) {
-  // Candidate thresholds: phi values of live entries, bucketed to at most
-  // ~2 per power of two (a geometric net) so a call costs
-  // O(buckets * live entries) rather than O(live entries^2).
   const FlushCoverage& cov = S.coverage();
-  std::vector<double> thresholds;
-  for (BlockId b = 0; b < cov.blocks().n_blocks(); ++b) {
-    const auto& list = phi.entries(b);
-    for (auto it = first_live(list, S.max_flush(b)); it != list.end(); ++it)
-      if (it->phi > 0) thresholds.push_back(it->phi);
+  const int cap = cov.cap();
+  // Every S' >= S has g(S') >= g(S), so rhs <= 0 for all of them too.
+  if (S.g() >= cap) return std::nullopt;
+  const auto n_blocks = static_cast<std::size_t>(cov.blocks().n_blocks());
+  if (dead_.size() != n_blocks) {
+    dead_.assign(n_blocks, {});
+    dead_phi_.clear();
   }
-  std::sort(thresholds.begin(), thresholds.end(), std::greater<>());
-  thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
-                   thresholds.end());
-  if (thresholds.size() > 40) {
-    std::vector<double> netted;
-    netted.reserve(48);
-    double last = std::numeric_limits<double>::infinity();
-    for (double v : thresholds) {
-      if (v <= last / 1.3) {
-        netted.push_back(v);
-        last = v;
-      }
+
+  // Split each block's live entries into its dead prefix (synced into the
+  // cache) and its active rest, whose count_below comes from one walk.
+  active_.clear();
+  active_phi_.clear();
+  begin_.assign(n_blocks + 1, 0);
+  base_.resize(n_blocks);
+  dead_lo_.resize(n_blocks);
+  dead_hi_.resize(n_blocks);
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    const auto block = static_cast<BlockId>(b);
+    const auto& list = phi.entries(block);
+    const std::span<const Time> last = cov.sorted_last(block);
+    const Time m = S.max_flush(block);
+    const auto base = static_cast<std::size_t>(
+        std::lower_bound(last.begin(), last.end(), m) - last.begin());
+    const auto live = first_live(list, m);
+    // Dead: no page's last request in [m, t), i.e. t <= last[base].
+    const auto first_active =
+        base == last.size()
+            ? list.end()
+            : std::upper_bound(live, list.end(), last[base],
+                               [](Time t, const FlushVars::Entry& e) {
+                                 return t < e.t;
+                               });
+    base_[b] = static_cast<int>(base);
+    dead_lo_[b] = static_cast<int>(live - list.begin());
+    dead_hi_[b] = static_cast<int>(first_active - list.begin());
+    sync_dead(block, std::span(list).subspan(
+                         static_cast<std::size_t>(dead_lo_[b]),
+                         static_cast<std::size_t>(first_active - live)));
+    std::size_t below = base;
+    for (auto it = first_active; it != list.end(); ++it) {
+      while (below < last.size() && last[below] < it->t) ++below;
+      if (it->phi <= 0) continue;  // as constraint_lhs skips it
+      active_.push_back({it->phi, it->t, static_cast<int>(below)});
+      if (it->phi > 0) active_phi_.push_back(it->phi);  // not NaN
     }
-    if (!netted.empty() && netted.back() != thresholds.back())
-      netted.push_back(thresholds.back());
-    thresholds = std::move(netted);
+    begin_[b + 1] = static_cast<int>(active_.size());
+  }
+  std::sort(active_phi_.begin(), active_phi_.end(), std::greater<>());
+
+  // The net: every distinct live phi, descending, or -- past 40 of them --
+  // the largest, then repeatedly the largest <= last / 1.3, then the
+  // smallest.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  thresholds_.clear();
+  for (double v = predecessor(kInf, false); v > 0 && thresholds_.size() <= 40;
+       v = predecessor(v, true))
+    thresholds_.push_back(v);
+  if (thresholds_.size() > 40) {
+    const double smallest = std::min(
+        dead_phi_.empty() ? kInf : dead_phi_.front(),
+        active_phi_.empty() ? kInf : active_phi_.back());
+    double last = thresholds_.front();
+    thresholds_.clear();
+    for (;;) {
+      thresholds_.push_back(last);
+      const double x = last / 1.3;
+      last = x < last ? predecessor(x, false) : predecessor(last, true);
+      if (last <= 0) break;
+    }
+    if (thresholds_.back() != smallest) thresholds_.push_back(smallest);
   }
 
   // S itself first (theta = +infinity).
-  std::optional<Violation> best = check(S, phi, tolerance_);
-  if (best) return best;
+  chosen_.assign(n_blocks, -1);
+  int g = S.g();
+  {
+    const double rhs = static_cast<double>(cap - g);
+    const double l = chosen_lhs(cap, g);
+    if (l < rhs - tolerance_) return Violation{S, l, rhs};
+  }
 
-  for (double theta : thresholds) {
-    FlushSet sprime = S;
-    for (BlockId b = 0; b < cov.blocks().n_blocks(); ++b) {
-      const Time m = S.max_flush(b);
-      // Add the *latest* qualifying entry per block; earlier qualifying
-      // entries are then dominated (only the max flush time matters).
-      Time best_t = kNeverRequested;
-      const auto& list = phi.entries(b);
-      for (auto it = first_live(list, m); it != list.end(); ++it)
-        if (it->phi >= theta) best_t = std::max(best_t, it->t);
-      if (best_t != kNeverRequested) sprime.add_flush(b, best_t);
+  // Right-to-left maxima per block, in the order theta passes them.
+  steps_.clear();
+  for (std::size_t b = 0; b < n_blocks; ++b) {
+    double run = 0;
+    for (int i = begin_[b + 1] - 1; i >= begin_[b]; --i) {
+      const double v = active_[static_cast<std::size_t>(i)].phi;
+      if (v > run) {
+        steps_.push_back({v, i, static_cast<BlockId>(b)});
+        run = v;
+      }
     }
-    if (auto v = check(sprime, phi, tolerance_)) return v;
+  }
+  std::sort(steps_.begin(), steps_.end(),
+            [](const Step& x, const Step& y) { return x.phi > y.phi; });
+
+  std::size_t next = 0;
+  for (const double theta : thresholds_) {
+    if (next == steps_.size() || steps_[next].phi < theta) continue;
+    for (; next < steps_.size() && steps_[next].phi >= theta; ++next) {
+      const Step& st = steps_[next];
+      int& c = chosen_[static_cast<std::size_t>(st.b)];
+      g += active_[static_cast<std::size_t>(st.index)].below -
+           (c < 0 ? base_[static_cast<std::size_t>(st.b)]
+                  : active_[static_cast<std::size_t>(c)].below);
+      c = st.index;
+    }
+    // g only grows as theta falls, so no later S' has rhs > 0 either.
+    if (g >= cap) return std::nullopt;
+    const double rhs = static_cast<double>(cap - g);
+    const double l = chosen_lhs(cap, g);
+    if (l < rhs - tolerance_) return Violation{sprime(S, phi, theta), l, rhs};
   }
   return std::nullopt;
+}
+
+FlushSet ThresholdSeparation::sprime(const FlushSet& S, const FlushVars& phi,
+                                     double theta) const {
+  // As the scan builds S'(theta): per block the latest live entry with
+  // phi >= theta, which is a dead one when no active one is.
+  FlushSet out = S;
+  for (std::size_t b = 0; b < chosen_.size(); ++b) {
+    const auto block = static_cast<BlockId>(b);
+    Time best_t = kNeverRequested;
+    if (chosen_[b] >= 0) {
+      best_t = active_[static_cast<std::size_t>(chosen_[b])].t;
+    } else {
+      const auto& list = phi.entries(block);
+      for (int i = dead_hi_[b] - 1; i >= dead_lo_[b]; --i) {
+        if (list[static_cast<std::size_t>(i)].phi >= theta) {
+          best_t = list[static_cast<std::size_t>(i)].t;
+          break;
+        }
+      }
+    }
+    if (best_t != kNeverRequested) out.add_flush(block, best_t);
+  }
+  return out;
 }
 
 std::optional<Violation> DpSeparation::find_violated(const FlushSet& S,

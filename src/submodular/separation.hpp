@@ -6,12 +6,49 @@
 // paper's fractional algorithm only ever needs constraints for S' >= S
 // where S is the set of integrally-chosen flushes (Claim 3.10). Following
 // the round-or-separate viewpoint of [GL20b], ThresholdSeparation searches
-// the family { S } and { S + all entries with phi >= theta } over the
-// distinct entry values theta; ExhaustiveSeparation enumerates every
-// relevant per-block max-flush combination (exponential; tests only).
+// the family { S } and { S + all entries with phi >= theta } over a
+// geometric net of the live entries' phi values; DpSeparation is exact
+// and polynomial; ExhaustiveSeparation enumerates every relevant
+// per-block max-flush combination (exponential; tests only).
+//
+// ThresholdSeparation's answer is a fixed function of (S, phi): the net
+// is every distinct live phi (phi > 0, time > S's max flush in the block),
+// thinned to ratio-1.3 steps once there are more than 40, and the first
+// theta whose S'(theta) -- S plus, per block, the latest live entry with
+// phi >= theta -- is violated wins. Three exact facts make it cheap:
+//
+//   * Dead entries. A live entry (B, t) has g-marginal #{p in B : r(p) in
+//     [m_B, t)}, m_B = S's max flush in B. That count grows with t, so the
+//     entries where it is 0 form a time-prefix of B's live entries. They
+//     add nothing to constraint_lhs(S') for any S' >= S, so Algorithm 2
+//     never grows them again and their phi is frozen; and as requests
+//     only move r(p) past t and S only raises m_B, they stay dead.
+//   * Equivalent S'. Picking a dead entry as B's latest phi >= theta is
+//     the same as adding no flush for B: g(S') and every LHS term match.
+//     So S'(theta) changes only when theta passes a right-to-left maximum
+//     of phi among B's non-dead entries; a theta that passes none gives
+//     the S' just checked and is skipped. The Violation's max_flush
+//     values (which may name dead entries) are rebuilt only for the S'
+//     returned.
+//   * Marginals by walking. Each non-dead entry's count_below comes from
+//     one merged walk over B's entries and sorted last requests; the LHS
+//     adds the same terms in the same order as constraint_lhs.
+//
+// The dead entries' phi values stay in a sorted multiset across calls,
+// so the net is a predecessor query per point into it and into the
+// (sorted) non-dead values, instead of a sort of every live phi. The
+// multiset is a cache, not state: every call compares the phi of each
+// block's dead range with the values that block's share was built from
+// and rebuilds the share on any difference (only growth at the back is
+// appended), so a reused oracle (other phi, other FlushVars) returns
+// exactly what the stateless scan returns. The stateless scan is
+// kept as verify::ReferenceThresholdSeparation; tests and the
+// cost_sandwich fuzz family diff the two bit for bit.
 #pragma once
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "submodular/flush_coverage.hpp"
 #include "submodular/flush_vars.hpp"
@@ -44,11 +81,55 @@ class ThresholdSeparation final : public SeparationOracle {
   /// (guards against floating-point churn in the closed-form updates).
   explicit ThresholdSeparation(double tolerance = 1e-9)
       : tolerance_(tolerance) {}
+  /// Entry times must not exceed the coverage's current tau (the
+  /// Violation's S' is built with FlushSet::add_flush).
   std::optional<Violation> find_violated(const FlushSet& S,
                                          const FlushVars& phi) override;
 
  private:
+  /// A live entry with positive phi and positive g-marginal w.r.t. S.
+  struct Active {
+    double phi;
+    Time t;
+    int below;  ///< count_below(b, t)
+  };
+  /// A right-to-left maximum of phi among one block's active entries.
+  struct Step {
+    double phi;
+    int index;  ///< into active_
+    BlockId b;
+  };
+
+  /// Bring block b's share of dead_phi_ in line with `dead`, its current
+  /// dead entries.
+  void sync_dead(BlockId b, std::span<const FlushVars::Entry> dead);
+  /// Largest net candidate <= x (or < x when `strict`); 0 if none.
+  [[nodiscard]] double predecessor(double x, bool strict) const;
+  /// constraint_lhs of S plus each block's chosen_ entry, g(S') = g.
+  [[nodiscard]] double chosen_lhs(int cap, int g) const;
+  /// S'(theta) with the max flushes the stateless scan gives it.
+  [[nodiscard]] FlushSet sprime(const FlushSet& S, const FlushVars& phi,
+                                double theta) const;
+
   double tolerance_;
+  // Cache, validated on every call: per block the phi of the dead entries
+  // it was built from, in time order, and the ascending multiset of all
+  // those that are > 0. (The net needs only the values; S' is rebuilt
+  // from phi itself.)
+  std::vector<std::vector<double>> dead_;
+  std::vector<double> dead_phi_;
+  // Per-call buffers, kept for their capacity. Block b's active entries
+  // are active_[begin_[b], begin_[b + 1]); base_[b] = count_below(b,
+  // m_b); its dead entries are entries(b)[dead_lo_[b], dead_hi_[b]).
+  std::vector<Active> active_;
+  std::vector<int> begin_;
+  std::vector<int> base_;
+  std::vector<int> dead_lo_;
+  std::vector<int> dead_hi_;
+  std::vector<int> chosen_;         ///< per block: index into active_ or -1
+  std::vector<double> active_phi_;  ///< descending
+  std::vector<Step> steps_;         ///< descending phi
+  std::vector<double> thresholds_;  ///< the net, descending
 };
 
 /// Exhaustive search over per-block max-flush-time combinations drawn from

@@ -1,6 +1,7 @@
 #include "verify/oracles.hpp"
 
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -213,11 +214,26 @@ std::vector<Violation> check_cost_sandwich(const GeneratedInstance& gi,
   }
 
   // Algorithm 2: fractional cost above its own (feasible) dual, dual below
-  // OPT.
+  // OPT; and its default ThresholdSeparation step for step bit-identical
+  // to the frozen stateless twin.
   try {
     FractionalBlockAware frac(inst.blocks, inst.k);
-    for (Time t = 1; t <= inst.horizon(); ++t)
-      frac.step(t, inst.request_at(t));
+    FractionalBlockAware twin(
+        inst.blocks, inst.k,
+        std::make_unique<ReferenceThresholdSeparation>());
+    bool diverged = false;
+    for (Time t = 1; t <= inst.horizon(); ++t) {
+      const auto& got = frac.step(t, inst.request_at(t));
+      if (diverged) continue;
+      const auto& want = twin.step(t, inst.request_at(t));
+      if (!bit_identical(got, want)) {
+        report(out, "cost_sandwich",
+               "threshold separation diverges from its reference twin at t=" +
+                   std::to_string(t) + " (" + std::to_string(got.size()) +
+                   " vs " + std::to_string(want.size()) + " increments)");
+        diverged = true;
+      }
+    }
     if (!leq(frac.dual_objective(), frac.fractional_cost()))
       report(out, "cost_sandwich",
              "fractional cost " + fmt(frac.fractional_cost()) +

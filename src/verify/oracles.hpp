@@ -12,7 +12,9 @@
 //   cost_sandwich    lb <= OPT_evict <= every feasible policy's eviction
 //                    cost (and OPT_fetch <= fetch cost); det-online within
 //                    its proven k ratio, dual objectives certified below
-//                    OPT; fractional cost above its own dual. Exact OPT /
+//                    OPT; fractional cost above its own dual, and its
+//                    increments bit-identical per step under the cached
+//                    ThresholdSeparation and its frozen twin. Exact OPT /
 //                    LP solvers cap feasibility via OracleOptions.
 //   cost_model       Section 2 accounting identities on every run:
 //                    batched <= classic <= beta x batched per side,

@@ -1,7 +1,11 @@
 #include "verify/reference_policies.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <deque>
+#include <functional>
+#include <limits>
 #include <list>
 #include <set>
 #include <sstream>
@@ -754,6 +758,97 @@ std::vector<std::string> diff_policy_runs(const Instance& inst,
     }
   }
   return out;
+}
+
+// --- the frozen threshold separation ---------------------------------------
+// ThresholdSeparation::find_violated before its cached rewrite, verbatim
+// with its two helpers.
+
+namespace {
+
+/// Iterator to the first entry of `list` with time strictly greater than m
+/// (entries are sorted by time; dead entries are skipped wholesale).
+auto first_live(const std::vector<FlushVars::Entry>& list, Time m) {
+  return std::upper_bound(
+      list.begin(), list.end(), m,
+      [](Time t, const FlushVars::Entry& e) { return t < e.t; });
+}
+
+/// Evaluate the constraint for `sprime`; return Violation if violated.
+std::optional<bac::Violation> check(const FlushSet& sprime,
+                                    const FlushVars& phi, double tolerance) {
+  const double rhs =
+      static_cast<double>(sprime.coverage().cap() - sprime.f());
+  if (rhs <= 0) return std::nullopt;
+  const double lhs = constraint_lhs(sprime, phi);
+  if (lhs < rhs - tolerance) return bac::Violation{sprime, lhs, rhs};
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<bac::Violation> ReferenceThresholdSeparation::find_violated(
+    const FlushSet& S, const FlushVars& phi) {
+  // Candidate thresholds: phi values of live entries, bucketed to at most
+  // ~2 per power of two (a geometric net) so a call costs
+  // O(buckets * live entries) rather than O(live entries^2).
+  const FlushCoverage& cov = S.coverage();
+  std::vector<double> thresholds;
+  for (BlockId b = 0; b < cov.blocks().n_blocks(); ++b) {
+    const auto& list = phi.entries(b);
+    for (auto it = first_live(list, S.max_flush(b)); it != list.end(); ++it)
+      if (it->phi > 0) thresholds.push_back(it->phi);
+  }
+  std::sort(thresholds.begin(), thresholds.end(), std::greater<>());
+  thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
+                   thresholds.end());
+  if (thresholds.size() > 40) {
+    std::vector<double> netted;
+    netted.reserve(48);
+    double last = std::numeric_limits<double>::infinity();
+    for (double v : thresholds) {
+      if (v <= last / 1.3) {
+        netted.push_back(v);
+        last = v;
+      }
+    }
+    if (!netted.empty() && netted.back() != thresholds.back())
+      netted.push_back(thresholds.back());
+    thresholds = std::move(netted);
+  }
+
+  // S itself first (theta = +infinity).
+  std::optional<bac::Violation> best = check(S, phi, tolerance_);
+  if (best) return best;
+
+  for (double theta : thresholds) {
+    FlushSet sprime = S;
+    for (BlockId b = 0; b < cov.blocks().n_blocks(); ++b) {
+      const Time m = S.max_flush(b);
+      // Add the *latest* qualifying entry per block; earlier qualifying
+      // entries are then dominated (only the max flush time matters).
+      Time best_t = kNeverRequested;
+      const auto& list = phi.entries(b);
+      for (auto it = first_live(list, m); it != list.end(); ++it)
+        if (it->phi >= theta) best_t = std::max(best_t, it->t);
+      if (best_t != kNeverRequested) sprime.add_flush(b, best_t);
+    }
+    if (auto v = check(sprime, phi, tolerance_)) return v;
+  }
+  return std::nullopt;
+}
+
+bool bit_identical(const std::vector<FractionalIncrement>& a,
+                   const std::vector<FractionalIncrement>& b) {
+  return std::equal(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [](const FractionalIncrement& x, const FractionalIncrement& y) {
+        return x.b == y.b && x.t == y.t &&
+               std::bit_cast<std::uint64_t>(x.delta) ==
+                   std::bit_cast<std::uint64_t>(y.delta) &&
+               std::bit_cast<std::uint64_t>(x.new_value) ==
+                   std::bit_cast<std::uint64_t>(y.new_value);
+      });
 }
 
 }  // namespace bac::verify

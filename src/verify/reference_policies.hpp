@@ -1,5 +1,7 @@
-// Frozen std::set-based reference implementations of the deterministic
-// classical policies, for the policy_equivalence oracle family.
+// Frozen reference implementations: std::set-based twins of the
+// deterministic classical policies, for the policy_equivalence oracle
+// family, and the stateless scan ThresholdSeparation replaced, for the
+// cost_sandwich family's Algorithm 2 check.
 //
 // The production policies in algs/policies/ keep their eviction orders
 // in the flat primitives from core/eviction_index.hpp (intrusive lists,
@@ -21,8 +23,10 @@
 #include <utility>
 #include <vector>
 
+#include "algs/fractional.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
+#include "submodular/separation.hpp"
 
 namespace bac::verify {
 
@@ -45,5 +49,27 @@ std::vector<std::string> diff_policy_runs(const Instance& inst,
                                           OnlinePolicy& a, OnlinePolicy& b,
                                           std::uint64_t seed,
                                           const std::string& label);
+
+/// ThresholdSeparation as it was before its cached rewrite, verbatim: on
+/// every call it sorts the phi of every live entry, nets them to at most
+/// ~48 thresholds and rebuilds and scores S' anew for each threshold.
+/// The production oracle must return the same Violation bit for bit
+/// (lhs, rhs, g and every max_flush); tests and cost_sandwich diff them.
+/// (bac::Violation is the separation result, not verify::Violation.)
+class ReferenceThresholdSeparation final : public SeparationOracle {
+ public:
+  explicit ReferenceThresholdSeparation(double tolerance = 1e-9)
+      : tolerance_(tolerance) {}
+  std::optional<bac::Violation> find_violated(const FlushSet& S,
+                                              const FlushVars& phi) override;
+
+ private:
+  double tolerance_;
+};
+
+/// Do two steps' increments agree bit for bit (same order, blocks, times,
+/// and bit patterns of delta and new_value)?
+[[nodiscard]] bool bit_identical(const std::vector<FractionalIncrement>& a,
+                                 const std::vector<FractionalIncrement>& b);
 
 }  // namespace bac::verify

@@ -3,12 +3,15 @@
 // cost vs dual ratio, and dual validity against exact OPT.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "algs/fractional.hpp"
 #include "algs/opt.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"
+#include "verify/reference_policies.hpp"
 
 namespace bac {
 namespace {
@@ -171,6 +174,41 @@ TEST(Fractional, WeightedCostsRespectDualBound) {
       2.0 * std::log(static_cast<double>(inst.k) * inst.blocks.beta() + 1.0) +
       1.0;
   EXPECT_LE(alg.fractional_cost() / alg.dual_objective(), bound + 1e-6);
+}
+
+TEST(Fractional, CachedThresholdOracleIsBitIdenticalToReference) {
+  // Whole runs on the cached ThresholdSeparation and on its frozen
+  // stateless twin: every step's increments must agree bit for bit, on a
+  // blocklocal trace and on a weighted-cost zipf trace.
+  const BlockMap blocks = BlockMap::contiguous(64, 4);
+  const Instance blocklocal{
+      blocks, block_local_trace(blocks, 1500, 0.75, 0.9, Xoshiro256pp(81)),
+      16};
+  Xoshiro256pp rng(82);
+  auto costs = log_uniform_costs(16, 16.0, rng);
+  const Instance weighted = make_weighted_instance(
+      48, 3, 8, zipf_trace(48, 1000, 0.9, rng.substream(1)),
+      std::move(costs));
+  for (const Instance* inst : {&blocklocal, &weighted}) {
+    FractionalBlockAware fast(inst->blocks, inst->k,
+                              std::make_unique<ThresholdSeparation>());
+    FractionalBlockAware twin(
+        inst->blocks, inst->k,
+        std::make_unique<verify::ReferenceThresholdSeparation>());
+    std::size_t increments = 0;
+    for (Time t = 1; t <= inst->horizon(); ++t) {
+      const auto& a = fast.step(t, inst->request_at(t));
+      const auto& b = twin.step(t, inst->request_at(t));
+      ASSERT_TRUE(verify::bit_identical(a, b))
+          << "increments diverge at t=" << t << " (" << a.size() << " vs "
+          << b.size() << ")";
+      increments += a.size();
+    }
+    EXPECT_GT(increments, static_cast<std::size_t>(inst->horizon()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.dual_objective()),
+              std::bit_cast<std::uint64_t>(twin.dual_objective()));
+    EXPECT_EQ(fast.integral_flushes(), twin.integral_flushes());
+  }
 }
 
 }  // namespace

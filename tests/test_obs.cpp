@@ -64,6 +64,24 @@ TEST(Histogram, UnderflowOverflowAndSpecialValues) {
   EXPECT_EQ(h.bucket_count(Histogram::kBucketCount - 1), 1u);
 }
 
+TEST(Histogram, ZeroSamplesReportZeroQuantiles) {
+  // The underflow bucket reports 0 (clamped to [min, max]), not its
+  // midpoint: a median of {0, 0, 5} is 0, not ~1.16e-10.
+  Histogram h;
+  h.add(0.0);
+  h.add(0.0);
+  h.add(5.0);
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  // Clamping keeps an all-negative underflow sample set at its max.
+  Histogram neg;
+  neg.add(-3.0);
+  EXPECT_EQ(neg.quantile(0.5), -3.0);
+  // Tiny positives share the bucket; the clamp lifts 0 to their min.
+  Histogram tiny;
+  tiny.add(1e-12);
+  EXPECT_EQ(tiny.quantile(0.5), 1e-12);
+}
+
 TEST(Histogram, SixteenSubBucketsPerOctaveResolution) {
   // Within one octave the sub-buckets are linear: width = 2^e / 16.
   const int b = Histogram::bucket_of(1.0);

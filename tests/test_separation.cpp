@@ -1,10 +1,20 @@
 // Tests for the LP (P) separation oracles: LHS evaluation, detection of
-// violated constraints, and agreement between the online threshold oracle
-// and the exhaustive oracle on small instances.
+// violated constraints, agreement between the online threshold oracle
+// and the exhaustive oracle on small instances, and bit-identity of the
+// cached threshold oracle with its frozen stateless twin.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "algs/fractional.hpp"
 #include "submodular/separation.hpp"
+#include "trace/generators.hpp"
 #include "util/rng.hpp"
+#include "verify/reference_policies.hpp"
 
 namespace bac {
 namespace {
@@ -105,6 +115,169 @@ TEST(Separation, DpOracleIsExactAgainstExhaustive) {
   // level sets documented in submodular/separation.hpp): it may miss
   // mixed-level violations, but should catch the large majority.
   EXPECT_LE(threshold_misses * 4, violated_cases);
+}
+
+/// The two oracles' answers agree bit for bit: presence, lhs, rhs, g(S')
+/// and every block's max flush.
+void expect_same(const std::optional<Violation>& got,
+                 const std::optional<Violation>& want,
+                 const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want) return;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->lhs),
+            std::bit_cast<std::uint64_t>(want->lhs))
+      << where << ": lhs " << got->lhs << " vs " << want->lhs;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->rhs),
+            std::bit_cast<std::uint64_t>(want->rhs))
+      << where;
+  EXPECT_EQ(got->sprime.g(), want->sprime.g()) << where;
+  const int n_blocks = want->sprime.coverage().blocks().n_blocks();
+  for (BlockId b = 0; b < n_blocks; ++b)
+    EXPECT_EQ(got->sprime.max_flush(b), want->sprime.max_flush(b))
+        << where << ": block " << b;
+}
+
+TEST(Separation, ThresholdMatchesReferenceOnRandomStates) {
+  // The states of DpOracleIsExactAgainstExhaustive (same generator), then
+  // larger ones with more than 40 distinct phi values (the netted path).
+  // Each is asked of a fresh oracle and of one oracle reused across every
+  // state, against S = empty, the initial S = {(B, 0)} and S with random
+  // extra flushes.
+  verify::ReferenceThresholdSeparation twin;
+  ThresholdSeparation reused;
+  int violated = 0;
+  int netted = 0;
+  struct Shape {
+    int n, beta, k;
+    Time T;
+    int entries;
+    int trials;
+  };
+  const Shape shapes[] = {{6, 2, 3, 8, 5, 60}, {32, 4, 8, 120, 150, 40}};
+  Xoshiro256pp rng(123);   // DpOracleIsExactAgainstExhaustive's stream
+  Xoshiro256pp extra(321);  // everything that test does not draw
+  for (const Shape& sh : shapes) {
+    for (int trial = 0; trial < sh.trials; ++trial) {
+      const BlockMap blocks = BlockMap::contiguous(sh.n, sh.beta);
+      FlushCoverage cov(blocks, sh.k);
+      for (Time t = 1; t <= sh.T; ++t)
+        cov.advance(static_cast<PageId>(rng.below(sh.n)), t);
+      FlushVars phi(blocks.n_blocks());
+      for (int i = 0; i < sh.entries; ++i) {
+        const auto b = static_cast<BlockId>(rng.below(blocks.n_blocks()));
+        const auto t = static_cast<Time>(1 + rng.below(sh.T));
+        if (sh.n == 6) {
+          phi.increase(b, t, 0.25 * static_cast<double>(1 + rng.below(3)));
+        } else {
+          const double level = 0.01 * static_cast<double>(1 + rng.below(3));
+          phi.increase(b, t, level + 1e-3 * extra.uniform());
+        }
+      }
+      FlushSet flushed(cov);
+      for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+        if (extra.bernoulli(0.3))
+          flushed.add_flush(b, static_cast<Time>(extra.below(sh.T + 1)));
+      const FlushSet sets[] = {FlushSet::empty(cov), FlushSet(cov), flushed};
+      for (const FlushSet& S : sets) {
+        const std::string where = "n=" + std::to_string(sh.n) + " trial " +
+                                  std::to_string(trial) + " g(S)=" +
+                                  std::to_string(S.g());
+        const auto want = twin.find_violated(S, phi);
+        ThresholdSeparation fresh;
+        expect_same(fresh.find_violated(S, phi), want, where + " fresh");
+        expect_same(reused.find_violated(S, phi), want, where + " reused");
+        if (want) ++violated;
+      }
+      std::size_t entries = 0;
+      for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+        entries += phi.entries(b).size();
+      if (entries > 40) ++netted;
+    }
+  }
+  EXPECT_GT(violated, 60) << "states should exercise violated cases";
+  EXPECT_GT(netted, 20) << "states should exercise the netted thresholds";
+}
+
+/// Drives Algorithm 2 with the frozen twin's answers. On every call it
+/// also asks one reused ThresholdSeparation -- on the run's phi and on
+/// edited copies in the places its cache covers -- and compares.
+class ReuseProbe final : public SeparationOracle {
+ public:
+  std::optional<Violation> find_violated(const FlushSet& S,
+                                         const FlushVars& phi) override {
+    ++calls;
+    const std::string at = "call " + std::to_string(calls);
+    const auto want = twin_.find_violated(S, phi);
+    expect_same(reused_.find_violated(S, phi), want, at);
+
+    // The block with the longest dead prefix (live, g-marginal 0).
+    const int n_blocks = S.coverage().blocks().n_blocks();
+    BlockId dead_b = -1;
+    std::vector<Time> dead;
+    for (BlockId b = 0; b < n_blocks; ++b) {
+      std::vector<Time> d;
+      for (const FlushVars::Entry& e : phi.entries(b))
+        if (e.t > S.max_flush(b) && S.g_marginal(b, e.t) == 0)
+          d.push_back(e.t);
+      if (d.size() > dead.size()) {
+        dead = std::move(d);
+        dead_b = b;
+      }
+    }
+    if (dead.size() < 2 || dead.front() - 1 <= S.max_flush(dead_b))
+      return want;
+    ++edited;
+    // Other FlushVars objects each time, then back to the run's own.
+    FlushVars raised = phi;  // a dead entry raised above every phi
+    raised.raise_to(dead_b, dead[1], 1.5);
+    const auto want_raised = twin_.find_violated(S, raised);
+    expect_same(reused_.find_violated(S, raised), want_raised,
+                at + " dead entry raised");
+    FlushVars inserted = raised;  // and a dead entry inserted before it
+    inserted.increase(dead_b, dead.front() - 1, 0.77);
+    const auto want_inserted = twin_.find_violated(S, inserted);
+    expect_same(reused_.find_violated(S, inserted), want_inserted,
+                at + " entry inserted before it");
+    if (differ(want, want_raised) || differ(want_raised, want_inserted))
+      ++moved;
+    return want;
+  }
+
+  int calls = 0;
+  int edited = 0;
+  int moved = 0;  ///< edits that changed the twin's answer
+
+ private:
+  static bool differ(const std::optional<Violation>& x,
+                     const std::optional<Violation>& y) {
+    if (x.has_value() != y.has_value()) return true;
+    if (!x) return false;
+    if (x->lhs != y->lhs || x->sprime.g() != y->sprime.g()) return true;
+    const int n_blocks = x->sprime.coverage().blocks().n_blocks();
+    for (BlockId b = 0; b < n_blocks; ++b)
+      if (x->sprime.max_flush(b) != y->sprime.max_flush(b)) return true;
+    return false;
+  }
+
+  verify::ReferenceThresholdSeparation twin_;
+  ThresholdSeparation reused_;
+};
+
+TEST(Separation, ReusedOracleFollowsPhiChanges) {
+  // Every state Algorithm 2 asks about on a blocklocal trace, plus two
+  // edits per state inside a dead prefix, through one oracle object that
+  // keeps its cache across all of them: each answer must be the
+  // stateless twin's, bit for bit.
+  const BlockMap blocks = BlockMap::contiguous(64, 4);
+  const auto trace =
+      block_local_trace(blocks, 400, 0.75, 0.9, Xoshiro256pp(17));
+  auto probe = std::make_unique<ReuseProbe>();
+  ReuseProbe& p = *probe;
+  FractionalBlockAware alg(blocks, 16, std::move(probe));
+  for (Time t = 1; t <= static_cast<Time>(trace.size()); ++t)
+    alg.step(t, trace[static_cast<std::size_t>(t - 1)]);
+  EXPECT_GT(p.edited, 100) << "runs should build long dead prefixes";
+  EXPECT_GT(p.moved, 20) << "the edits should change the answer";
 }
 
 TEST(Separation, LhsSkipsDominatedEntries) {
