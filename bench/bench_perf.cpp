@@ -16,6 +16,7 @@
 #include "algs/fractional.hpp"
 #include "algs/opt.hpp"
 #include "algs/rounding.hpp"
+#include "algs/threshold_bicriteria.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "submodular/flush_coverage.hpp"
@@ -25,19 +26,6 @@
 
 namespace bac {
 namespace {
-
-/// Default-constructible adapter (BlockLruPolicy's ctor takes a flag).
-class BlockLruNoPrefetch final : public OnlinePolicy {
- public:
-  [[nodiscard]] std::string name() const override { return inner_.name(); }
-  void reset(const Instance& inst) override { inner_.reset(inst); }
-  void on_request(Time t, PageId p, CacheOps& cache) override {
-    inner_.on_request(t, p, cache);
-  }
-
- private:
-  BlockLruPolicy inner_{false};
-};
 
 Instance bench_instance(int n, int beta, int k, Time T) {
   BlockMap blocks = BlockMap::contiguous(n, beta);
@@ -82,10 +70,9 @@ void run_case(Table& table, const std::string& name, const Instance& inst,
       .add(checksum, 1);
 }
 
-template <typename Policy>
-void simulate_case(Table& table, const std::string& name, int n, Time T) {
+void simulate_case(Table& table, const std::string& name, int n, Time T,
+                   OnlinePolicy& policy) {
   const Instance inst = bench_instance(n, 8, n / 4, T);
-  Policy policy;
   // Pure simulator + policy throughput: no per-step sketches, schedules,
   // or curves — the lane the flat eviction indexes and batched streaming
   // are built for. The checksum (total eviction cost) pins behaviour, so
@@ -95,6 +82,12 @@ void simulate_case(Table& table, const std::string& name, int n, Time T) {
   run_case(table, name + "/" + std::to_string(n), inst, inst.horizon(), [&] {
     return simulate(inst, policy, options).eviction_cost;
   });
+}
+
+template <typename Policy>
+void simulate_case(Table& table, const std::string& name, int n, Time T) {
+  Policy policy;
+  simulate_case(table, name, n, T, policy);
 }
 
 /// The enabled-path overhead probe: the same LRU workload as
@@ -132,7 +125,8 @@ void simulator_throughput() {
   simulate_case<S3FifoPolicy>(table, "simulate/S3FIFO", 1024, kLong);
   simulate_case<SievePolicy>(table, "simulate/SIEVE", 1024, kLong);
   simulate_case<ArcPolicy>(table, "simulate/ARC", 1024, kLong);
-  simulate_case<BlockLruNoPrefetch>(table, "simulate/BlockLRU", 256, kLong);
+  BlockLruPolicy block_lru(false);
+  simulate_case(table, "simulate/BlockLRU", 256, kLong, block_lru);
   simulate_case<BlockS3FifoPolicy>(table, "simulate/BlockS3FIFO", 256, kLong);
   simulate_case<BlockSievePolicy>(table, "simulate/BlockSIEVE", 256, kLong);
   simulate_case<DetOnlineBlockAware>(table, "simulate/BA-Det", 256, 20'000);
@@ -140,6 +134,10 @@ void simulator_throughput() {
   simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand", 256, 2'000);
   simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand-T20k", 256,
                                       20'000);
+  // Theorem 4.1's rounding over the fractional weighted-paging substrate
+  // (half-size cache h = 32).
+  ThresholdBicriteriaPolicy bicrit(ThresholdBicriteriaPolicy::Mode::Fetching);
+  simulate_case(table, "simulate/BA-Bicrit-fetch", 256, 20'000, bicrit);
   bench::emit(table, "bench_perf", "PERF simulator throughput per policy",
               "simulate");
 }

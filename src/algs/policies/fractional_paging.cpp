@@ -5,74 +5,142 @@
 
 namespace bac {
 
-FractionalWeightedPaging::FractionalWeightedPaging(const Instance& inst)
-    : blocks_(&inst.blocks), k_(inst.k) {
-  const auto n = static_cast<std::size_t>(inst.n_pages());
-  x_.assign(n, 1.0);  // everything starts missing (empty cache)
-  cost_.resize(n);
-  seen_.assign(n, 0);
-  for (PageId p = 0; p < inst.n_pages(); ++p)
-    cost_[static_cast<std::size_t>(p)] =
-        blocks_->cost(blocks_->block_of(p));
+namespace {
+
+/// Insert q into the ascending list `list` unless it holds q already.
+void insert_sorted(std::vector<PageId>& list, PageId q) {
+  const auto at = std::lower_bound(list.begin(), list.end(), q);
+  if (at == list.end() || *at != q) list.insert(at, q);
 }
 
-double FractionalWeightedPaging::cached_mass() const {
-  double mass = 0;
-  for (std::size_t p = 0; p < x_.size(); ++p)
-    if (seen_[p]) mass += 1.0 - x_[p];
-  return mass;
+}  // namespace
+
+FractionalWeightedPaging::FractionalWeightedPaging(BlockMap blocks, int k)
+    : blocks_(std::move(blocks)), k_(k), inv_k_(1.0 / static_cast<double>(k)) {
+  const auto n = static_cast<std::size_t>(blocks_.n_pages());
+  x_.assign(n, 1.0);  // everything starts missing (empty cache)
+  for (BlockId b = 0; b < blocks_.n_blocks(); ++b)
+    class_cost_.push_back(blocks_.cost(b));
+  std::sort(class_cost_.begin(), class_cost_.end());
+  class_cost_.erase(std::unique(class_cost_.begin(), class_cost_.end()),
+                    class_cost_.end());
+  growth_.resize(class_cost_.size());
+  class_of_.resize(n);
+  for (PageId q = 0; q < blocks_.n_pages(); ++q)
+    class_of_[static_cast<std::size_t>(q)] = static_cast<std::size_t>(
+        std::lower_bound(class_cost_.begin(), class_cost_.end(),
+                         blocks_.cost(blocks_.block_of(q))) -
+        class_cost_.begin());
+}
+
+bool FractionalWeightedPaging::grow_classes(double s) {
+  bool inert = true;
+  for (std::size_t j = 0; j < class_cost_.size(); ++j) {
+    growth_[j] = std::exp(s / class_cost_[j]);
+    // A page at x = 1 grows to min(1, this): it stays put unless below 1.
+    if ((1.0 + inv_k_) * growth_[j] - inv_k_ < 1.0) inert = false;
+  }
+  return inert;
+}
+
+double FractionalWeightedPaging::grown(std::size_t q) const {
+  return std::min(1.0, (x_[q] + inv_k_) * growth_[class_of_[q]] - inv_k_);
+}
+
+void FractionalWeightedPaging::grow_to(double s, PageId p, double p_from) {
+  const std::vector<PageId>& walk = grow_classes(s) ? partial_ : seen_list_;
+  next_partial_.clear();
+  moved_.clear();
+  moved_from_.clear();
+  for (const PageId q : walk) {
+    if (q == p) {
+      next_partial_.push_back(p);
+      if (p_from > 0) {
+        moved_.push_back(p);
+        moved_from_.push_back(p_from);
+      }
+      continue;
+    }
+    const auto i = static_cast<std::size_t>(q);
+    const double from = x_[i];
+    const double to = grown(i);
+    if (to != from) {
+      x_[i] = to;
+      moved_.push_back(q);
+      moved_from_.push_back(from);
+    }
+    if (to < 1.0) next_partial_.push_back(q);
+  }
+  partial_.swap(next_partial_);
+}
+
+void FractionalWeightedPaging::charge_fetches() {
+  // Mass decreases are fractional fetches; only moved pages can have one.
+  drops_.clear();
+  for (std::size_t m = 0; m < moved_.size(); ++m) {
+    const auto q = static_cast<std::size_t>(moved_[m]);
+    const double dec = moved_from_[m] - x_[q];
+    if (dec > 0) {
+      fetch_cost_ += class_cost_[class_of_[q]] * dec;
+      drops_.emplace_back(blocks_.block_of(moved_[m]), dec);
+    }
+  }
+  // One charge per block, its largest decrease, in ascending block order.
+  std::sort(drops_.begin(), drops_.end());
+  for (std::size_t d = 0; d < drops_.size();) {
+    const BlockId b = drops_[d].first;
+    double max_dec = 0;
+    for (; d < drops_.size() && drops_[d].first == b; ++d)
+      max_dec = std::max(max_dec, drops_[d].second);
+    block_fetch_cost_ += blocks_.cost(b) * max_dec;
+  }
 }
 
 const std::vector<double>& FractionalWeightedPaging::step(PageId p) {
-  std::vector<double> before = x_;
+  const auto ip = static_cast<std::size_t>(p);
+  const double p_from = x_[ip];
+  if (p_from >= 1.0) {  // unseen, or seen and back at 1: not in partial_
+    insert_sorted(seen_list_, p);
+    insert_sorted(partial_, p);
+  }
+  x_[ip] = 0.0;
 
-  seen_[static_cast<std::size_t>(p)] = 1;
-  x_[static_cast<std::size_t>(p)] = 0.0;
-
-  if (cached_mass() > static_cast<double>(k_)) {
+  const double k = static_cast<double>(k_);
+  double cached = 0;
+  for (const PageId q : partial_)
+    cached += 1.0 - x_[static_cast<std::size_t>(q)];
+  if (cached > k) {
     // Grow missing masses of all other seen pages along the exponential
     // dynamics x_q(s) = (x_q + 1/k) * exp(s / c_q) - 1/k, finding the
     // "time" s at which the fractional cache exactly fits via bisection
     // (the cached mass is strictly decreasing in s).
-    const double inv_k = 1.0 / static_cast<double>(k_);
-    std::vector<double> base = x_;
-    auto mass_at = [&](double s) {
+    const auto mass_at = [&](double s) {
+      const std::vector<PageId>& walk =
+          grow_classes(s) ? partial_ : seen_list_;
       double mass = 0;
-      for (std::size_t q = 0; q < x_.size(); ++q) {
-        if (!seen_[q] || static_cast<PageId>(q) == p) continue;
-        const double xq = std::min(
-            1.0, (base[q] + inv_k) * std::exp(s / cost_[q]) - inv_k);
-        mass += 1.0 - xq;
-      }
+      for (const PageId q : walk)
+        if (q != p) mass += 1.0 - grown(static_cast<std::size_t>(q));
       return mass + 1.0;  // the requested page contributes 1 - x_p = 1
     };
 
     double lo = 0.0, hi = 1.0;
-    while (mass_at(hi) > static_cast<double>(k_)) hi *= 2.0;
+    while (mass_at(hi) > k) hi *= 2.0;
     for (int iter = 0; iter < 100; ++iter) {
       const double mid = 0.5 * (lo + hi);
-      if (mass_at(mid) > static_cast<double>(k_)) lo = mid;
+      if (mid == lo || mid == hi) break;  // fixed point: nothing moves again
+      if (mass_at(mid) > k) lo = mid;
       else hi = mid;
     }
-    for (std::size_t q = 0; q < x_.size(); ++q) {
-      if (!seen_[q] || static_cast<PageId>(q) == p) continue;
-      x_[q] = std::min(1.0, (base[q] + inv_k) * std::exp(hi / cost_[q]) - inv_k);
+    grow_to(hi, p, p_from);
+  } else {
+    moved_.clear();
+    moved_from_.clear();
+    if (p_from > 0) {
+      moved_.push_back(p);
+      moved_from_.push_back(p_from);
     }
   }
-
-  // Account fetching costs (mass decreases = fractional fetches).
-  for (std::size_t q = 0; q < x_.size(); ++q) {
-    const double dec = before[q] - x_[q];
-    if (dec > 0) fetch_cost_ += cost_[q] * dec;
-  }
-  for (BlockId b = 0; b < blocks_->n_blocks(); ++b) {
-    double max_dec = 0;
-    for (PageId q : blocks_->pages_in(b))
-      max_dec = std::max(max_dec,
-                         before[static_cast<std::size_t>(q)] -
-                             x_[static_cast<std::size_t>(q)]);
-    if (max_dec > 0) block_fetch_cost_ += blocks_->cost(b) * max_dec;
-  }
+  charge_fetches();
   return x_;
 }
 

@@ -12,22 +12,60 @@
 // deterministic bicriteria rounding consumes exactly such an x stream, and
 // Theorem 4.4's derandomization argument treats x_p as the expectation of a
 // randomized policy's indicator. Page costs are their block's cost.
+//
+// Each step bisects (100 halvings at most) for the growth time s at which
+// the cache fits, evaluating
+//   mass(s) = 1 + sum over seen q != p, ascending, of
+//             1 - min(1, (x_q + 1/k) * exp(s / c_q) - 1/k).
+// The result — x, both cost accumulators — is bit for bit that of the
+// plain loop over every seen page (verify::ReferenceFractionalWeightedPaging
+// is that loop, frozen), while one step costs O(pages with x < 1) plus one
+// std::exp per distinct block cost per evaluation. Why that is exact:
+//   - Pages at x = 1 are inert while a check holds. All pages at x = 1 of
+//     one cost class c share the term 1 - min(1, (1 + 1/k) exp(s/c) - 1/k).
+//     If that min is 1 for every class, each such term is +0.0; adding +0.0
+//     leaves the running sum's bits unchanged and the page stays at exactly
+//     1, so the walk covers only the pages with x < 1 (kept ascending).
+//   - The check can fail. For about a quarter of all k (11, 12, 34, 48, ...)
+//     fl(fl(1 + 1/k) - 1/k) < 1, so when s / c is tiny (exp(s/c) == 1) the
+//     pages at x = 1 move to just below 1. Such evaluations walk every
+//     seen page (also kept ascending), exactly as the plain loop does.
+//   - exp(s / c) depends on the page only through c: one call per class
+//     gives every page of the class the same bits.
+//   - The bisection stops at its fixed point. Once mid == lo or mid == hi,
+//     no later halving moves lo or hi (mass(lo) > k and mass(hi) <= k
+//     already hold, and lo > 0 by then), so the final hi is the same.
+//   - Only pages whose x changed (moved()) can have a decrease; the two
+//     fetch costs sum over them in ascending page and block order, the
+//     order the full passes over pages and blocks would add them in.
 #pragma once
 
+#include <utility>
 #include <vector>
 
+#include "core/block_map.hpp"
 #include "core/instance.hpp"
 
 namespace bac {
 
 class FractionalWeightedPaging {
  public:
-  explicit FractionalWeightedPaging(const Instance& inst);
+  /// Fractional cache of k pages over `blocks` (held by value: BlockMap
+  /// copies share one immutable structure).
+  FractionalWeightedPaging(BlockMap blocks, int k);
+  explicit FractionalWeightedPaging(const Instance& inst)
+      : FractionalWeightedPaging(inst.blocks, inst.k) {}
 
   /// Serve a request; returns the post-step missing-mass vector x.
   const std::vector<double>& step(PageId p);
 
   [[nodiscard]] const std::vector<double>& x() const noexcept { return x_; }
+
+  /// The pages whose x changed in the last step(), ascending. Every other
+  /// page kept its x bit for bit.
+  [[nodiscard]] const std::vector<PageId>& moved() const noexcept {
+    return moved_;
+  }
 
   /// Accumulated fractional *classic* fetching cost: sum over steps of
   /// sum_p c_p * max(0, decrease of x_p).
@@ -41,15 +79,31 @@ class FractionalWeightedPaging {
   }
 
  private:
-  const BlockMap* blocks_;
+  BlockMap blocks_;
   int k_;
-  std::vector<double> x_;      // missing mass per page
-  std::vector<double> cost_;   // per-page cost (its block's cost)
-  std::vector<char> seen_;     // requested at least once
+  double inv_k_;
+  std::vector<double> x_;            // missing mass per page
+  std::vector<std::size_t> class_of_;  // per page: index of its block's cost
+  std::vector<double> class_cost_;   // the distinct block costs
+  std::vector<double> growth_;       // per class: exp(s / c) at the last s
+  std::vector<PageId> seen_list_;    // the pages requested so far, ascending
+  std::vector<PageId> partial_;      // the seen pages with x < 1, ascending
+  std::vector<PageId> next_partial_;  // partial_ being rebuilt by a step
+  std::vector<PageId> moved_;
+  std::vector<double> moved_from_;   // x before the step, one per moved_
+  std::vector<std::pair<BlockId, double>> drops_;  // (block, decrease)
   double fetch_cost_ = 0;
   double block_fetch_cost_ = 0;
 
-  [[nodiscard]] double cached_mass() const;
+  /// Fill growth_ with exp(s / c) per class; true when every page at x = 1
+  /// stays at exactly 1 for this s (the x < 1 walk is then exact).
+  bool grow_classes(double s);
+  /// Page q's x grown by its class's factor in growth_.
+  [[nodiscard]] double grown(std::size_t q) const;
+  /// Grow every walked page but `p` to time s; rebuilds partial_ and
+  /// moved_ (with p, whose x went from `p_from` to 0, merged in order).
+  void grow_to(double s, PageId p, double p_from);
+  void charge_fetches();
 };
 
 }  // namespace bac

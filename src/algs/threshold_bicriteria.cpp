@@ -6,24 +6,29 @@ namespace bac {
 
 void ThresholdBicriteriaPolicy::reset(const Instance& inst) {
   // Virtual fractional cache of h = max(1, k/2) pages; the rounded cache
-  // then provably fits within k. The instance copy must outlive frac_,
-  // which keeps references into it.
-  half_.emplace(inst);
-  half_->k = std::max(1, inst.k / 2);
-  if (half_->k < inst.blocks.beta()) half_->k = inst.blocks.beta();
-  frac_.emplace(*half_);
+  // then provably fits within k.
+  int h = std::max(1, inst.k / 2);
+  if (h < inst.blocks.beta()) h = inst.blocks.beta();
+  frac_.emplace(inst.blocks, h);
   prev_x_.assign(static_cast<std::size_t>(inst.n_pages()), 1.0);
 }
 
 void ThresholdBicriteriaPolicy::on_request(Time /*t*/, PageId p,
                                            CacheOps& cache) {
   const std::vector<double>& x = frac_->step(p);
+  // Only pages whose x moved this step can cross the threshold, ascending
+  // (the order a scan of every page would meet them in).
+  const std::vector<PageId>& moved = frac_->moved();
   const BlockMap& blocks = cache.blocks();
 
   if (mode_ == Mode::Fetching) {
     // Evict everything above the threshold (free), then batch-fetch the
-    // requested block's eligible pages on a miss.
-    for (PageId q = 0; q < blocks.n_pages(); ++q)
+    // requested block's eligible pages on a miss. Every cached page had
+    // x <= 1/2 when the step began (this sweep evicts the rest, fetches
+    // take only x <= 1/2, and the capacity guard below and the
+    // simulator's repair only evict or fetch the request), so a page
+    // above 1/2 and cached now has moved.
+    for (const PageId q : moved)
       if (x[static_cast<std::size_t>(q)] > 0.5 && cache.contains(q))
         cache.evict(q);
     if (!cache.contains(p)) {
@@ -33,7 +38,7 @@ void ThresholdBicriteriaPolicy::on_request(Time /*t*/, PageId p,
   } else {
     // Eviction variant: crossing above 1/2 flushes the block's crossed
     // pages in one batch; fetching is free, so fetch only the request.
-    for (PageId q = 0; q < blocks.n_pages(); ++q) {
+    for (const PageId q : moved) {
       if (x[static_cast<std::size_t>(q)] > 0.5 &&
           prev_x_[static_cast<std::size_t>(q)] <= 0.5 && cache.contains(q)) {
         for (PageId r : blocks.pages_in(blocks.block_of(q)))
@@ -59,7 +64,8 @@ void ThresholdBicriteriaPolicy::on_request(Time /*t*/, PageId p,
     if (victim < 0) break;
     cache.evict(victim);
   }
-  prev_x_ = x;
+  for (const PageId q : moved)
+    prev_x_[static_cast<std::size_t>(q)] = x[static_cast<std::size_t>(q)];
 }
 
 }  // namespace bac

@@ -36,8 +36,6 @@ class ThresholdBicriteriaPolicy final : public OnlinePolicy {
   void reset(const Instance& inst) override;
   void on_request(Time t, PageId p, CacheOps& cache) override;
   [[nodiscard]] std::unique_ptr<OnlinePolicy> clone() const override {
-    // Valid after reset(), which re-emplaces half_/frac_ (the copied frac_
-    // still references the source's half-size instance until then).
     return std::make_unique<ThresholdBicriteriaPolicy>(*this);
   }
 
@@ -49,9 +47,8 @@ class ThresholdBicriteriaPolicy final : public OnlinePolicy {
 
  private:
   Mode mode_;
-  std::optional<Instance> half_;  ///< stable storage for frac_'s references
   std::optional<FractionalWeightedPaging> frac_;
-  std::vector<double> prev_x_;
+  std::vector<double> prev_x_;  ///< x before the current step
 };
 
 }  // namespace bac

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -682,6 +683,12 @@ reference_policy_twins() {
                      std::make_unique<RefBlockS3FifoPolicy>(0.1));
   twins.emplace_back("block_sieve",
                      std::make_unique<RefBlockSievePolicy>());
+  twins.emplace_back("threshold_fetch",
+                     std::make_unique<ReferenceThresholdBicriteria>(
+                         ReferenceThresholdBicriteria::Mode::Fetching));
+  twins.emplace_back("threshold_evict",
+                     std::make_unique<ReferenceThresholdBicriteria>(
+                         ReferenceThresholdBicriteria::Mode::Eviction));
   return twins;
 }
 
@@ -836,6 +843,140 @@ std::optional<bac::Violation> ReferenceThresholdSeparation::find_violated(
     if (auto v = check(sprime, phi, tolerance_)) return v;
   }
   return std::nullopt;
+}
+
+// --- the frozen fractional weighted paging ----------------------------------
+// FractionalWeightedPaging and ThresholdBicriteriaPolicy before the
+// incremental rewrite, verbatim (modulo the Reference names).
+
+ReferenceFractionalWeightedPaging::ReferenceFractionalWeightedPaging(
+    const Instance& inst)
+    : blocks_(&inst.blocks), k_(inst.k) {
+  const auto n = static_cast<std::size_t>(inst.n_pages());
+  x_.assign(n, 1.0);  // everything starts missing (empty cache)
+  cost_.resize(n);
+  seen_.assign(n, 0);
+  for (PageId p = 0; p < inst.n_pages(); ++p)
+    cost_[static_cast<std::size_t>(p)] =
+        blocks_->cost(blocks_->block_of(p));
+}
+
+double ReferenceFractionalWeightedPaging::cached_mass() const {
+  double mass = 0;
+  for (std::size_t p = 0; p < x_.size(); ++p)
+    if (seen_[p]) mass += 1.0 - x_[p];
+  return mass;
+}
+
+const std::vector<double>& ReferenceFractionalWeightedPaging::step(PageId p) {
+  std::vector<double> before = x_;
+
+  seen_[static_cast<std::size_t>(p)] = 1;
+  x_[static_cast<std::size_t>(p)] = 0.0;
+
+  if (cached_mass() > static_cast<double>(k_)) {
+    // Grow missing masses of all other seen pages along the exponential
+    // dynamics x_q(s) = (x_q + 1/k) * exp(s / c_q) - 1/k, finding the
+    // "time" s at which the fractional cache exactly fits via bisection
+    // (the cached mass is strictly decreasing in s).
+    const double inv_k = 1.0 / static_cast<double>(k_);
+    std::vector<double> base = x_;
+    auto mass_at = [&](double s) {
+      double mass = 0;
+      for (std::size_t q = 0; q < x_.size(); ++q) {
+        if (!seen_[q] || static_cast<PageId>(q) == p) continue;
+        const double xq = std::min(
+            1.0, (base[q] + inv_k) * std::exp(s / cost_[q]) - inv_k);
+        mass += 1.0 - xq;
+      }
+      return mass + 1.0;  // the requested page contributes 1 - x_p = 1
+    };
+
+    double lo = 0.0, hi = 1.0;
+    while (mass_at(hi) > static_cast<double>(k_)) hi *= 2.0;
+    for (int iter = 0; iter < 100; ++iter) {
+      const double mid = 0.5 * (lo + hi);
+      if (mass_at(mid) > static_cast<double>(k_)) lo = mid;
+      else hi = mid;
+    }
+    for (std::size_t q = 0; q < x_.size(); ++q) {
+      if (!seen_[q] || static_cast<PageId>(q) == p) continue;
+      x_[q] = std::min(1.0, (base[q] + inv_k) * std::exp(hi / cost_[q]) - inv_k);
+    }
+  }
+
+  // Account fetching costs (mass decreases = fractional fetches).
+  for (std::size_t q = 0; q < x_.size(); ++q) {
+    const double dec = before[q] - x_[q];
+    if (dec > 0) fetch_cost_ += cost_[q] * dec;
+  }
+  for (BlockId b = 0; b < blocks_->n_blocks(); ++b) {
+    double max_dec = 0;
+    for (PageId q : blocks_->pages_in(b))
+      max_dec = std::max(max_dec,
+                         before[static_cast<std::size_t>(q)] -
+                             x_[static_cast<std::size_t>(q)]);
+    if (max_dec > 0) block_fetch_cost_ += blocks_->cost(b) * max_dec;
+  }
+  return x_;
+}
+
+void ReferenceThresholdBicriteria::reset(const Instance& inst) {
+  // Virtual fractional cache of h = max(1, k/2) pages; the rounded cache
+  // then provably fits within k. The instance copy must outlive frac_,
+  // which keeps references into it.
+  half_.emplace(inst);
+  half_->k = std::max(1, inst.k / 2);
+  if (half_->k < inst.blocks.beta()) half_->k = inst.blocks.beta();
+  frac_.emplace(*half_);
+  prev_x_.assign(static_cast<std::size_t>(inst.n_pages()), 1.0);
+}
+
+void ReferenceThresholdBicriteria::on_request(Time /*t*/, PageId p,
+                                              CacheOps& cache) {
+  const std::vector<double>& x = frac_->step(p);
+  const BlockMap& blocks = cache.blocks();
+
+  if (mode_ == Mode::Fetching) {
+    // Evict everything above the threshold (free), then batch-fetch the
+    // requested block's eligible pages on a miss.
+    for (PageId q = 0; q < blocks.n_pages(); ++q)
+      if (x[static_cast<std::size_t>(q)] > 0.5 && cache.contains(q))
+        cache.evict(q);
+    if (!cache.contains(p)) {
+      for (PageId q : blocks.pages_in(blocks.block_of(p)))
+        if (x[static_cast<std::size_t>(q)] <= 0.5) cache.fetch(q);
+    }
+  } else {
+    // Eviction variant: crossing above 1/2 flushes the block's crossed
+    // pages in one batch; fetching is free, so fetch only the request.
+    for (PageId q = 0; q < blocks.n_pages(); ++q) {
+      if (x[static_cast<std::size_t>(q)] > 0.5 &&
+          prev_x_[static_cast<std::size_t>(q)] <= 0.5 && cache.contains(q)) {
+        for (PageId r : blocks.pages_in(blocks.block_of(q)))
+          if (x[static_cast<std::size_t>(r)] > 0.5) cache.evict(r);
+      }
+    }
+    if (!cache.contains(p)) cache.fetch(p);
+  }
+
+  // Safety: the fractional invariant bounds |{x <= 1/2}| by 2h <= k, but
+  // guard against the h < beta adjustment edge with explicit eviction of
+  // the largest-x cached pages.
+  while (cache.size() > cache.capacity()) {
+    PageId victim = -1;
+    double worst = -1;
+    for (PageId q : cache.pages()) {
+      if (q == p) continue;
+      if (x[static_cast<std::size_t>(q)] > worst) {
+        worst = x[static_cast<std::size_t>(q)];
+        victim = q;
+      }
+    }
+    if (victim < 0) break;
+    cache.evict(victim);
+  }
+  prev_x_ = x;
 }
 
 bool bit_identical(const std::vector<FractionalIncrement>& a,

@@ -1,7 +1,8 @@
 // Frozen reference implementations: std::set-based twins of the
 // deterministic classical policies, for the policy_equivalence oracle
-// family, and the stateless scan ThresholdSeparation replaced, for the
-// cost_sandwich family's Algorithm 2 check.
+// family; the stateless scan ThresholdSeparation replaced, for the
+// cost_sandwich family's Algorithm 2 check; and the full-scan fractional
+// weighted paging with its threshold-rounding policy.
 //
 // The production policies in algs/policies/ keep their eviction orders
 // in the flat primitives from core/eviction_index.hpp (intrusive lists,
@@ -19,11 +20,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "algs/fractional.hpp"
+#include "algs/threshold_bicriteria.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
 #include "submodular/separation.hpp"
@@ -34,8 +37,9 @@ namespace bac::verify {
 /// rewritten onto the flat eviction indexes: the classical set (lru,
 /// fifo, lfu, belady, greedy_dual, block_lru, block_lru_prefetch) plus
 /// the modern zoo (s3fifo — default and one off-default knob spec —
-/// sieve, arc, block_s3fifo, block_sieve). Specs resolve through
-/// make_policy, so the parameterized-spec grammar is fuzzed too.
+/// sieve, arc, block_s3fifo, block_sieve); then threshold_fetch and
+/// threshold_evict over the full-scan fractional substrate. Specs resolve
+/// through make_policy, so the parameterized-spec grammar is fuzzed too.
 std::vector<std::pair<std::string, std::unique_ptr<OnlinePolicy>>>
 reference_policy_twins();
 
@@ -65,6 +69,66 @@ class ReferenceThresholdSeparation final : public SeparationOracle {
 
  private:
   double tolerance_;
+};
+
+/// FractionalWeightedPaging before its incremental rewrite, verbatim: each
+/// step copies x twice, runs all 100 bisection halvings, calls std::exp
+/// for every seen page in each, and charges the fetch costs with passes
+/// over every page and every block. The production class must match its
+/// x and both cost accumulators bit for bit after every step. It keeps a
+/// pointer to `inst`'s BlockMap, which must outlive it.
+class ReferenceFractionalWeightedPaging {
+ public:
+  explicit ReferenceFractionalWeightedPaging(const Instance& inst);
+
+  /// Serve a request; returns the post-step missing-mass vector x.
+  const std::vector<double>& step(PageId p);
+
+  [[nodiscard]] const std::vector<double>& x() const noexcept { return x_; }
+  [[nodiscard]] double classic_fetch_cost() const noexcept {
+    return fetch_cost_;
+  }
+  [[nodiscard]] double block_fetch_cost() const noexcept {
+    return block_fetch_cost_;
+  }
+
+ private:
+  const BlockMap* blocks_;
+  int k_;
+  std::vector<double> x_;      // missing mass per page
+  std::vector<double> cost_;   // per-page cost (its block's cost)
+  std::vector<char> seen_;     // requested at least once
+  double fetch_cost_ = 0;
+  double block_fetch_cost_ = 0;
+
+  [[nodiscard]] double cached_mass() const;
+};
+
+/// ThresholdBicriteriaPolicy before it scanned only the moved pages,
+/// verbatim over ReferenceFractionalWeightedPaging: both modes scan all n
+/// pages every step and copy the whole x into prev_x_. Not cloneable: its
+/// substrate points into its own half-size Instance copy.
+class ReferenceThresholdBicriteria final : public OnlinePolicy {
+ public:
+  using Mode = ThresholdBicriteriaPolicy::Mode;
+  explicit ReferenceThresholdBicriteria(Mode mode) : mode_(mode) {}
+
+  [[nodiscard]] std::string name() const override {
+    return mode_ == Mode::Fetching ? "RefBA-Bicrit(fetch,2h)"
+                                   : "RefBA-Bicrit(evict,2h)";
+  }
+  void reset(const Instance& inst) override;
+  void on_request(Time t, PageId p, CacheOps& cache) override;
+
+  [[nodiscard]] double fractional_block_fetch() const {
+    return frac_->block_fetch_cost();
+  }
+
+ private:
+  Mode mode_;
+  std::optional<Instance> half_;  ///< stable storage for frac_'s references
+  std::optional<ReferenceFractionalWeightedPaging> frac_;
+  std::vector<double> prev_x_;
 };
 
 /// Do two steps' increments agree bit for bit (same order, blocks, times,

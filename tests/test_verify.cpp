@@ -198,7 +198,7 @@ TEST(PolicyEquivalence, ReferenceTwinsCoverEveryRewrittenPolicy) {
       "lru",          "fifo",  "lfu",         "belady",
       "greedy_dual",  "block_lru", "block_lru_prefetch",
       "s3fifo",       "s3fifo@0.25", "sieve", "arc",
-      "block_s3fifo", "block_sieve"};
+      "block_s3fifo", "block_sieve", "threshold_fetch", "threshold_evict"};
   EXPECT_EQ(names, expect);
 }
 
