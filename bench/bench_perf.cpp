@@ -129,8 +129,10 @@ void simulator_throughput() {
   simulate_case(table, "simulate/BlockLRU", 256, kLong, block_lru);
   simulate_case<BlockS3FifoPolicy>(table, "simulate/BlockS3FIFO", 256, kLong);
   simulate_case<BlockSievePolicy>(table, "simulate/BlockSIEVE", 256, kLong);
+  // Algorithm 1 scans every block on each overflow: 512 blocks at 4096.
   simulate_case<DetOnlineBlockAware>(table, "simulate/BA-Det", 256, 20'000);
   simulate_case<DetOnlineBlockAware>(table, "simulate/BA-Det", 1024, 20'000);
+  simulate_case<DetOnlineBlockAware>(table, "simulate/BA-Det", 4096, 20'000);
   simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand", 256, 2'000);
   simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand-T20k", 256,
                                       20'000);

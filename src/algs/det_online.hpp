@@ -10,27 +10,48 @@
 // dual load of every flush with positive marginal, and the first
 // constraint to tighten is the one with maximal accumulated load.
 //
-// Dual-load bookkeeping: for block B with last flush at m_B, the flushes
-// with positive marginal at an overflow are exactly those with
-// t >= theta(B) := (smallest last-request value in B that is >= m_B) + 1,
-// and theta(B) is itself an "alive" time, so tracking loads at the times
-// that were ever alive since B's last flush is exhaustive: any untracked
-// time is dominated by the nearest tracked time below it (same or larger
-// load, tighter no earlier). Tracked entries are cleared when their block
-// is flushed, which keeps the state linear in the requests since the last
-// flush.
+// Dual-load bookkeeping. Let m_B be block B's last flush time and r(q) the
+// last request of page q. At an overflow at tau, a flush (B, t) with
+// m_B < t <= tau has positive marginal iff some page of B has
+// m_B <= r(q) < t. The times worth tracking are those that were alive,
+// r(q) + 1 for some page, at some point since m_B: any other time is
+// dominated by the nearest such time below it (same or larger load,
+// tighter no earlier). Each block keeps exactly one entry per page q of B
+// with r(q) >= m_B (exactly B's cached pages), at its current alive time
+// r(q) + 1, oldest first, and every entry gains every increment from its
+// creation on.
+//
+//  - Re-requesting q erases its entry at r + 1 and appends t + 1. From
+//    then on the flush at r + 1 has the marginal of the entry before it
+//    (or none) and no more load than that entry, so it is never the
+//    tightest: dropping it changes no choice. The new entry is appended
+//    after the overflow step of request t; a flush after t has zero
+//    marginal at t.
+//  - An older entry has received every increment a younger one has, all
+//    from the same 0.0, and fl(x + delta) is monotone in x. So a block's
+//    first entry holds its largest load, to the last bit: the overflow
+//    reads one entry per block for the minimal slack c_B - load, and
+//    max_load_ratio() reads only first entries.
+//  - A flush of B clears its entries; the kept page's t + 1 is appended
+//    after it.
+//
+// So the state is one entry per cached page (at most k + 1, and at most a
+// block's size in each block) whatever the trace length, and an overflow
+// does O(n_blocks + k) work. The scan over blocks stays linear: ties go
+// to the lowest block id, which a slack heap, re-keyed after every raise,
+// would not keep when rounding ties two loads. The version that kept an
+// entry per request and rescanned them all is the test twin
+// verify::ReferenceDetOnline; the two agree bit for bit.
 //
 // The accumulated dual objective is a certified lower bound on the optimal
 // (fractional) eviction cost — benches use it as the denominator for
 // competitive-ratio estimates where exact OPT is out of reach.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "algs/dual_verifier.hpp"
 #include "core/policy.hpp"
-#include "submodular/flush_coverage.hpp"
 
 namespace bac {
 
@@ -40,8 +61,6 @@ class DetOnlineBlockAware final : public OnlinePolicy {
   void reset(const Instance& inst) override;
   void on_request(Time t, PageId p, CacheOps& cache) override;
   [[nodiscard]] std::unique_ptr<OnlinePolicy> clone() const override {
-    // Valid after reset(), which re-emplaces cov_/S_ (the copied S_ still
-    // references the source's coverage until then).
     return std::make_unique<DetOnlineBlockAware>(*this);
   }
 
@@ -67,6 +86,10 @@ class DetOnlineBlockAware final : public OnlinePolicy {
   }
 
  private:
+  /// Raise y on an overflow at time t and flush the tightest block.
+  void overflow(Time t, PageId p, CacheOps& cache);
+
+  /// The flush at alive time t = r(q) + 1 and its dual load.
   struct Entry {
     Time t = 0;
     double load = 0;
@@ -74,9 +97,14 @@ class DetOnlineBlockAware final : public OnlinePolicy {
 
   const BlockMap* blocks_ = nullptr;
   int k_ = 0;
-  std::optional<FlushCoverage> cov_;
-  std::optional<FlushSet> S_;
-  std::vector<std::vector<Entry>> entries_;  // per block, sorted by t
+  Time now_ = 0;
+  std::vector<Time> last_;       // r(q) per page
+  std::vector<Time> max_flush_;  // m_B per block
+  // Block B's entries are entries_[begin_[B], begin_[B] + size_[B]),
+  // oldest first; reset() gives each block room for all its pages.
+  std::vector<int> begin_;
+  std::vector<int> size_;
+  std::vector<Entry> entries_;
   double dual_obj_ = 0;
   double primal_cost_ = 0;
   long long flushes_ = 0;

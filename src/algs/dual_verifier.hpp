@@ -3,10 +3,11 @@
 // The k-competitiveness proof (Lemma 3.4) hinges on *every* dual
 // constraint sum_u f_u((B,t)|S_u) * y_u <= c_B holding — including
 // constraints at flush times the algorithm never tracked. The algorithm
-// keeps loads only for times that were alive since a block's last flush
-// and argues untracked times are dominated; this verifier re-derives every
-// load from a complete event log and checks the constraints exhaustively,
-// so the domination argument is machine-checked on every test instance.
+// keeps loads only for the current alive times of each block's cached
+// pages and argues every other time is dominated; this verifier re-derives
+// every load from a complete event log and checks the constraints
+// exhaustively, so the domination argument is machine-checked on every
+// test instance.
 // (This harness caught a real bookkeeping bug during development: the
 // alive time induced by the kept page of a flushed block was dropped.)
 #pragma once

@@ -10,6 +10,7 @@
 #include <list>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/simulator.hpp"
 
@@ -689,6 +690,7 @@ reference_policy_twins() {
   twins.emplace_back("threshold_evict",
                      std::make_unique<ReferenceThresholdBicriteria>(
                          ReferenceThresholdBicriteria::Mode::Eviction));
+  twins.emplace_back("det_online", std::make_unique<ReferenceDetOnline>());
   return twins;
 }
 
@@ -977,6 +979,110 @@ void ReferenceThresholdBicriteria::on_request(Time /*t*/, PageId p,
     cache.evict(victim);
   }
   prev_x_ = x;
+}
+
+// --- the frozen Algorithm 1 -------------------------------------------------
+// DetOnlineBlockAware before it kept one entry per cached page, verbatim.
+
+void ReferenceDetOnline::reset(const Instance& inst) {
+  blocks_ = &inst.blocks;
+  k_ = inst.k;
+  cov_.emplace(inst.blocks, inst.k);
+  S_.emplace(*cov_);  // all blocks flushed at time 0 (free initial clear)
+  entries_.assign(static_cast<std::size_t>(inst.blocks.n_blocks()), {});
+  dual_obj_ = 0;
+  primal_cost_ = 0;
+  flushes_ = 0;
+  max_load_ratio_ = 0;
+  events_.clear();
+}
+
+void ReferenceDetOnline::on_request(Time t, PageId p, CacheOps& cache) {
+  FlushSet* sets[] = {&*S_};
+  cov_->advance(p, t, sets);
+
+  // Track the new alive time r(p, t) + 1 = t + 1 for p's block. Its dual
+  // load starts at zero: flushes at future times have zero marginal at all
+  // past overflow events.
+  {
+    const BlockId b = blocks_->block_of(p);
+    auto& list = entries_[static_cast<std::size_t>(b)];
+    if (list.empty() || list.back().t < t + 1) list.push_back({t + 1, 0.0});
+  }
+
+  cache.fetch(p);  // free in the eviction cost model
+  if (cache.size() <= k_) return;
+
+  // Overflow: |C| = k + 1, so cap - f_tau(S) = 1 and each positive capped
+  // marginal is exactly 1. Find, over all tracked flushes with positive
+  // marginal, the minimal slack c_B - load.
+  double delta = std::numeric_limits<double>::infinity();
+  BlockId chosen = -1;
+  const int n_blocks = blocks_->n_blocks();
+  for (BlockId b = 0; b < n_blocks; ++b) {
+    const auto& list = entries_[static_cast<std::size_t>(b)];
+    if (list.empty()) continue;
+    const Time m = S_->max_flush(b);
+    const int cnt_m = cov_->count_below(b, m);
+    const double c_b = blocks_->cost(b);
+    for (const Entry& e : list) {
+      if (e.t > t) break;  // future flush: zero marginal
+      if (cov_->count_below(b, e.t) <= cnt_m) continue;  // marginal 0
+      const double slack = c_b - e.load;
+      if (slack < delta) {
+        delta = slack;
+        chosen = b;
+      }
+    }
+  }
+  if (chosen < 0)
+    throw std::logic_error("DetOnline: no flush candidate at overflow");
+  if (delta < 0) delta = 0;  // tight already (floating-point guard)
+
+  if (log_events_) {
+    DualEvent ev;
+    ev.tau = t;
+    ev.delta = delta;
+    ev.max_flush.reserve(static_cast<std::size_t>(n_blocks));
+    for (BlockId b = 0; b < n_blocks; ++b)
+      ev.max_flush.push_back(S_->max_flush(b));
+    ev.last_request.reserve(static_cast<std::size_t>(cov_->n()));
+    for (PageId q = 0; q < cov_->n(); ++q)
+      ev.last_request.push_back(cov_->last_request(q));
+    events_.push_back(std::move(ev));
+  }
+
+  // Raise y by delta: every tracked flush with positive marginal gains
+  // delta of dual load; the dual objective gains delta * 1.
+  for (BlockId b = 0; b < n_blocks; ++b) {
+    auto& list = entries_[static_cast<std::size_t>(b)];
+    if (list.empty()) continue;
+    const Time m = S_->max_flush(b);
+    const int cnt_m = cov_->count_below(b, m);
+    const double c_b = blocks_->cost(b);
+    for (Entry& e : list) {
+      if (e.t > t) break;
+      if (cov_->count_below(b, e.t) <= cnt_m) continue;
+      e.load += delta;
+      max_load_ratio_ = std::max(max_load_ratio_, e.load / c_b);
+    }
+  }
+  dual_obj_ += delta;
+
+  // Perform the flush (chosen, t): evict all cached pages of the block
+  // except the just-requested page.
+  S_->add_flush(chosen, t);
+  // Entries with time <= t have zero marginal forever; but if the flushed
+  // block is the requested page's own, the alive time t + 1 (induced by
+  // the kept page p) remains chargeable and must stay tracked.
+  entries_[static_cast<std::size_t>(chosen)].clear();
+  if (blocks_->block_of(p) == chosen)
+    entries_[static_cast<std::size_t>(chosen)].push_back({t + 1, 0.0});
+  const int evicted = cache.flush_block(chosen, p);
+  if (evicted < 1)
+    throw std::logic_error("DetOnline: flush evicted no pages");
+  primal_cost_ += blocks_->cost(chosen);
+  ++flushes_;
 }
 
 bool bit_identical(const std::vector<FractionalIncrement>& a,

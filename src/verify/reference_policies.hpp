@@ -1,8 +1,9 @@
 // Frozen reference implementations: std::set-based twins of the
 // deterministic classical policies, for the policy_equivalence oracle
 // family; the stateless scan ThresholdSeparation replaced, for the
-// cost_sandwich family's Algorithm 2 check; and the full-scan fractional
-// weighted paging with its threshold-rounding policy.
+// cost_sandwich family's Algorithm 2 check; the full-scan fractional
+// weighted paging with its threshold-rounding policy; and Algorithm 1
+// with its rescanning dual-load lists.
 //
 // The production policies in algs/policies/ keep their eviction orders
 // in the flat primitives from core/eviction_index.hpp (intrusive lists,
@@ -25,10 +26,12 @@
 #include <utility>
 #include <vector>
 
+#include "algs/dual_verifier.hpp"
 #include "algs/fractional.hpp"
 #include "algs/threshold_bicriteria.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
+#include "submodular/flush_coverage.hpp"
 #include "submodular/separation.hpp"
 
 namespace bac::verify {
@@ -38,8 +41,9 @@ namespace bac::verify {
 /// fifo, lfu, belady, greedy_dual, block_lru, block_lru_prefetch) plus
 /// the modern zoo (s3fifo — default and one off-default knob spec —
 /// sieve, arc, block_s3fifo, block_sieve); then threshold_fetch and
-/// threshold_evict over the full-scan fractional substrate. Specs resolve
-/// through make_policy, so the parameterized-spec grammar is fuzzed too.
+/// threshold_evict over the full-scan fractional substrate, and
+/// det_online with its per-request entry lists. Specs resolve through
+/// make_policy, so the parameterized-spec grammar is fuzzed too.
 std::vector<std::pair<std::string, std::unique_ptr<OnlinePolicy>>>
 reference_policy_twins();
 
@@ -129,6 +133,51 @@ class ReferenceThresholdBicriteria final : public OnlinePolicy {
   std::optional<Instance> half_;  ///< stable storage for frac_'s references
   std::optional<ReferenceFractionalWeightedPaging> frac_;
   std::vector<double> prev_x_;
+};
+
+/// DetOnlineBlockAware (Algorithm 1) before it kept one dual-load entry per
+/// cached page, verbatim: each block's list grows by one entry per request
+/// until the block is flushed, and every overflow walks every entry of
+/// every block twice, two count_below binary searches each. The production
+/// class must match its costs, schedule, dual_objective, max_load_ratio,
+/// flushes and event log bit for bit. Not cloneable: a copy's flush set
+/// would point at the source's coverage.
+class ReferenceDetOnline final : public OnlinePolicy {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "RefBA-Det(Alg1)";
+  }
+  void reset(const Instance& inst) override;
+  void on_request(Time t, PageId p, CacheOps& cache) override;
+
+  [[nodiscard]] double dual_objective() const noexcept { return dual_obj_; }
+  [[nodiscard]] long long flushes() const noexcept { return flushes_; }
+  [[nodiscard]] double primal_cost() const noexcept { return primal_cost_; }
+  [[nodiscard]] double max_load_ratio() const noexcept {
+    return max_load_ratio_;
+  }
+  void enable_event_log() { log_events_ = true; }
+  [[nodiscard]] const std::vector<DualEvent>& event_log() const noexcept {
+    return events_;
+  }
+
+ private:
+  struct Entry {
+    Time t = 0;
+    double load = 0;
+  };
+
+  const BlockMap* blocks_ = nullptr;
+  int k_ = 0;
+  std::optional<FlushCoverage> cov_;
+  std::optional<FlushSet> S_;
+  std::vector<std::vector<Entry>> entries_;  // per block, sorted by t
+  double dual_obj_ = 0;
+  double primal_cost_ = 0;
+  long long flushes_ = 0;
+  double max_load_ratio_ = 0;
+  bool log_events_ = false;
+  std::vector<DualEvent> events_;
 };
 
 /// Do two steps' increments agree bit for bit (same order, blocks, times,

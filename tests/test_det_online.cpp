@@ -1,7 +1,19 @@
 // Tests for Algorithm 1 (deterministic k-competitive online, Theorem 3.3):
-// feasibility, dual feasibility, primal <= k * dual, dual <= OPT, and the
-// expected advantage over block-oblivious baselines.
+// feasibility, dual feasibility, primal <= k * dual, dual <= OPT, the
+// expected advantage over block-oblivious baselines, bit-for-bit agreement
+// with the frozen rescanning version, exact pins, and clones that outlive
+// their source.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algs/policies/classical.hpp"
 #include "algs/det_online.hpp"
@@ -9,6 +21,7 @@
 #include "core/simulator.hpp"
 #include "trace/adversarial.hpp"
 #include "trace/generators.hpp"
+#include "verify/reference_policies.hpp"
 
 namespace bac {
 namespace {
@@ -139,6 +152,199 @@ TEST(DetOnline, RatioToOptWithinKOnSmallInstances) {
     else
       EXPECT_DOUBLE_EQ(r.eviction_cost, 0.0);
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::string g17(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// Run both through diff_policy_runs, then compare the certificates and
+/// every dual event (time, increment and state) bit for bit. Returns the
+/// twin after its run.
+std::unique_ptr<verify::ReferenceDetOnline> expect_matches_twin(
+    const Instance& inst, const std::string& label) {
+  DetOnlineBlockAware alg;
+  auto twin = std::make_unique<verify::ReferenceDetOnline>();
+  alg.enable_event_log();
+  twin->enable_event_log();
+  for (const std::string& d :
+       verify::diff_policy_runs(inst, alg, *twin, 1, label))
+    ADD_FAILURE() << d;
+  EXPECT_EQ(bits(alg.dual_objective()), bits(twin->dual_objective()))
+      << label << ": dual " << g17(alg.dual_objective())
+      << " != " << g17(twin->dual_objective());
+  EXPECT_EQ(bits(alg.max_load_ratio()), bits(twin->max_load_ratio()))
+      << label << ": max load ratio " << g17(alg.max_load_ratio())
+      << " != " << g17(twin->max_load_ratio());
+  EXPECT_EQ(bits(alg.primal_cost()), bits(twin->primal_cost())) << label;
+  EXPECT_EQ(alg.flushes(), twin->flushes()) << label;
+  const auto& got = alg.event_log();
+  const auto& want = twin->event_log();
+  EXPECT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (got[i].tau != want[i].tau ||
+        bits(got[i].delta) != bits(want[i].delta) ||
+        got[i].max_flush != want[i].max_flush ||
+        got[i].last_request != want[i].last_request) {
+      ADD_FAILURE() << label << ": dual event " << i << " (tau " << got[i].tau
+                    << ", delta " << g17(got[i].delta) << ") != (tau "
+                    << want[i].tau << ", delta " << g17(want[i].delta) << ")";
+      break;
+    }
+  }
+  return twin;
+}
+
+TEST(DetOnline, MatchesFrozenTwinBitForBit) {
+  // One entry per cached page against the rescan of every tracked entry:
+  // same flushes (ties to the lowest block id), same dual bits.
+  enum CostKind { kUnit, kDyadic, kLogUniform };
+  const char* cost_names[] = {"unit", "dyadic", "log-uniform"};
+  const char* trace_names[] = {"zipf", "uniform", "blocklocal", "phased",
+                               "scan"};
+  int trial = 0;
+  long long flushes = 0;
+  for (int beta : {1, 3, 8}) {
+    const int n = 6 * beta + 7;
+    const int n_blocks = (n + beta - 1) / beta;
+    for (CostKind kind : {kUnit, kDyadic, kLogUniform}) {
+      // k from beta up to k >= n (no overflow at all).
+      for (int k : {beta, beta + 1, n / 2, n - 1, n, n + 2}) {
+        ++trial;
+        Xoshiro256pp rng(400 + static_cast<std::uint64_t>(trial));
+        std::vector<Cost> costs(static_cast<std::size_t>(n_blocks), 1.0);
+        if (kind == kDyadic)
+          for (int b = 0; b < n_blocks; ++b)
+            costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
+        if (kind == kLogUniform)
+          costs = log_uniform_costs(n_blocks, 16.0, rng.substream(1));
+        const BlockMap blocks =
+            BlockMap::contiguous_weighted(n, beta, std::move(costs));
+        // The shapes rotate so each meets every beta and cost model.
+        const int shape = trial % 5;
+        const Time T = 500;
+        std::vector<PageId> req;
+        if (shape == 0) req = zipf_trace(n, T, 0.9, rng.substream(2));
+        if (shape == 1) req = uniform_trace(n, T, rng.substream(2));
+        if (shape == 2)
+          req = block_local_trace(blocks, T, 0.75, 0.9, rng.substream(2));
+        if (shape == 3) req = phased_trace(n, T, 40, k + 2, rng.substream(2));
+        if (shape == 4) req = scan_trace(n, T);
+        const Instance inst{blocks, std::move(req), k};
+        flushes += expect_matches_twin(
+                       inst, "beta=" + std::to_string(beta) +
+                                 " k=" + std::to_string(k) + " " +
+                                 cost_names[kind] + " " + trace_names[shape])
+                       ->flushes();
+      }
+    }
+  }
+  EXPECT_GT(flushes, 1000) << "the grid must overflow often";
+
+  // Log-uniform costs where a tight load rounds past its block's cost, so
+  // max_load_ratio() reads 1 + 2^-52 and depends on which entry it reads.
+  for (std::uint64_t seed : {3, 4}) {
+    Xoshiro256pp rng(seed);
+    const BlockMap blocks = BlockMap::contiguous_weighted(
+        48, 4, log_uniform_costs(12, 16.0, rng.substream(1)));
+    const Instance inst{
+        blocks, block_local_trace(blocks, 1000, 0.75, 0.9, rng.substream(2)),
+        12};
+    const auto twin =
+        expect_matches_twin(inst, "rounding seed " + std::to_string(seed));
+    EXPECT_GT(twin->max_load_ratio(), 1.0) << "seed " << seed;
+  }
+}
+
+TEST(DetOnline, SeededRunsArePinned) {
+  // Exact values captured before the one-entry-per-page rewrite: the
+  // perfbench det shape (4096 pages, 512 blocks, k = 1024) and a
+  // log-uniform weighted zipf trace.
+  struct Pin {
+    const char* label;
+    Instance inst;
+    const char* cost;
+    const char* dual;
+    const char* ratio;
+    long long flushes;
+  };
+  const BlockMap paper = BlockMap::contiguous(4096, 8);
+  Xoshiro256pp rng(152);
+  auto costs = log_uniform_costs(48, 16.0, rng);
+  const Pin pins[] = {
+      {"paper det shape",
+       Instance{paper,
+                block_local_trace(paper, 20000, 0.75, 0.9, Xoshiro256pp(151)),
+                1024},
+       "1166", "6", "1", 1166},
+      {"log-uniform",
+       make_weighted_instance(192, 4, 32,
+                              zipf_trace(192, 5000, 0.8, rng.substream(1)),
+                              std::move(costs)),
+       "7948.6042963214404", "482.14679067701695", "1", 1793},
+  };
+  for (const Pin& pin : pins) {
+    DetOnlineBlockAware alg;
+    const RunResult r = simulate(pin.inst, alg);
+    EXPECT_EQ(r.violations, 0) << pin.label;
+    EXPECT_EQ(g17(r.eviction_cost), pin.cost) << pin.label;
+    EXPECT_EQ(g17(alg.primal_cost()), pin.cost) << pin.label;
+    EXPECT_EQ(g17(alg.dual_objective()), pin.dual) << pin.label;
+    EXPECT_EQ(g17(alg.max_load_ratio()), pin.ratio) << pin.label;
+    EXPECT_EQ(alg.flushes(), pin.flushes) << pin.label;
+  }
+}
+
+/// Serve t = from..to of `inst` through `policy` on the given cache.
+void serve(const Instance& inst, OnlinePolicy& policy, CacheOps& ops,
+           CostMeter& meter, Time from, Time to) {
+  for (Time t = from; t <= to; ++t) {
+    meter.begin_step(t);
+    policy.on_request(t, inst.request_at(t), ops);
+  }
+}
+
+TEST(DetOnline, CloneOutlivesItsSource) {
+  // A clone owns its whole state: it may outlive the policy it was cloned
+  // from, also mid-run, without a reset in between.
+  Xoshiro256pp rng(59);
+  auto costs = log_uniform_costs(16, 8.0, rng.substream(1));
+  const Instance inst = make_weighted_instance(
+      64, 4, 16, zipf_trace(64, 2000, 0.8, rng.substream(2)),
+      std::move(costs));
+  const Time half = inst.horizon() / 2;
+  DetOnlineBlockAware fresh;
+  const RunResult want = simulate(inst, fresh);
+  ASSERT_GT(fresh.flushes(), 0);
+
+  auto source = std::make_unique<DetOnlineBlockAware>();
+  simulate(inst, *source);
+  std::unique_ptr<OnlinePolicy> clone = source->clone();
+  source.reset();
+  const RunResult got = simulate(inst, *clone);
+  EXPECT_EQ(g17(got.eviction_cost), g17(want.eviction_cost));
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.final_cache, want.final_cache);
+
+  // Mid-run: the clone takes over the second half of the trace.
+  CacheSet cache(inst.n_pages());
+  CostMeter meter(inst.blocks);
+  CacheOps ops(inst.blocks, cache, meter, inst.k);
+  source = std::make_unique<DetOnlineBlockAware>();
+  source->reset(inst);
+  serve(inst, *source, ops, meter, 1, half);
+  clone = source->clone();
+  source.reset();
+  serve(inst, *clone, ops, meter, half + 1, inst.horizon());
+  EXPECT_EQ(g17(meter.eviction_cost()), g17(want.eviction_cost));
+  const auto& det = dynamic_cast<const DetOnlineBlockAware&>(*clone);
+  EXPECT_EQ(bits(det.dual_objective()), bits(fresh.dual_objective()));
+  EXPECT_EQ(bits(det.max_load_ratio()), bits(fresh.max_load_ratio()));
+  EXPECT_EQ(det.flushes(), fresh.flushes());
 }
 
 }  // namespace

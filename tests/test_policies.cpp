@@ -2,8 +2,9 @@
 // ARC, and the block-aware variants): hand-computed traces pinning the
 // frozen eviction semantics, the registry's parameterized-spec grammar
 // and its error messages, structural counters through export_metrics,
-// quick-check equivalence against the frozen reference twins, and the
-// zero-allocation reset-reuse guarantee the sweep relies on.
+// quick-check equivalence against the frozen reference twins, the
+// zero-allocation reset-reuse guarantee the sweep relies on, and
+// Algorithm 1's allocation-free million-request streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "algs/det_online.hpp"
 #include "algs/policies/modern.hpp"
 #include "algs/zoo.hpp"
 #include "core/cost_meter.hpp"
@@ -337,7 +339,7 @@ TEST(ReferenceTwinsTest, ProductionMatchesFrozenTwinsOnSmallInstances) {
                       zipf_trace(32, 800, 0.9, rng), 8};
   const Instance scan{BlockMap::contiguous(24, 3), scan_trace(24, 300), 9};
   auto twins = verify::reference_policy_twins();
-  ASSERT_GE(twins.size(), 15u);
+  ASSERT_GE(twins.size(), 16u);
   for (auto& [spec, twin] : twins) {
     auto production = make_policy(spec);
     for (const Instance* inst : {&zipf, &scan}) {
@@ -375,6 +377,47 @@ TEST(ResetReuseTest, ModernPoliciesDoNotAllocateAcrossSweepCells) {
     EXPECT_EQ(g_allocations.load(), before)
         << policy->name()
         << ": reset()+replay across sweep cells must reuse index storage";
+  }
+}
+
+TEST(ResetReuseTest, DetOnlineServesAMillionRequestsWithoutAllocating) {
+  // Algorithm 1 keeps one dual-load entry per cached page in slots sized
+  // at reset(), so its state is bounded however long the stream runs: on
+  // a stream that always hits (k >= n), where a list of every request
+  // since the last flush would grow forever, and on a blocklocal stream
+  // that overflows and flushes.
+  constexpr Time kRequests = 1'000'000;
+  const BlockMap blocks = BlockMap::contiguous(512, 8);
+  struct Stream {
+    const char* label;
+    int k;
+    std::vector<PageId> requests;
+  };
+  const Stream streams[] = {
+      {"k >= n", 512, zipf_trace(512, kRequests, 0.9, Xoshiro256pp(12))},
+      {"blocklocal", 128,
+       block_local_trace(blocks, kRequests, 0.75, 0.9, Xoshiro256pp(13))},
+  };
+  for (const Stream& s : streams) {
+    const Instance inst{blocks, {}, s.k};
+    CacheSet cache(inst.n_pages());
+    for (PageId q = 0; q < inst.n_pages(); ++q) cache.insert(q);
+    cache.clear();  // the member list keeps room for every page
+    CostMeter meter(inst.blocks);
+    CacheOps ops(inst.blocks, cache, meter, inst.k);
+    DetOnlineBlockAware det;
+    det.reset(inst);
+    const long long before = g_allocations.load();
+    for (Time t = 1; t <= kRequests; ++t) {
+      meter.begin_step(t);
+      det.on_request(t, s.requests[static_cast<std::size_t>(t - 1)], ops);
+    }
+    EXPECT_EQ(g_allocations.load(), before) << s.label;
+    EXPECT_LE(cache.size(), inst.k) << s.label;
+    if (s.k >= inst.n_pages())
+      EXPECT_EQ(det.flushes(), 0) << s.label;
+    else
+      EXPECT_GT(det.flushes(), 1000) << s.label;
   }
 }
 

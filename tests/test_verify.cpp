@@ -198,7 +198,8 @@ TEST(PolicyEquivalence, ReferenceTwinsCoverEveryRewrittenPolicy) {
       "lru",          "fifo",  "lfu",         "belady",
       "greedy_dual",  "block_lru", "block_lru_prefetch",
       "s3fifo",       "s3fifo@0.25", "sieve", "arc",
-      "block_s3fifo", "block_sieve", "threshold_fetch", "threshold_evict"};
+      "block_s3fifo", "block_sieve", "threshold_fetch", "threshold_evict",
+      "det_online"};
   EXPECT_EQ(names, expect);
 }
 
