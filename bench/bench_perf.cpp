@@ -1,10 +1,10 @@
 // PERF: microbenchmarks of the library's hot paths — simulator throughput
-// per policy, f_tau marginal evaluation, the fractional algorithm's
-// per-step cost, and the exact-OPT solvers. Unlike the experiment benches
-// this one measures wall time, so it runs each case --trials times
-// (default 3) and reports the fastest run plus items/second; --json
-// writes the same numbers to BENCH_perf.json, one snapshot of the perf
-// trajectory's machine-readable trail.
+// per policy, the sharded server's batch path, f_tau marginal evaluation,
+// the fractional algorithm's per-step cost, and the exact-OPT solvers.
+// Unlike the experiment benches this one measures wall time, so it runs
+// each case --trials times (default 3) and reports the fastest run plus
+// items/second; --json writes the same numbers to BENCH_perf.json, one
+// snapshot of the perf trajectory's machine-readable trail.
 #include "bench_common.hpp"
 
 #include <filesystem>
@@ -19,6 +19,7 @@
 #include "algs/threshold_bicriteria.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
+#include "server/concurrent_cache.hpp"
 #include "submodular/flush_coverage.hpp"
 #include "trace/csv.hpp"
 #include "trace/generators.hpp"
@@ -107,6 +108,29 @@ void simulate_obs_case(Table& table, int n, Time T) {
            [&] { return simulate(inst, policy, options).eviction_cost; });
 }
 
+/// The simulate/LRU/1024 workload served through the sharded front-end:
+/// a ConcurrentCache of max_shards() LRU shards, one client, 512-request
+/// get_batch() calls. Beside simulate/LRU's row it shows what the server
+/// layer (routing, shard locks, per-request latency) costs per request.
+/// The checksum is the total cost, which the per-shard request order
+/// alone fixes.
+void serve_case(Table& table, int n, Time T) {
+  const Instance inst = bench_instance(n, 8, n / 4, T);
+  LruPolicy policy;
+  const int shards = server::ConcurrentCache::max_shards(inst);
+  const TickClock calibrate;  // the first one spins ~1 ms: keep it untimed
+  run_case(table, "serve/LRU/" + std::to_string(n), inst, inst.horizon(),
+           [&] {
+             constexpr int kBatch = 512;
+             server::ConcurrentCache cache(inst, policy, shards);
+             const int horizon = static_cast<int>(inst.horizon());
+             for (int i = 0; i < horizon; i += kBatch)
+               cache.get_batch(inst.requests.data() + i,
+                               std::min(kBatch, horizon - i));
+             return cache.stats().total_cost();
+           });
+}
+
 void simulator_throughput() {
   Table table = perf_table();
   // Light (index-bound) policies get long traces for stable timing. The
@@ -118,6 +142,7 @@ void simulator_throughput() {
   simulate_case<LruPolicy>(table, "simulate/LRU", 256, kLong);
   simulate_case<LruPolicy>(table, "simulate/LRU", 1024, kLong);
   simulate_obs_case(table, 1024, kLong);
+  serve_case(table, 1024, kLong);
   simulate_case<FifoPolicy>(table, "simulate/FIFO", 1024, kLong);
   simulate_case<LfuPolicy>(table, "simulate/LFU", 1024, kLong);
   simulate_case<GreedyDualPolicy>(table, "simulate/GreedyDual", 1024, kLong);

@@ -395,7 +395,7 @@ FileModel build_file_model(std::string path, std::vector<std::string> lines) {
         LockSite l;
         l.scope = m.scope_of_tok[cl[static_cast<std::size_t>(p)]];
         l.tok = cl[static_cast<std::size_t>(p)];
-        l.mutex = args.back();
+        l.mutex = args.front();  // (mutex) or try-first (mutex, waited)
         l.line = t.line;
         m.locks.push_back(std::move(l));
       }

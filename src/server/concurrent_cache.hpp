@@ -87,12 +87,16 @@ class ConcurrentCache {
   /// Throws std::out_of_range for pages outside the context's universe.
   bool get(PageId p);
 
-  /// Serve `n` requests in order; returns the hit count. Consecutive
-  /// requests owned by the same shard are served under one lock
-  /// acquisition (CacheShard::get_batch), so a dispatch whose lanes are
-  /// shard-partitioned pays ~1 lock per 512 requests instead of one per
-  /// request. Per-shard request order — and therefore every cost and
-  /// counter — is identical to n get() calls at any thread count.
+  /// Serve `n` requests; returns the hit count. Every page is validated
+  /// before any is served: a batch holding a page outside the universe
+  /// throws std::out_of_range and serves nothing. One batch is served
+  /// grouped by shard, in shard-index order: each shard's requests keep
+  /// their batch order and take one lock acquisition
+  /// (CacheShard::get_batch), so a batch pays one lock per shard it hits
+  /// instead of one per request. Per-shard request order — and therefore
+  /// every cost and counter — is identical to n get() calls at any
+  /// thread count. If a shard's policy audit throws, the shards before
+  /// it in index order have been served and the rest have not.
   long long get_batch(const PageId* ps, int n);
 
   [[nodiscard]] int n_shards() const noexcept {
@@ -121,6 +125,9 @@ class ConcurrentCache {
   [[nodiscard]] static int max_shards(const Instance& context);
 
  private:
+  /// Throws std::out_of_range for a page outside the context's universe.
+  void check_page(PageId p) const;
+
   Instance context_;  ///< full structure, k = total capacity
   /// Shared shard headers: at most two distinct shard capacities exist
   /// (floor(k/S) and floor(k/S)+1), so two headers serve every shard and

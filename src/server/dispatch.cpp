@@ -13,8 +13,8 @@ namespace bac::server {
 
 namespace {
 
-/// Requests a worker hands to ConcurrentCache::get_batch per call; runs
-/// of same-shard requests inside the batch share one lock acquisition.
+/// Requests a worker hands to ConcurrentCache::get_batch per call; the
+/// batch takes one lock acquisition per shard it hits.
 constexpr std::size_t kDispatchBatch = 512;
 
 /// Run one worker per lane over its request list, timing only the

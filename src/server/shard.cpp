@@ -24,18 +24,20 @@ bool CacheShard::get(PageId p) { return get_batch(&p, 1) == 1; }
 
 long long CacheShard::get_batch(const PageId* ps, int n) {
   if (n <= 0) return 0;
-  // One clock read per request (end of request i starts request i+1).
-  // The first request's latency includes the lock wait: under closed-loop
-  // load the queueing delay at a hot shard is part of the service time a
-  // client observes. Recording per request — not one sample of the batch
-  // mean — is what makes the p99/p999 of latency_us_ meaningful: a single
-  // slow request in a 512-batch must show up in the tail, not be diluted
-  // 512-fold.
+  // One tick read per request (the end of request i starts request i+1),
+  // plus one before the lock. The first request's latency includes the
+  // lock wait: under closed-loop load the queueing delay at a hot shard
+  // is part of the service time a client observes. Recording per request
+  // — not one sample of the batch mean — is what makes the p99/p999 of
+  // latency_us_ meaningful: a single slow request in a 512-batch must
+  // show up in the tail, not be diluted 512-fold.
   // baclint: hot-path — the per-request eviction path must stay allocation-free
-  const Stopwatch clock;
-  MutexLock lock(mutex_);
-  const double lock_wait_us = clock.micros();
-  double prev_us = 0.0;
+  std::uint64_t prev = TickClock::now();
+  bool waited = false;
+  MutexLock lock(mutex_, waited);
+  // Only real blocking is timed: an acquisition that try_lock() got at
+  // once records a wait of 0 without reading the clock.
+  lock_wait_us_.add(waited ? ticks_.micros(prev, TickClock::now()) : 0.0);
   long long batch_hits = 0;
   for (int i = 0; i < n; ++i) {
     const PageId p = ps[i];
@@ -60,11 +62,10 @@ long long CacheShard::get_batch(const PageId* ps, int n) {
     if (cache_.size() > header_->k)
       throw std::runtime_error("CacheShard: policy " + policy_->name() +
                                " exceeded shard capacity");
-    const double now_us = clock.micros();
-    latency_us_.add(now_us - prev_us);
-    prev_us = now_us;
+    const std::uint64_t now = TickClock::now();
+    latency_us_.add(ticks_.micros(prev, now));
+    prev = now;
   }
-  lock_wait_us_.add(lock_wait_us);
   return batch_hits;
 }
 

@@ -6,7 +6,7 @@
 // batched fetch of a block happens entirely inside one shard's meter,
 // within one of that shard's time steps. Requests for a shard's pages are
 // serialized by the shard mutex; distinct shards share no mutable state
-// and serve fully in parallel. Per-REQUEST service latency and per-batch
+// and serve fully in parallel. Per-REQUEST service latency and per-call
 // lock wait are recorded into mergeable log-bucketed histograms
 // (obs/histogram.hpp) under the same lock, so the coordinator can fold
 // shard sketches into exact (bucket-resolution) global tail quantiles at
@@ -23,6 +23,7 @@
 #include "core/policy.hpp"
 #include "obs/histogram.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/timer.hpp"
 
 namespace bac::server {
 
@@ -44,7 +45,8 @@ struct ShardSnapshot {
   /// Per-request service latency (lock wait + policy work), one sample
   /// per request — so p99/p999 describe requests, not batch means.
   obs::Histogram latency_us;
-  /// Mutex acquisition wait per get_batch call (contention signal).
+  /// Mutex acquisition wait per get_batch call (contention signal): 0
+  /// for every acquisition that did not have to block.
   obs::Histogram lock_wait_us;
   /// Derived from latency_us (bucket-midpoint estimates; max is exact);
   /// kept as flat fields for JSON emitters. NaN before any request —
@@ -82,10 +84,12 @@ class CacheShard {
   /// acquisition; returns the hit count. Costs, counters, and audits are
   /// identical to n get() calls — each request is its own metered time
   /// step — so replays stay bit-identical to the unbatched path. Latency
-  /// is recorded per REQUEST (one clock read each, ~20ns): the first
-  /// request's sample includes the lock wait — under closed-loop load the
-  /// queueing delay at a hot shard is part of the service time a client
-  /// observes — and the wait itself also lands in lock_wait_us.
+  /// is recorded per REQUEST from a raw tick counter (util/timer.hpp's
+  /// TickClock, a few ns per read): the first request's sample includes
+  /// the lock wait — under closed-loop load the queueing delay at a hot
+  /// shard is part of the service time a client observes. The lock is
+  /// taken try-first, and lock_wait_us gets one sample per call: the
+  /// tick-timed wait when try_lock() failed, else 0.
   long long get_batch(const PageId* ps, int n);
 
   [[nodiscard]] ShardSnapshot snapshot() const;
@@ -103,6 +107,7 @@ class CacheShard {
   // which is invisible to the analysis — the REQUIRES discipline on the
   // call sites (get_batch only) keeps that path locked too.
   const Instance* header_;
+  const TickClock ticks_;  ///< tick -> us rate, calibrated once per process
   mutable Mutex mutex_;
   std::unique_ptr<OnlinePolicy> policy_ GUARDED_BY(mutex_);
   CacheSet cache_ GUARDED_BY(mutex_);

@@ -78,6 +78,14 @@ class CAPABILITY("mutex") Mutex {
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& m) ACQUIRE(m) : lock_(m.m_) {}
+  /// Try-first acquisition: takes `m` with try_lock() and blocks only when
+  /// that fails; `waited` reports whether it had to block, so callers can
+  /// time real contention and skip the clock read when there is none.
+  MutexLock(Mutex& m, bool& waited) ACQUIRE(m)
+      : lock_(m.m_, std::try_to_lock) {
+    waited = !lock_.owns_lock();
+    if (waited) lock_.lock();
+  }
   ~MutexLock() RELEASE() = default;
 
   MutexLock(const MutexLock&) = delete;

@@ -675,6 +675,41 @@ TEST(BacLint, LockDisciplineSeesAnnotationsAcrossFiles) {
   EXPECT_EQ(hits, 1) << "out-of-line unlocked access must be caught";
 }
 
+TEST(BacLint, LockDisciplineReadsTheMutexOfATryFirstLock) {
+  // MutexLock(mutex, waited) is the try-first form: its mutex is the
+  // first argument, not the last.
+  const std::vector<std::string> lines = {
+      "#include \"util/thread_annotations.hpp\"",
+      "namespace bac {",
+      "class FixtureShard {",
+      " public:",
+      "  long long locked() {",
+      "    bool waited = false;",
+      "    MutexLock lock(mutex_, waited);",
+      "    return hits_;",
+      "  }",
+      "  long long wrong_mutex() {",
+      "    bool waited = false;",
+      "    MutexLock lock(other_, waited);",
+      "    return hits_;",
+      "  }",
+      " private:",
+      "  Mutex mutex_;",
+      "  Mutex other_;",
+      "  long long hits_ GUARDED_BY(mutex_) = 0;",
+      "};",
+      "}  // namespace bac",
+  };
+  const auto findings = run_passes_on("src/server/fixture.cpp", lines);
+  int hits = 0;
+  for (const Finding& f : findings)
+    if (f.rule == "lock-discipline") {
+      ++hits;
+      EXPECT_EQ(f.line, 13) << f.text;
+    }
+  EXPECT_EQ(hits, 1) << "only the access under the wrong mutex is unlocked";
+}
+
 TEST(BacLint, PassInlineSuppressionWaivesLikeARule) {
   // Passes share the rule suppression pipeline: an inline
   // `baclint: allow(<pass>)` downgrades the finding but keeps it in

@@ -3,8 +3,9 @@
 // frozen eviction semantics, the registry's parameterized-spec grammar
 // and its error messages, structural counters through export_metrics,
 // quick-check equivalence against the frozen reference twins, the
-// zero-allocation reset-reuse guarantee the sweep relies on, and
-// Algorithm 1's allocation-free million-request streams.
+// zero-allocation reset-reuse guarantee the sweep relies on, and the
+// allocation-free million-request streams of Algorithm 1 and of the
+// sharded ConcurrentCache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,12 +17,14 @@
 #include <vector>
 
 #include "algs/det_online.hpp"
+#include "algs/policies/classical.hpp"
 #include "algs/policies/modern.hpp"
 #include "algs/zoo.hpp"
 #include "core/cost_meter.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
 #include "obs/metrics.hpp"
+#include "server/concurrent_cache.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"
 #include "verify/reference_policies.hpp"
@@ -419,6 +422,29 @@ TEST(ResetReuseTest, DetOnlineServesAMillionRequestsWithoutAllocating) {
     else
       EXPECT_GT(det.flushes(), 1000) << s.label;
   }
+}
+
+TEST(ResetReuseTest, ConcurrentCacheServesWithoutAllocating) {
+  // get_batch regroups each batch by shard in per-thread scratch that only
+  // grows, and the shards' histograms, cache sets and policy state are
+  // sized on first use. After one warm-up batch that requests every page
+  // (every shard is hit and every shard cache fills), a million requests
+  // in 512-request batches over 64 shards must allocate nothing.
+  constexpr int kBatch = 512;
+  const BlockMap blocks = BlockMap::contiguous(4096, 8);
+  const Instance context{blocks, {}, 1024};
+  const std::vector<PageId> requests =
+      zipf_trace(4096, 1'000'000, 0.9, Xoshiro256pp(14));
+  server::ConcurrentCache cache(context, LruPolicy(), 64, 1);
+  std::vector<PageId> warm_up(4096);
+  for (PageId p = 0; p < 4096; ++p) warm_up[static_cast<std::size_t>(p)] = p;
+  cache.get_batch(warm_up.data(), static_cast<int>(warm_up.size()));
+  const int T = static_cast<int>(requests.size());
+  const long long before = g_allocations.load();
+  for (int i = 0; i < T; i += kBatch)
+    cache.get_batch(requests.data() + i, std::min(kBatch, T - i));
+  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(cache.stats().requests, 4096 + 1'000'000);
 }
 
 }  // namespace

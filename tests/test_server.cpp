@@ -5,8 +5,10 @@
 // replays this suite via the `concurrency` label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include <memory>
 #include <set>
@@ -212,6 +214,81 @@ TEST(ConcurrentCache, ChunkedStressKeepsInvariants) {
   EXPECT_EQ(stats.total_cost(), evict + fetch);
 }
 
+// A batch is validated whole before any of it is served: after bucketing
+// by shard, "the requests before the bad page" would name no definite
+// set, so a rejected batch must serve nothing at all.
+TEST(ConcurrentCache, GetBatchRejectsOutOfRangeBeforeServingAny) {
+  const Workload w = zipf_workload(64);
+  ConcurrentCache cache(w.inst, LruPolicy(), 4);
+  std::vector<PageId> batch(w.requests.begin(), w.requests.end());
+  std::set<int> shards;
+  for (const PageId p : batch) shards.insert(cache.shard_of(p));
+  ASSERT_GT(shards.size(), 1u) << "the batch must span several shards";
+  batch.push_back(w.inst.n_pages());
+  EXPECT_THROW(cache.get_batch(batch.data(), static_cast<int>(batch.size())),
+               std::out_of_range);
+  EXPECT_EQ(cache.stats().requests, 0);
+  batch.back() = -1;
+  EXPECT_THROW(cache.get_batch(batch.data(), static_cast<int>(batch.size())),
+               std::out_of_range);
+  EXPECT_EQ(cache.stats().requests, 0);
+  // The rejected batches leave the cache (and this thread's routing
+  // scratch) ready to serve.
+  batch.pop_back();
+  cache.get_batch(batch.data(), static_cast<int>(batch.size()));
+  EXPECT_EQ(cache.stats().requests, static_cast<long long>(batch.size()));
+}
+
+// get_batch regroups each batch by shard; every shard still sees its own
+// requests in trace order, so each shard's counters, costs and contents
+// must equal those of the same trace fed through get() one request at a
+// time — for every policy kind, shard count and batch size.
+TEST(ConcurrentCache, GetBatchMatchesPerRequestGet) {
+  auto src = SyntheticSource::zipf(1024, 4, 128, 6000, 0.9, 21);
+  const std::vector<PageId> requests = materialize(*src);
+  const Instance inst{src->context().blocks, requests, src->context().k};
+  const int whole = static_cast<int>(requests.size());
+  const LruPolicy lru;
+  const MarkingPolicy marking;
+  const DetOnlineBlockAware det;
+  const BlockLruPolicy block_lru(false);
+  const OnlinePolicy* const policies[] = {&lru, &marking, &det, &block_lru};
+  for (const OnlinePolicy* policy : policies) {
+    for (const int shards : {1, 3, 8, ConcurrentCache::max_shards(inst)}) {
+      ConcurrentCache single(inst, *policy, shards, 5);
+      for (const PageId p : requests) single.get(p);
+      for (const int batch : {1, 7, 512, whole}) {
+        ConcurrentCache batched(inst, *policy, shards, 5);
+        long long hits = 0;
+        for (int i = 0; i < whole; i += batch)
+          hits += batched.get_batch(requests.data() + i,
+                                    std::min(batch, whole - i));
+        EXPECT_EQ(hits, batched.stats().hits);
+        for (int s = 0; s < shards; ++s) {
+          const ShardSnapshot a = single.shard_snapshot(s);
+          const ShardSnapshot b = batched.shard_snapshot(s);
+          SCOPED_TRACE(policy->name() + " shards=" + std::to_string(shards) +
+                       " batch=" + std::to_string(batch) +
+                       " shard=" + std::to_string(s));
+          EXPECT_EQ(b.requests, a.requests);
+          EXPECT_EQ(b.hits, a.hits);
+          EXPECT_EQ(b.misses, a.misses);
+          EXPECT_EQ(b.eviction_cost, a.eviction_cost);
+          EXPECT_EQ(b.fetch_cost, a.fetch_cost);
+          EXPECT_EQ(b.classic_eviction_cost, a.classic_eviction_cost);
+          EXPECT_EQ(b.classic_fetch_cost, a.classic_fetch_cost);
+          EXPECT_EQ(b.evict_block_events, a.evict_block_events);
+          EXPECT_EQ(b.fetch_block_events, a.fetch_block_events);
+          EXPECT_EQ(b.evicted_pages, a.evicted_pages);
+          EXPECT_EQ(b.fetched_pages, a.fetched_pages);
+          EXPECT_EQ(b.cached_pages, a.cached_pages);
+          EXPECT_EQ(b.capacity, a.capacity);
+        }
+      }
+    }
+  }
+}
+
 TEST(ConcurrentCache, LatencySketchesPopulate) {
   const Workload w = zipf_workload(2000);
   ConcurrentCache cache(w.inst, LruPolicy(), 4);
@@ -226,6 +303,19 @@ TEST(ConcurrentCache, LatencySketchesPopulate) {
   EXPECT_EQ(stats.latency_us.count(),
             static_cast<std::uint64_t>(stats.requests));
   EXPECT_GE(stats.lock_wait_us.count(), 1u);
+}
+
+// Lock wait reports only real waiting: with one client no acquisition
+// can block, so every lock_wait_us sample — still one per acquisition —
+// is 0 rather than the cost of reading the clock.
+TEST(ConcurrentCache, UncontendedLockWaitIsZero) {
+  const Workload w = zipf_workload(5000);
+  ConcurrentCache cache(w.inst, LruPolicy(), 4);
+  server::serve_partitioned(cache, w.requests, 1);
+  const ServerStats stats = cache.stats();
+  EXPECT_GE(stats.lock_wait_us.count(), 1u);
+  EXPECT_EQ(stats.lock_wait_us.quantile(0.5), 0.0);
+  EXPECT_EQ(stats.lock_wait_us.max(), 0.0);
 }
 
 /// LRU-less minimal policy that busy-waits ~500us on exactly one request
