@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -19,6 +20,14 @@ auto first_live(const std::vector<FlushVars::Entry>& list, Time m) {
       list.begin(), list.end(), m,
       [](Time t, const FlushVars::Entry& e) { return t < e.t; });
 }
+
+/// The bits of v >= 0, which order such values as the values do, at
+/// integer speed (no floating-point compare latency in a min/max chain).
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// The octave of v >= 0: its biased binary exponent (subnormals and 0
+/// share octave 0).
+int octave(double v) { return static_cast<int>(bits(v) >> 52); }
 
 }  // namespace
 
@@ -83,18 +92,85 @@ void ThresholdSeparation::sync_dead(BlockId b,
   }
 }
 
-double ThresholdSeparation::predecessor(double x, bool strict) const {
-  // dead_phi_ ascends, active_phi_ descends; every candidate is > 0.
-  const auto d = strict
-      ? std::lower_bound(dead_phi_.begin(), dead_phi_.end(), x)
-      : std::upper_bound(dead_phi_.begin(), dead_phi_.end(), x);
-  const auto a = strict
-      ? std::upper_bound(active_phi_.begin(), active_phi_.end(), x,
-                         std::greater<>())
-      : std::lower_bound(active_phi_.begin(), active_phi_.end(), x,
-                         std::greater<>());
+void ThresholdSeparation::bucket_active() {
+  octave_phi_.resize(active_phi_.size());
+  if (active_phi_.empty()) {
+    active_min_ = std::numeric_limits<double>::infinity();
+    octave_begin_.assign(1, 0);
+    octave_below_.assign(1, 0.0);
+    return;
+  }
+  std::uint64_t lo = bits(active_phi_.front());
+  std::uint64_t hi = lo;
+  for (const double v : active_phi_) {
+    lo = std::min(lo, bits(v));
+    hi = std::max(hi, bits(v));
+  }
+  active_min_ = std::bit_cast<double>(lo);
+  lo_octave_ = octave(active_min_);
+  // A counting sort by octave: count, prefix-sum each octave's end, then
+  // place every value just below its octave's end, which leaves
+  // octave_begin_[i] at octave i's start.
+  const auto n = static_cast<std::size_t>(
+      octave(std::bit_cast<double>(hi)) - lo_octave_ + 1);
+  octave_begin_.assign(n + 1, 0);
+  for (const double v : active_phi_)
+    ++octave_begin_[static_cast<std::size_t>(octave(v) - lo_octave_)];
+  for (std::size_t i = 1; i <= n; ++i)
+    octave_begin_[i] += octave_begin_[i - 1];
+  for (const double v : active_phi_)
+    octave_phi_[static_cast<std::size_t>(--octave_begin_[
+        static_cast<std::size_t>(octave(v) - lo_octave_)])] = v;
+  octave_below_.resize(n + 1);
+  std::uint64_t below = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    octave_below_[i] = std::bit_cast<double>(below);
+    for (int j = octave_begin_[i]; j < octave_begin_[i + 1]; ++j)
+      below = std::max(below, bits(octave_phi_[static_cast<std::size_t>(j)]));
+  }
+  octave_below_[n] = std::bit_cast<double>(hi);
+}
+
+bool ThresholdSeparation::collect_distinct() {
+  thresholds_.clear();
+  // Inserts v into the descending thresholds_ unless it is there already;
+  // true once that makes 41 values.
+  const auto add = [this](double v) {
+    const auto it = std::lower_bound(thresholds_.begin(), thresholds_.end(),
+                                     v, std::greater<>());
+    if (it == thresholds_.end() || *it != v) thresholds_.insert(it, v);
+    return thresholds_.size() > 40;
+  };
+  for (const double v : active_phi_)
+    if (add(v)) return true;
+  // dead_phi_'s distinct values from the top, one binary search each.
+  for (auto it = dead_phi_.end(); it != dead_phi_.begin();) {
+    const double v = *--it;
+    if (add(v)) return true;
+    it = std::lower_bound(dead_phi_.begin(), it, v);
+  }
+  return false;
+}
+
+double ThresholdSeparation::predecessor(double x) const {
+  // dead_phi_ ascends; every candidate is > 0.
+  const auto d = std::upper_bound(dead_phi_.begin(), dead_phi_.end(), x);
   const double from_dead = d == dead_phi_.begin() ? 0.0 : *(d - 1);
-  const double from_active = a == active_phi_.end() ? 0.0 : *a;
+  // Lower octaves hold only values < x, higher ones only values > x.
+  const int i = octave(x) - lo_octave_;
+  const int n = static_cast<int>(octave_below_.size()) - 1;
+  double from_active = 0;
+  if (i >= n) {
+    from_active = octave_below_.back();
+  } else if (i >= 0) {
+    const auto o = static_cast<std::size_t>(i);
+    std::uint64_t best = 0;
+    for (int j = octave_begin_[o]; j < octave_begin_[o + 1]; ++j) {
+      const std::uint64_t v = bits(octave_phi_[static_cast<std::size_t>(j)]);
+      best = std::max(best, v <= bits(x) ? v : 0);
+    }
+    from_active = best > 0 ? std::bit_cast<double>(best) : octave_below_[o];
+  }
   return std::max(from_dead, from_active);
 }
 
@@ -168,26 +244,24 @@ std::optional<Violation> ThresholdSeparation::find_violated(
     }
     begin_[b + 1] = static_cast<int>(active_.size());
   }
-  std::sort(active_phi_.begin(), active_phi_.end(), std::greater<>());
 
   // The net: every distinct live phi, descending, or -- past 40 of them --
   // the largest, then repeatedly the largest <= last / 1.3, then the
   // smallest.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  thresholds_.clear();
-  for (double v = predecessor(kInf, false); v > 0 && thresholds_.size() <= 40;
-       v = predecessor(v, true))
-    thresholds_.push_back(v);
-  if (thresholds_.size() > 40) {
+  if (collect_distinct()) {
+    bucket_active();
+    constexpr double kInf = std::numeric_limits<double>::infinity();
     const double smallest = std::min(
-        dead_phi_.empty() ? kInf : dead_phi_.front(),
-        active_phi_.empty() ? kInf : active_phi_.back());
-    double last = thresholds_.front();
+        dead_phi_.empty() ? kInf : dead_phi_.front(), active_min_);
+    double last = std::max(dead_phi_.empty() ? 0.0 : dead_phi_.back(),
+                           octave_below_.back());
     thresholds_.clear();
     for (;;) {
       thresholds_.push_back(last);
       const double x = last / 1.3;
-      last = x < last ? predecessor(x, false) : predecessor(last, true);
+      // A subnormal last can round back to itself; then the next point is
+      // the largest value < last.
+      last = predecessor(x < last ? x : std::nextafter(last, 0.0));
       if (last <= 0) break;
     }
     if (thresholds_.back() != smallest) thresholds_.push_back(smallest);

@@ -34,16 +34,21 @@
 //     one merged walk over B's entries and sorted last requests; the LHS
 //     adds the same terms in the same order as constraint_lhs.
 //
-// The dead entries' phi values stay in a sorted multiset across calls,
-// so the net is a predecessor query per point into it and into the
-// (sorted) non-dead values, instead of a sort of every live phi. The
-// multiset is a cache, not state: every call compares the phi of each
-// block's dead range with the values that block's share was built from
-// and rebuilds the share on any difference (only growth at the back is
-// appended), so a reused oracle (other phi, other FlushVars) returns
-// exactly what the stateless scan returns. The stateless scan is
-// kept as verify::ReferenceThresholdSeparation; tests and the
-// cost_sandwich fuzz family diff the two bit for bit.
+// Building the net sorts nothing. The dead entries' values stay in a
+// sorted multiset across calls, and the non-dead values are grouped by
+// octave (binary exponent) with one counting pass, keeping each
+// octave's max.
+// Whether there are more than 40 distinct values is a count that stops
+// at 41, and each point of a thinned net is a predecessor query: a
+// binary search of the multiset, and a scan of x's own octave or else
+// the max of the next lower non-empty one. The multiset is a cache, not
+// state: every call compares the phi of each block's dead range with
+// the values that block's share was built from and rebuilds the share
+// on any difference (only growth at the back is appended), so a reused
+// oracle (other phi, other FlushVars) returns exactly what the
+// stateless scan returns. The stateless scan is kept as
+// verify::ReferenceThresholdSeparation; tests and the
+// policy_equivalence fuzz family diff the two bit for bit.
 #pragma once
 
 #include <optional>
@@ -103,8 +108,13 @@ class ThresholdSeparation final : public SeparationOracle {
   /// Bring block b's share of dead_phi_ in line with `dead`, its current
   /// dead entries.
   void sync_dead(BlockId b, std::span<const FlushVars::Entry> dead);
-  /// Largest net candidate <= x (or < x when `strict`); 0 if none.
-  [[nodiscard]] double predecessor(double x, bool strict) const;
+  /// Group active_phi_ by octave into octave_phi_ (for predecessor).
+  void bucket_active();
+  /// The distinct net candidates, descending, into thresholds_, stopping
+  /// at 41 of them; returns whether there are more than 40.
+  bool collect_distinct();
+  /// Largest net candidate <= x; 0 if none.
+  [[nodiscard]] double predecessor(double x) const;
   /// constraint_lhs of S plus each block's chosen_ entry, g(S') = g.
   [[nodiscard]] double chosen_lhs(int cap, int g) const;
   /// S'(theta) with the max flushes the stateless scan gives it.
@@ -127,7 +137,16 @@ class ThresholdSeparation final : public SeparationOracle {
   std::vector<int> dead_lo_;
   std::vector<int> dead_hi_;
   std::vector<int> chosen_;         ///< per block: index into active_ or -1
-  std::vector<double> active_phi_;  ///< descending
+  std::vector<double> active_phi_;  ///< the active phi that are > 0
+  // active_phi_ by octave, lowest first: octave lo_octave_ + i holds
+  // octave_phi_[octave_begin_[i], octave_begin_[i + 1]), and
+  // octave_below_[i] is the largest value in a lower octave (0 if none),
+  // so octave_below_.back() is the largest of all.
+  std::vector<double> octave_phi_;
+  std::vector<int> octave_begin_;
+  std::vector<double> octave_below_;
+  int lo_octave_ = 0;
+  double active_min_ = 0;
   std::vector<Step> steps_;         ///< descending phi
   std::vector<double> thresholds_;  ///< the net, descending
 };

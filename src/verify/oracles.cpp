@@ -1,7 +1,10 @@
 #include "verify/oracles.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,6 +12,7 @@
 #include "algs/fractional.hpp"
 #include "algs/lower_bounds.hpp"
 #include "algs/opt.hpp"
+#include "algs/rounding.hpp"
 #include "algs/zoo.hpp"
 #include "core/schedule.hpp"
 #include "core/simulator.hpp"
@@ -124,6 +128,14 @@ std::vector<Violation> check_cost_model(const GeneratedInstance& gi,
              who + "fetch cost outside [events x c_min, events x c_max]");
     if (r.cached_pages > inst.k)
       report(out, "cost_model", who + "final occupancy exceeds k");
+    // rand_online: every alteration evicts a block with positive x (the
+    // fallback is 0 in a healthy run).
+    if (const auto* rand =
+            dynamic_cast<const RandomizedBlockAware*>(policy.get());
+        rand != nullptr && rand->fallback_alterations() != 0)
+      report(out, "cost_model",
+             who + std::to_string(rand->fallback_alterations()) +
+                 " fallback alterations");
   }
   return out;
 }
@@ -214,26 +226,11 @@ std::vector<Violation> check_cost_sandwich(const GeneratedInstance& gi,
   }
 
   // Algorithm 2: fractional cost above its own (feasible) dual, dual below
-  // OPT; and its default ThresholdSeparation step for step bit-identical
-  // to the frozen stateless twin.
+  // OPT.
   try {
     FractionalBlockAware frac(inst.blocks, inst.k);
-    FractionalBlockAware twin(
-        inst.blocks, inst.k,
-        std::make_unique<ReferenceThresholdSeparation>());
-    bool diverged = false;
-    for (Time t = 1; t <= inst.horizon(); ++t) {
-      const auto& got = frac.step(t, inst.request_at(t));
-      if (diverged) continue;
-      const auto& want = twin.step(t, inst.request_at(t));
-      if (!bit_identical(got, want)) {
-        report(out, "cost_sandwich",
-               "threshold separation diverges from its reference twin at t=" +
-                   std::to_string(t) + " (" + std::to_string(got.size()) +
-                   " vs " + std::to_string(want.size()) + " increments)");
-        diverged = true;
-      }
-    }
+    for (Time t = 1; t <= inst.horizon(); ++t)
+      (void)frac.step(t, inst.request_at(t));
     if (!leq(frac.dual_objective(), frac.fractional_cost()))
       report(out, "cost_sandwich",
              "fractional cost " + fmt(frac.fractional_cost()) +
@@ -345,9 +342,72 @@ std::vector<Violation> check_schedule_replay(const GeneratedInstance& gi,
 
 // --- policy_equivalence -----------------------------------------------------
 
+/// ThresholdSeparation at its default tolerance, checking every Violation
+/// it returns against the constraint's definition: lhs is
+/// constraint_lhs(S', phi) bit for bit, rhs is (n - k) - f(S'), and
+/// lhs < rhs - tolerance. Reports the first failure.
+class CheckedSeparation final : public SeparationOracle {
+ public:
+  explicit CheckedSeparation(std::vector<Violation>& out) : out_(&out) {}
+  std::optional<bac::Violation> find_violated(const FlushSet& S,
+                                              const FlushVars& phi) override {
+    auto v = inner_.find_violated(S, phi);
+    if (!v || failed_) return v;
+    const double lhs = constraint_lhs(v->sprime, phi);
+    const double rhs =
+        static_cast<double>(v->sprime.coverage().cap() - v->sprime.f());
+    if (std::bit_cast<std::uint64_t>(v->lhs) !=
+            std::bit_cast<std::uint64_t>(lhs) ||
+        v->rhs != rhs || !(v->lhs < v->rhs - kTolerance)) {
+      report(*out_, "policy_equivalence",
+             "threshold separation at t=" +
+                 std::to_string(S.coverage().now()) + " returned lhs " +
+                 fmt(v->lhs) + ", rhs " + fmt(v->rhs) +
+                 "; the constraint reads lhs " + fmt(lhs) + ", rhs " +
+                 fmt(rhs));
+      failed_ = true;
+    }
+    return v;
+  }
+
+ private:
+  static constexpr double kTolerance = 1e-9;  // ThresholdSeparation's default
+  std::vector<Violation>* out_;
+  ThresholdSeparation inner_{kTolerance};
+  bool failed_ = false;
+};
+
+/// Algorithm 2 under its default oracle (checked as above) against the
+/// same algorithm under the frozen stateless ReferenceThresholdSeparation:
+/// bit-identical increments at every step.
+void diff_fractional_twin(const Instance& inst, std::vector<Violation>& out) {
+  try {
+    FractionalBlockAware frac(inst.blocks, inst.k,
+                              std::make_unique<CheckedSeparation>(out));
+    FractionalBlockAware twin(
+        inst.blocks, inst.k,
+        std::make_unique<ReferenceThresholdSeparation>());
+    for (Time t = 1; t <= inst.horizon(); ++t) {
+      const auto& got = frac.step(t, inst.request_at(t));
+      const auto& want = twin.step(t, inst.request_at(t));
+      if (!bit_identical(got, want)) {
+        report(out, "policy_equivalence",
+               "threshold separation diverges from its reference twin at t=" +
+                   std::to_string(t) + " (" + std::to_string(got.size()) +
+                   " vs " + std::to_string(want.size()) + " increments)");
+        return;
+      }
+    }
+  } catch (const std::exception& e) {
+    report(out, "policy_equivalence",
+           std::string("fractional algorithm failed: ") + e.what());
+  }
+}
+
 std::vector<Violation> check_policy_equivalence(const GeneratedInstance& gi,
                                                 const OracleOptions& options) {
   std::vector<Violation> out;
+  diff_fractional_twin(gi.inst, out);
   for (auto& [name, ref] : reference_policy_twins()) {
     std::unique_ptr<OnlinePolicy> prod;
     try {

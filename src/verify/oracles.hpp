@@ -12,15 +12,14 @@
 //   cost_sandwich    lb <= OPT_evict <= every feasible policy's eviction
 //                    cost (and OPT_fetch <= fetch cost); det-online within
 //                    its proven k ratio, dual objectives certified below
-//                    OPT; fractional cost above its own dual, and its
-//                    increments bit-identical per step under the cached
-//                    ThresholdSeparation and its frozen twin. Exact OPT /
+//                    OPT; fractional cost above its own dual. Exact OPT /
 //                    LP solvers cap feasibility via OracleOptions.
 //   cost_model       Section 2 accounting identities on every run:
 //                    batched <= classic <= beta x batched per side,
 //                    fetched - evicted == final occupancy, misses <=
 //                    fetched pages, block events <= page moves, cost
-//                    bracketed by event counts x {min,max} block cost.
+//                    bracketed by event counts x {min,max} block cost;
+//                    rand_online made no fallback alteration.
 //   streaming        simulate() over the materialized instance equals
 //                    simulate() over the streaming twin, field by field.
 //   schedule_replay  record_schedule capture replays through
@@ -33,6 +32,12 @@
 //                    sets against its frozen std::set reference twin
 //                    (verify/reference_policies.hpp) — the golden-corpus
 //                    semantics, checked on arbitrary fuzzed instances.
+//                    And Algorithm 2's increments bit-identical per step
+//                    under ThresholdSeparation and its frozen stateless
+//                    twin, every Violation's lhs equal to constraint_lhs
+//                    bit for bit and below rhs - tolerance, on every
+//                    instance (no size gate, so large ones reach the
+//                    thinned threshold net).
 //   mc_equivalence   simulate_mc parallel (clone-sharded) == forced-serial
 //                    replay, bit for bit.
 //   concurrency      ConcurrentCache + serve_partitioned at 1 thread ==

@@ -1,7 +1,7 @@
 // Frozen reference implementations: std::set-based twins of the
 // deterministic classical policies, for the policy_equivalence oracle
-// family; the stateless scan ThresholdSeparation replaced, for the
-// cost_sandwich family's Algorithm 2 check; the full-scan fractional
+// family; the stateless scan ThresholdSeparation replaced, for the same
+// family's Algorithm 2 check; the full-scan fractional
 // weighted paging with its threshold-rounding policy; and Algorithm 1
 // with its rescanning dual-load lists.
 //
@@ -62,7 +62,8 @@ std::vector<std::string> diff_policy_runs(const Instance& inst,
 /// every call it sorts the phi of every live entry, nets them to at most
 /// ~48 thresholds and rebuilds and scores S' anew for each threshold.
 /// The production oracle must return the same Violation bit for bit
-/// (lhs, rhs, g and every max_flush); tests and cost_sandwich diff them.
+/// (lhs, rhs, g and every max_flush); tests and policy_equivalence diff
+/// them.
 /// (bac::Violation is the separation result, not verify::Violation.)
 class ReferenceThresholdSeparation final : public SeparationOracle {
  public:

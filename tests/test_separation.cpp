@@ -4,10 +4,14 @@
 // cached threshold oracle with its frozen stateless twin.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algs/fractional.hpp"
@@ -196,6 +200,153 @@ TEST(Separation, ThresholdMatchesReferenceOnRandomStates) {
   }
   EXPECT_GT(violated, 60) << "states should exercise violated cases";
   EXPECT_GT(netted, 20) << "states should exercise the netted thresholds";
+}
+
+/// S plus, per block, the latest live entry with phi >= theta (as the
+/// twin builds its S'(theta)).
+FlushSet sprime_at(const FlushSet& S, const FlushVars& phi, double theta) {
+  FlushSet out = S;
+  const int n_blocks = S.coverage().blocks().n_blocks();
+  for (BlockId b = 0; b < n_blocks; ++b) {
+    Time best = kNeverRequested;
+    for (const FlushVars::Entry& e : phi.entries(b))
+      if (e.t > S.max_flush(b) && e.phi >= theta) best = e.t;
+    if (best != kNeverRequested) out.add_flush(b, best);
+  }
+  return out;
+}
+
+TEST(Separation, ThresholdNetEdgeCasesMatchReference) {
+  // Phi values where the net's octave layout could go wrong: powers of
+  // two and one ulp either side, in every other octave, so that most net
+  // points come from a lower octave; a ladder where each last / 1.3 is
+  // exactly the next value; subnormals, where last / 1.3 rounds back to
+  // last, beside the smallest normals and values near 2^30, so the net
+  // walks down through empty octaves; every value in one octave; and
+  // over 40 values with at most 40 distinct (the early exit). Each value
+  // lands on one to three entries, so equal values fall on dead and on
+  // active entries. Each state is asked, against S = empty, the initial S
+  // and S with random extra flushes, of a fresh oracle, of one reused
+  // across every state, and of fresh oracles whose tolerance sits just
+  // below the slack of some S'(theta), negative slacks included: with
+  // values this large lhs falls faster than g rises along the sweep, so
+  // that makes each net point in turn the first one violated. Every
+  // answer must match the stateless twin's.
+  const double scale = std::ldexp(1.0, 30);
+  std::vector<double> pow2;
+  for (int e = 0; e <= 60; e += 2) {
+    const double p = std::ldexp(1.0, e);
+    pow2.insert(pow2.end(),
+                {std::nextafter(p, 0.0), p, std::nextafter(p, 2 * p)});
+  }
+  std::vector<double> ladder;
+  for (double v = 0.9 * scale; v > 1; v /= 1.3) ladder.push_back(v);
+  std::vector<double> subnormal;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double normal = std::numeric_limits<double>::min();
+  for (int j = 1; j <= 40; ++j) subnormal.push_back(j * tiny);
+  subnormal.push_back(std::nextafter(normal, 0.0));
+  for (int j = 0; j < 8; ++j) {
+    subnormal.push_back(normal * (1 + j / 8.0));
+    subnormal.push_back(scale * (1 + j / 8.0));
+  }
+  std::vector<double> one_octave;
+  for (int j = 0; j < 60; ++j) one_octave.push_back(scale * (0.5 + j / 128.0));
+  std::vector<double> few;  // 36 distinct
+  for (int j = 0; j < 36; ++j) few.push_back(1000.0 * (1 + j));
+
+  struct Family {
+    const char* name;
+    const std::vector<double>* values;
+    int netted = 0;    ///< states with over 40 distinct live phi
+    int early = 0;     ///< over 40 live phi, at most 40 distinct
+    int split = 0;     ///< a value on both a dead and an active entry
+    int from_net = 0;  ///< answers at some S' other than S
+  };
+  Family families[] = {{"pow2", &pow2},
+                       {"ladder", &ladder},
+                       {"subnormal", &subnormal},
+                       {"one_octave", &one_octave},
+                       {"few", &few}};
+  verify::ReferenceThresholdSeparation twin;
+  ThresholdSeparation reused;
+  Xoshiro256pp rng(2024);
+  const int n = 32;
+  const Time T = 120;
+  for (Family& fam : families) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const BlockMap blocks = BlockMap::contiguous(n, 4);
+      FlushCoverage cov(blocks, 8);
+      for (Time t = 1; t <= T; ++t)
+        cov.advance(static_cast<PageId>(rng.below(n)), t);
+      // Each placed value takes a (block, time) slot of its own.
+      std::vector<std::pair<BlockId, Time>> slots;
+      for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+        for (Time t = 1; t <= T; ++t) slots.emplace_back(b, t);
+      FlushVars phi(blocks.n_blocks());
+      std::size_t used = 0;
+      for (const double v : *fam.values) {
+        for (int c = 1 + static_cast<int>(rng.below(3)); c > 0; --c) {
+          std::swap(slots[used],
+                    slots[used + rng.below(slots.size() - used)]);
+          phi.raise_to(slots[used].first, slots[used].second, v);
+          ++used;
+        }
+      }
+      FlushSet flushed(cov);
+      for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+        if (rng.bernoulli(0.3))
+          flushed.add_flush(b, static_cast<Time>(rng.below(T + 1)));
+      const FlushSet sets[] = {FlushSet::empty(cov), FlushSet(cov), flushed};
+      for (const FlushSet& S : sets) {
+        std::vector<double> live, dead, active;
+        for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+          for (const FlushVars::Entry& e : phi.entries(b)) {
+            if (e.t <= S.max_flush(b)) continue;
+            live.push_back(e.phi);
+            (S.g_marginal(b, e.t) == 0 ? dead : active).push_back(e.phi);
+          }
+        std::sort(live.begin(), live.end());
+        const std::size_t count = live.size();
+        live.erase(std::unique(live.begin(), live.end()), live.end());
+        if (live.size() > 40) ++fam.netted;
+        if (count > 40 && live.size() <= 40) ++fam.early;
+        std::sort(dead.begin(), dead.end());
+        if (std::any_of(active.begin(), active.end(), [&](double v) {
+              return std::binary_search(dead.begin(), dead.end(), v);
+            }))
+          ++fam.split;
+
+        const std::string where = std::string(fam.name) + " trial " +
+                                  std::to_string(trial) + " g(S)=" +
+                                  std::to_string(S.g());
+        const auto want = twin.find_violated(S, phi);
+        ThresholdSeparation fresh;
+        expect_same(fresh.find_violated(S, phi), want, where + " fresh");
+        expect_same(reused.find_violated(S, phi), want, where + " reused");
+        if (want && want->sprime.g() != S.g()) ++fam.from_net;
+        const int cap = cov.cap();
+        for (std::size_t i = 0; i < live.size(); i += 2) {
+          const FlushSet sp = sprime_at(S, phi, live[i]);
+          if (sp.f() >= cap) continue;
+          const double slack =
+              static_cast<double>(cap - sp.f()) - constraint_lhs(sp, phi);
+          const double tol = slack - 1e-6 * std::abs(slack) - 1e-9;
+          const auto want_tol =
+              verify::ReferenceThresholdSeparation(tol).find_violated(S, phi);
+          expect_same(ThresholdSeparation(tol).find_violated(S, phi),
+                      want_tol, where + " tolerance " + std::to_string(tol));
+          if (want_tol && want_tol->sprime.g() != S.g()) ++fam.from_net;
+        }
+      }
+    }
+  }
+  for (const Family& fam : families) {
+    const bool few_distinct = fam.values == &few;
+    EXPECT_GT(few_distinct ? fam.early : fam.netted, 50) << fam.name;
+    EXPECT_GT(fam.split, 50) << fam.name;
+    EXPECT_GT(fam.from_net, 200) << fam.name;
+  }
 }
 
 /// Drives Algorithm 2 with the frozen twin's answers. On every call it
