@@ -22,8 +22,8 @@ void run_direction(bool fetch_cheap) {
   for (int beta = 2; beta <= 8; ++beta) {
     const auto built = fetch_cheap ? claim21_fetch_cheap(beta, 4)
                                    : claim21_evict_cheap(beta, 3);
-    const ScheduleCost intended =
-        evaluate(built.instance, built.intended_schedule);
+    const ReplayResult intended =
+        replay_schedule(built.instance, built.intended_schedule);
     if (!intended.feasible)
       throw std::logic_error("intended schedule infeasible");
 

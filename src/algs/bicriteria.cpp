@@ -3,38 +3,32 @@
 #include <algorithm>
 
 #include "core/cache_set.hpp"
-#include "core/cost_meter.hpp"
+#include "core/schedule.hpp"
 
 namespace bac {
 
 namespace {
 
-/// Shared bookkeeping: replay per-step fetch/evict decisions, metering
-/// batched costs and tracking the cache-size peak.
+/// Shared bookkeeping: record per-step fetch/evict decisions and track
+/// the cache-size peak; finish() scores the recorded schedule with
+/// replay_schedule, the meter every offline schedule is charged by.
 class Replayer {
  public:
   explicit Replayer(const Instance& inst)
-      : inst_(&inst), cache_(inst.n_pages()), meter_(inst.blocks) {
+      : inst_(&inst), cache_(inst.n_pages()) {
     out_.schedule.steps.resize(static_cast<std::size_t>(inst.horizon()));
   }
 
-  void begin(Time t) {
-    t_ = t;
-    meter_.begin_step(t);
-  }
+  void begin(Time t) { t_ = t; }
   void evict(PageId p) {
-    if (cache_.erase(p)) {
-      meter_.on_evict(p);
+    if (cache_.erase(p))
       out_.schedule.steps[static_cast<std::size_t>(t_ - 1)]
           .evictions.push_back(p);
-    }
   }
   void fetch(PageId p) {
-    if (cache_.insert(p)) {
-      meter_.on_fetch(p);
+    if (cache_.insert(p))
       out_.schedule.steps[static_cast<std::size_t>(t_ - 1)]
           .fetches.push_back(p);
-    }
   }
   void end_step() {
     out_.max_cache_used = std::max(out_.max_cache_used, cache_.size());
@@ -42,15 +36,15 @@ class Replayer {
   [[nodiscard]] bool contains(PageId p) const { return cache_.contains(p); }
 
   BicriteriaOutcome finish() {
-    out_.fetch_cost = meter_.fetch_cost();
-    out_.eviction_cost = meter_.eviction_cost();
+    const ReplayResult r = replay_schedule(*inst_, out_.schedule);
+    out_.fetch_cost = r.fetch_cost;
+    out_.eviction_cost = r.eviction_cost;
     return std::move(out_);
   }
 
  private:
   const Instance* inst_;
   CacheSet cache_;
-  CostMeter meter_;
   Time t_ = 0;
   BicriteriaOutcome out_;
 };

@@ -25,9 +25,9 @@ void ThresholdBicriteriaPolicy::on_request(Time /*t*/, PageId p,
     // Evict everything above the threshold (free), then batch-fetch the
     // requested block's eligible pages on a miss. Every cached page had
     // x <= 1/2 when the step began (this sweep evicts the rest, fetches
-    // take only x <= 1/2, and the capacity guard below and the
-    // simulator's repair only evict or fetch the request), so a page
-    // above 1/2 and cached now has moved.
+    // take only x <= 1/2, and the capacity guard below only evicts or
+    // fetches the request), so a page above 1/2 and cached now has
+    // moved.
     for (const PageId q : moved)
       if (x[static_cast<std::size_t>(q)] > 0.5 && cache.contains(q))
         cache.evict(q);

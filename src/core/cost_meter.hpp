@@ -8,12 +8,59 @@
 // comparisons of Section 1.1.
 #pragma once
 
+#include <iosfwd>
 #include <vector>
 
 #include "core/block_map.hpp"
 #include "core/types.hpp"
 
 namespace bac {
+
+/// Everything a run is charged and counted: requests, hits and misses
+/// (counted by the step kernel, core/step_kernel.hpp) and the meter's eight
+/// totals. RunResult, ReplayResult and server::ServerStats derive from it,
+/// so copying a run's counters is one assignment to counters(), summing
+/// shards is one +=, and comparing two runs is one ==.
+struct CostCounters {
+  long long requests = 0;
+  long long hits = 0;    ///< requested page already cached
+  long long misses = 0;  ///< requested page not cached
+  Cost eviction_cost = 0;  ///< batched: each block once per step
+  Cost fetch_cost = 0;
+  Cost classic_eviction_cost = 0;  ///< unbatched: every page pays its block
+  Cost classic_fetch_cost = 0;
+  long long evict_block_events = 0;  ///< (block, step) eviction charges
+  long long fetch_block_events = 0;
+  long long evicted_pages = 0;
+  long long fetched_pages = 0;
+
+  [[nodiscard]] Cost total_cost() const noexcept {
+    return eviction_cost + fetch_cost;
+  }
+  /// This record as its counters alone, for derived types: compare with
+  /// `a.counters() == b.counters()`, copy with `r.counters() = c`.
+  [[nodiscard]] const CostCounters& counters() const noexcept { return *this; }
+  [[nodiscard]] CostCounters& counters() noexcept { return *this; }
+
+  CostCounters& operator+=(const CostCounters& o) noexcept {
+    requests += o.requests;
+    hits += o.hits;
+    misses += o.misses;
+    eviction_cost += o.eviction_cost;
+    fetch_cost += o.fetch_cost;
+    classic_eviction_cost += o.classic_eviction_cost;
+    classic_fetch_cost += o.classic_fetch_cost;
+    evict_block_events += o.evict_block_events;
+    fetch_block_events += o.fetch_block_events;
+    evicted_pages += o.evicted_pages;
+    fetched_pages += o.fetched_pages;
+    return *this;
+  }
+  bool operator==(const CostCounters&) const = default;
+};
+
+/// Every field by name, costs at %.17g (diff messages, gtest output).
+std::ostream& operator<<(std::ostream& os, const CostCounters& c);
 
 class CostMeter {
  public:
@@ -27,49 +74,55 @@ class CostMeter {
 
   void on_evict(PageId p) {
     const BlockId b = blocks_->block_of(p);
-    classic_evict_ += blocks_->cost(b);
-    ++evicted_pages_;
+    totals_.classic_eviction_cost += blocks_->cost(b);
+    ++totals_.evicted_pages;
     auto& stamp = evict_stamp_[static_cast<std::size_t>(b)];
     if (stamp != now_) {
       stamp = now_;
-      evict_ += blocks_->cost(b);
-      ++evict_events_;
+      totals_.eviction_cost += blocks_->cost(b);
+      ++totals_.evict_block_events;
     }
   }
 
   void on_fetch(PageId p) {
     const BlockId b = blocks_->block_of(p);
-    classic_fetch_ += blocks_->cost(b);
-    ++fetched_pages_;
+    totals_.classic_fetch_cost += blocks_->cost(b);
+    ++totals_.fetched_pages;
     auto& stamp = fetch_stamp_[static_cast<std::size_t>(b)];
     if (stamp != now_) {
       stamp = now_;
-      fetch_ += blocks_->cost(b);
-      ++fetch_events_;
+      totals_.fetch_cost += blocks_->cost(b);
+      ++totals_.fetch_block_events;
     }
   }
 
+  /// The eight totals below as one record (requests, hits and misses are
+  /// the step kernel's and stay 0 here).
+  [[nodiscard]] const CostCounters& totals() const noexcept { return totals_; }
+
   /// Batched (block-aware) totals.
-  [[nodiscard]] Cost eviction_cost() const noexcept { return evict_; }
-  [[nodiscard]] Cost fetch_cost() const noexcept { return fetch_; }
+  [[nodiscard]] Cost eviction_cost() const noexcept {
+    return totals_.eviction_cost;
+  }
+  [[nodiscard]] Cost fetch_cost() const noexcept { return totals_.fetch_cost; }
   /// Unbatched per-page totals (classic weighted paging accounting).
   [[nodiscard]] Cost classic_eviction_cost() const noexcept {
-    return classic_evict_;
+    return totals_.classic_eviction_cost;
   }
   [[nodiscard]] Cost classic_fetch_cost() const noexcept {
-    return classic_fetch_;
+    return totals_.classic_fetch_cost;
   }
   [[nodiscard]] long long evict_block_events() const noexcept {
-    return evict_events_;
+    return totals_.evict_block_events;
   }
   [[nodiscard]] long long fetch_block_events() const noexcept {
-    return fetch_events_;
+    return totals_.fetch_block_events;
   }
   [[nodiscard]] long long evicted_pages() const noexcept {
-    return evicted_pages_;
+    return totals_.evicted_pages;
   }
   [[nodiscard]] long long fetched_pages() const noexcept {
-    return fetched_pages_;
+    return totals_.fetched_pages;
   }
 
  private:
@@ -77,10 +130,7 @@ class CostMeter {
   Time now_ = -1;
   std::vector<Time> evict_stamp_;  // last step each block was charged
   std::vector<Time> fetch_stamp_;
-  Cost evict_ = 0, fetch_ = 0;
-  Cost classic_evict_ = 0, classic_fetch_ = 0;
-  long long evict_events_ = 0, fetch_events_ = 0;
-  long long evicted_pages_ = 0, fetched_pages_ = 0;
+  CostCounters totals_;
 };
 
 }  // namespace bac

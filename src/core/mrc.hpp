@@ -8,8 +8,8 @@
 // positions; positions are periodically compacted so memory stays bounded
 // by the page universe, never by the trace length — this is what lets the
 // streaming simulator emit miss-ratio curves for traces that are never
-// materialized. (trace/stats.hpp offers an offline variant over a whole
-// Instance; this accumulator is its streaming counterpart.)
+// materialized. It is the library's only stack-distance engine; the tests
+// check it against a brute-force list-LRU stack.
 #pragma once
 
 #include <cstdint>

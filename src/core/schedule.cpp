@@ -17,15 +17,17 @@ ReplayResult replay_schedule(const Instance& inst, const Schedule& sched) {
   CacheSet cache(inst.n_pages());
   CostMeter meter(inst.blocks);
   const Time T = inst.horizon();
+  long long misses = 0;
   for (Time t = 1; t <= T; ++t) {
     meter.begin_step(t);
+    const PageId req = inst.request_at(t);
+    if (!cache.contains(req)) ++misses;
     const auto& step = sched.steps[static_cast<std::size_t>(t - 1)];
     for (PageId p : step.evictions)
       if (cache.erase(p)) meter.on_evict(p);
     for (PageId p : step.fetches)
       if (cache.insert(p)) meter.on_fetch(p);
 
-    const PageId req = inst.request_at(t);
     if (!cache.contains(req)) {
       out.feasible = false;
       if (out.infeasibility.empty())
@@ -38,26 +40,12 @@ ReplayResult replay_schedule(const Instance& inst, const Schedule& sched) {
         out.infeasibility = "capacity exceeded at t=" + std::to_string(t);
     }
   }
-  out.eviction_cost = meter.eviction_cost();
-  out.fetch_cost = meter.fetch_cost();
-  out.classic_eviction_cost = meter.classic_eviction_cost();
-  out.classic_fetch_cost = meter.classic_fetch_cost();
-  out.evict_block_events = meter.evict_block_events();
-  out.fetch_block_events = meter.fetch_block_events();
-  out.evicted_pages = meter.evicted_pages();
-  out.fetched_pages = meter.fetched_pages();
+  out.counters() = meter.totals();
+  out.requests = T;
+  out.hits = T - misses;
+  out.misses = misses;
   out.final_cache = cache.pages();
   std::sort(out.final_cache.begin(), out.final_cache.end());
-  return out;
-}
-
-ScheduleCost evaluate(const Instance& inst, const Schedule& sched) {
-  const ReplayResult r = replay_schedule(inst, sched);
-  ScheduleCost out;
-  out.eviction_cost = r.eviction_cost;
-  out.fetch_cost = r.fetch_cost;
-  out.feasible = r.feasible;
-  out.infeasibility = r.infeasibility;
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Explicit offline schedules: per-step fetch/evict page lists.
 //
-// Exact OPT solvers and LP roundings produce a Schedule; `evaluate`
-// replays it through the simulator's accounting and feasibility audit, so
-// offline solutions are scored by exactly the same meter as online policies.
+// Exact OPT solvers and LP roundings produce a Schedule; `replay_schedule`
+// replays it through the same CostMeter accounting as a live run and
+// checks its feasibility, so offline solutions are scored by exactly the
+// same meter as online policies.
 #pragma once
 
 #include <string>
@@ -28,39 +29,23 @@ struct Schedule {
   }
 };
 
-struct ScheduleCost {
-  Cost eviction_cost = 0;
-  Cost fetch_cost = 0;
-  bool feasible = true;
-  std::string infeasibility;  // first violation, for diagnostics
-};
-
-/// Replay `sched` on `inst`, return batched costs and feasibility.
-ScheduleCost evaluate(const Instance& inst, const Schedule& sched);
-
-/// Full accounting of a schedule replay: everything the simulator's meter
-/// reports for a live run, plus the final cache contents. A schedule
-/// captured by SimOptions::record_schedule replayed through this must
-/// reproduce the live run's final state exactly, and its costs exactly
-/// whenever the capture netted out no fetch+evict transients
+/// Full accounting of a schedule replay: the counters a live simulate()
+/// run reports (a request is a hit when its page is cached before the
+/// step's actions, as it is before a live policy's on_request), its
+/// feasibility, and the final cache contents. A schedule captured by
+/// SimOptions::record_schedule replayed through this must reproduce the
+/// live run's final state exactly, and its counters exactly whenever the
+/// capture netted out no fetch+evict transients
 /// (RunResult::capture_cancellations == 0) — the verify subsystem's
 /// schedule-replay oracle checks both.
-struct ReplayResult {
-  Cost eviction_cost = 0;
-  Cost fetch_cost = 0;
-  Cost classic_eviction_cost = 0;
-  Cost classic_fetch_cost = 0;
-  long long evict_block_events = 0;
-  long long fetch_block_events = 0;
-  long long evicted_pages = 0;
-  long long fetched_pages = 0;
+struct ReplayResult : CostCounters {
   bool feasible = true;
   std::string infeasibility;       ///< first violation, for diagnostics
   std::vector<PageId> final_cache; ///< cached pages after the last step, sorted
 };
 
-/// Replay `sched` on `inst` through the same CostMeter accounting as a
-/// live simulate() run (evictions before fetches within each step).
+/// Replay `sched` on `inst` (evictions before fetches within each step).
+/// A horizon mismatch is reported as infeasible with zero counters.
 ReplayResult replay_schedule(const Instance& inst, const Schedule& sched);
 
 /// Adapter: replay a schedule as an OnlinePolicy (for the simulator and

@@ -1,11 +1,11 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "core/mrc.hpp"
+#include "core/step_kernel.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -33,12 +33,8 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
         "simulate: offline policy " + policy.name() +
         " needs a materialized instance, not a streaming source");
 
-  CacheSet cache(ctx.n_pages());
-  CostMeter meter(ctx.blocks);
-  CacheOps ops(ctx.blocks, cache, meter, ctx.k);
-
-  policy.reset(ctx);
-  policy.seed(options.seed);
+  StepKernel kernel(ctx, policy, options.seed);
+  const CostMeter& meter = kernel.meter();
 
   RunResult result;
   const long long hint = source.horizon_hint();
@@ -64,85 +60,40 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
   // garbage, so bound-check their pages as they arrive.
   const bool check_pages = !source.materialized();
   const PageId n_pages = ctx.n_pages();
-  const int k = ctx.k;
-  constexpr Time kMaxTime = std::numeric_limits<Time>::max();
-  Cost prev_evict = 0, prev_fetch = 0;
-  Time t = 0;
-
-  // Feasibility audit + repair, shared by both lanes (cold path for any
-  // correct policy). The repair runs in ONE backward pass over the
-  // member list: CacheSet::erase swap-removes (only indices >= i are
-  // disturbed), so scanning from the back visits each page exactly once —
-  // the old forward rescan-per-eviction was quadratic in the overflow.
-  const auto audit = [&](PageId p) {
-    if (!cache.contains(p)) {
-      if (options.throw_on_violation)
-        throw std::runtime_error("simulate: policy " + policy.name() +
-                                 " left requested page uncached at t=" +
-                                 std::to_string(t));
-      ++result.violations;
-      ops.fetch(p);
-    }
-    if (cache.size() > k) {
-      if (options.throw_on_violation)
-        throw std::runtime_error("simulate: policy " + policy.name() +
-                                 " exceeded capacity at t=" + std::to_string(t));
-      ++result.violations;
-      const auto& pages = cache.pages();
-      for (std::size_t i = pages.size(); cache.size() > k && i-- > 0;) {
-        const PageId q = pages[i];
-        if (q != p) ops.evict(q);
-      }
-    }
-  };
-
   const auto check_page = [&](PageId p) {
-    // Time is 32-bit throughout the policy layer; refuse to wrap rather
-    // than hand policies negative timestamps.
-    if (t == kMaxTime)
-      throw std::runtime_error(
-          "simulate: trace exceeds 2^31-1 requests (Time is 32-bit)");
     if (check_pages && (p < 0 || p >= n_pages))
       throw std::runtime_error(
           "simulate: source yielded page " + std::to_string(p) +
           " outside [0, " + std::to_string(n_pages) + ") at t=" +
-          std::to_string(t + 1));
+          std::to_string(kernel.time() + 1));
   };
 
-  // The stream is consumed in batches; per-request work is split into two
-  // lanes so the common configuration (costs only — every Monte-Carlo
+  // The stream is consumed in batches; both lanes serve each request
+  // through the same kernel step. The costs-only lane (every Monte-Carlo
   // trial and throughput bench) pays for none of the recording branches.
   const bool fast_lane = !options.record_steps && !options.record_schedule &&
                          !options.record_sketch && mrc == nullptr;
+  Cost prev_evict = 0, prev_fetch = 0;
   PageId batch[kSimBatch];
   for (;;) {
     const int m = source.next_batch(batch, kSimBatch);
     if (m <= 0) break;
     if (fast_lane) {
       for (int i = 0; i < m; ++i) {
-        const PageId p = batch[i];
-        check_page(p);
-        ++t;
-        meter.begin_step(t);
-        if (!cache.contains(p)) ++result.misses;
-        policy.on_request(t, p, ops);
-        audit(p);
+        check_page(batch[i]);
+        kernel.serve(batch[i]);
       }
     } else {
       for (int i = 0; i < m; ++i) {
         const PageId p = batch[i];
         check_page(p);
-        ++t;
-        meter.begin_step(t);
         if (options.record_schedule) {
           result.schedule.steps.emplace_back();
           auto& step = result.schedule.steps.back();
-          ops.set_capture(&step.evictions, &step.fetches);
+          kernel.ops().set_capture(&step.evictions, &step.fetches);
         }
-        if (!cache.contains(p)) ++result.misses;
         if (mrc) mrc->add(p);
-        policy.on_request(t, p, ops);
-        audit(p);
+        kernel.serve(p);
 
         if (options.record_steps) {
           result.step_eviction_cost.push_back(meter.eviction_cost() -
@@ -160,47 +111,41 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
         prev_fetch = meter.fetch_cost();
       }
     }
-    if (options.trace != nullptr && t >= next_progress) {
+    if (options.trace != nullptr && kernel.time() >= next_progress) {
+      const CostCounters now = kernel.counters();
       obs::TraceEvent e;
       e.type = "progress";
       e.name = obs_label;
-      e.num("t", static_cast<double>(t))
-          .num("misses", static_cast<double>(result.misses))
-          .num("eviction_cost", static_cast<double>(meter.eviction_cost()))
-          .num("fetch_cost", static_cast<double>(meter.fetch_cost()));
+      e.num("t", static_cast<double>(now.requests))
+          .num("misses", static_cast<double>(now.misses))
+          .num("eviction_cost", static_cast<double>(now.eviction_cost))
+          .num("fetch_cost", static_cast<double>(now.fetch_cost));
       options.trace->emit(e);
-      while (next_progress <= t) next_progress += kTraceProgressStride;
+      while (next_progress <= now.requests)
+        next_progress += kTraceProgressStride;
     }
   }
 
-  result.requests = t;
-  result.cached_pages = cache.size();
+  result.counters() = kernel.counters();
+  result.cached_pages = kernel.cache().size();
   if (options.record_schedule) {
-    result.final_cache = cache.pages();
+    result.final_cache = kernel.cache().pages();
     std::sort(result.final_cache.begin(), result.final_cache.end());
-    result.capture_cancellations = ops.capture_cancellations();
+    result.capture_cancellations = kernel.ops().capture_cancellations();
   }
   if (mrc)
     for (const int k : options.mrc_ks)
       result.miss_curve.emplace_back(k, mrc->miss_ratio(k));
-  result.eviction_cost = meter.eviction_cost();
-  result.fetch_cost = meter.fetch_cost();
-  result.classic_eviction_cost = meter.classic_eviction_cost();
-  result.classic_fetch_cost = meter.classic_fetch_cost();
-  result.evict_block_events = meter.evict_block_events();
-  result.fetch_block_events = meter.fetch_block_events();
-  result.evicted_pages = meter.evicted_pages();
-  result.fetched_pages = meter.fetched_pages();
 
   if (options.metrics != nullptr) {
     // Pure event counts — deterministic for a fixed (source, policy,
     // seed) at any thread count, so CI can diff them across runs.
     obs::MetricRegistry& m = *options.metrics;
-    m.counter("sim_requests_total").inc(static_cast<std::uint64_t>(t));
+    m.counter("sim_requests_total")
+        .inc(static_cast<std::uint64_t>(result.requests));
     m.counter("sim_misses_total")
         .inc(static_cast<std::uint64_t>(result.misses));
-    m.counter("sim_hits_total")
-        .inc(static_cast<std::uint64_t>(t - result.misses));
+    m.counter("sim_hits_total").inc(static_cast<std::uint64_t>(result.hits));
     m.counter("sim_eviction_cost_total")
         .inc(static_cast<std::uint64_t>(result.eviction_cost));
     m.counter("sim_fetch_cost_total")
@@ -221,7 +166,7 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
   }
   if (options.trace != nullptr) {
     // Boundary counters ride on the phase_end event (with dur_ms).
-    phase.num("requests", static_cast<double>(t));
+    phase.num("requests", static_cast<double>(result.requests));
     phase.num("misses", static_cast<double>(result.misses));
     phase.num("eviction_cost", static_cast<double>(result.eviction_cost));
     phase.num("fetch_cost", static_cast<double>(result.fetch_cost));

@@ -1,5 +1,6 @@
-// Replayable simulator: drives a policy over a request stream, audits
-// feasibility at every step, and accumulates costs under both cost models.
+// Replayable simulator: drives a policy over a request stream through the
+// step kernel (core/step_kernel.hpp), which meters each step under both
+// cost models and audits feasibility, throwing on a broken policy.
 //
 // The core loop consumes a RequestSource, so it runs identically over a
 // materialized Instance (the InstanceSource adapter — the historical API,
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cost_meter.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
 #include "core/request_source.hpp"
@@ -35,7 +37,6 @@ struct SimOptions {
   std::uint64_t seed = 1;        ///< forwarded to OnlinePolicy::seed
   bool record_steps = false;     ///< keep per-step cost series
   bool record_schedule = false;  ///< capture the policy's actions
-  bool throw_on_violation = true;///< throw instead of silently repairing
   bool record_sketch = true;     ///< per-step cost histogram (O(1) memory)
   /// Cache sizes to evaluate the single-pass LRU miss-ratio curve at;
   /// empty disables the curve (it costs O(log n) per request).
@@ -50,18 +51,12 @@ struct SimOptions {
   std::string trace_label;
 };
 
-struct RunResult {
-  Cost eviction_cost = 0;
-  Cost fetch_cost = 0;
-  Cost classic_eviction_cost = 0;
-  Cost classic_fetch_cost = 0;
-  long long evict_block_events = 0;
-  long long fetch_block_events = 0;
-  long long evicted_pages = 0;
-  long long fetched_pages = 0;
-  long long requests = 0;///< requests served (streams may not know upfront)
-  long long misses = 0;  ///< requests not already cached
-  int violations = 0;    ///< feasibility repairs (0 for a correct policy)
+/// The run's counters (CostCounters: requests, hits, misses and the
+/// meter's totals) plus what the SimOptions asked to record.
+struct RunResult : CostCounters {
+  /// Feasibility repairs: always 0, since a failed audit throws instead.
+  /// Kept so callers' "no violations" checks read the run's own record.
+  int violations = 0;
   int cached_pages = 0;  ///< cache occupancy after the last request
   /// Cached pages after the last request (sorted); filled when
   /// record_schedule so capture→replay state-exactness is checkable.
@@ -93,7 +88,9 @@ struct RunResult {
 /// Run `policy` over the stream. The cache starts empty (the paper's
 /// convention: time-0 flushes are free, i.e. initial contents are
 /// irrelevant). Throws std::invalid_argument if the policy requires the
-/// future (offline) and the source is not materialized.
+/// future (offline) and the source is not materialized, and
+/// std::runtime_error if the policy fails the step kernel's audit or a
+/// streamed source yields a page outside the context.
 RunResult simulate(RequestSource& source, OnlinePolicy& policy,
                    const SimOptions& options = {});
 

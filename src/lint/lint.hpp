@@ -15,8 +15,11 @@
 //   - Rules (this header): one ECMAScript regex per invariant, applied
 //     line-by-line over a comment-free view of the file. Since v2 that
 //     view is produced by the real tokenizer (lint/token.hpp), so raw
-//     strings and multi-line comments strip correctly; `lint_lines`
-//     keeps its v1 signature as a compatibility shim.
+//     strings and multi-line comments strip correctly. `lint_lines` is
+//     this tier's entry point: tools/baclint.cpp runs it on every
+//     scanned file. The frozen v1 per-line stripper lives on only in
+//     tests/test_baclint.cpp, as the reference its differential and
+//     TokenizerPin* tests compare against.
 //   - Passes (lint/passes.hpp): scope-aware cross-line analyses over
 //     the token stream and brace-scope tree (lint/model.hpp) —
 //     lock-discipline, determinism hazards, hot-path allocation, and

@@ -161,33 +161,8 @@ ShardSnapshot ConcurrentCache::shard_snapshot(int shard) const {
 
 ServerStats ConcurrentCache::stats() const {
   ServerStats out;
-  // Histogram merges are exact (bucket-wise count adds in shard index
-  // order) — the merged quantiles describe the union of all per-request
-  // samples at bucket resolution, not a weighted mean of per-shard
-  // estimates as with the former P^2 sketches.
-  for (const auto& shard : shards_) {
-    const ShardSnapshot s = shard->snapshot();
-    out.requests += s.requests;
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.eviction_cost += s.eviction_cost;
-    out.fetch_cost += s.fetch_cost;
-    out.classic_eviction_cost += s.classic_eviction_cost;
-    out.classic_fetch_cost += s.classic_fetch_cost;
-    out.evict_block_events += s.evict_block_events;
-    out.fetch_block_events += s.fetch_block_events;
-    out.evicted_pages += s.evicted_pages;
-    out.fetched_pages += s.fetched_pages;
-    out.cached_pages += s.cached_pages;
-    out.latency_us.merge(s.latency_us);
-    out.lock_wait_us.merge(s.lock_wait_us);
-  }
-  if (out.requests > 0) {
-    out.lat_p50_us = out.latency_us.quantile(0.50);
-    out.lat_p99_us = out.latency_us.quantile(0.99);
-    out.lat_mean_us = out.latency_us.mean();
-    out.lat_max_us = out.latency_us.max();
-  }
+  for (const auto& shard : shards_) out += shard->snapshot();
+  out.summarize_latency();
   return out;
 }
 

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -28,38 +27,6 @@
 #include "server/shard.hpp"
 
 namespace bac::server {
-
-/// Aggregate of the per-shard snapshots (see stats() for merge rules).
-struct ServerStats {
-  long long requests = 0;
-  long long hits = 0;
-  long long misses = 0;
-  Cost eviction_cost = 0;
-  Cost fetch_cost = 0;
-  Cost classic_eviction_cost = 0;
-  Cost classic_fetch_cost = 0;
-  long long evict_block_events = 0;
-  long long fetch_block_events = 0;
-  long long evicted_pages = 0;
-  long long fetched_pages = 0;
-  int cached_pages = 0;
-  /// Union of the per-shard per-request histograms (exact bucket-wise
-  /// merge in shard index order — histogram merges are associative, so
-  /// the counts are independent of how requests were dispatched).
-  obs::Histogram latency_us;
-  obs::Histogram lock_wait_us;
-  /// Derived from latency_us: bucket-midpoint quantile estimates of the
-  /// merged per-REQUEST distribution; mean/max exact. NaN before any
-  /// request (the empty-histogram convention; JSON renders it null).
-  double lat_p50_us = std::numeric_limits<double>::quiet_NaN();
-  double lat_p99_us = std::numeric_limits<double>::quiet_NaN();
-  double lat_mean_us = std::numeric_limits<double>::quiet_NaN();
-  double lat_max_us = std::numeric_limits<double>::quiet_NaN();
-
-  [[nodiscard]] Cost total_cost() const noexcept {
-    return eviction_cost + fetch_cost;
-  }
-};
 
 // Thread-safety: the coordinator owns no lock of its own — every mutable
 // member lives in a CacheShard behind that shard's GUARDED_BY-annotated
@@ -107,10 +74,10 @@ class ConcurrentCache {
   /// The block structure and total k the cache was built with.
   [[nodiscard]] const Instance& context() const noexcept { return context_; }
 
-  /// Aggregated counters/costs/latency over all shards, locking each
-  /// shard in turn (shard index order, so repeated calls on a quiesced
-  /// cache are deterministic). Not a consistent point-in-time snapshot
-  /// while traffic is in flight.
+  /// The sum of every shard's snapshot (ServerStats::operator+=), locking
+  /// each shard in turn (shard index order, so repeated calls on a
+  /// quiesced cache are deterministic); capacity sums to the total k. Not
+  /// a consistent point-in-time snapshot while traffic is in flight.
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] ShardSnapshot shard_snapshot(int shard) const;
 

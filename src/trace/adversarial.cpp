@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/cache_set.hpp"
-#include "core/cost_meter.hpp"
+#include "core/step_kernel.hpp"
 
 namespace bac {
 
@@ -169,12 +168,9 @@ AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,
   BlockMap blocks = BlockMap::contiguous(n, block_size);
 
   // Drive the policy step by step; the request stream is chosen online.
-  Instance shell{blocks, {}, k};
-  CacheSet cache(n);
-  CostMeter meter(blocks);
-  CacheOps ops(blocks, cache, meter, k);
-  policy.reset(shell);
-  policy.seed(seed);
+  const Instance shell{blocks, {}, k};
+  StepKernel kernel(shell, policy, seed);
+  const CacheSet& cache = kernel.cache();
 
   std::vector<PageId> req;
   req.reserve(static_cast<std::size_t>(T));
@@ -198,16 +194,12 @@ AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,
       }
     }
     req.push_back(choice);
-    meter.begin_step(t);
-    policy.on_request(t, choice, ops);
-    if (!cache.contains(choice))
-      throw std::runtime_error("adversary: policy failed to cache request");
-    if (cache.size() > k)
-      throw std::runtime_error("adversary: policy exceeded capacity");
+    kernel.serve(choice);
   }
 
+  const CostCounters costs = kernel.counters();
   AdversaryResult out{Instance{std::move(blocks), std::move(req), k},
-                      meter.fetch_cost(), meter.eviction_cost()};
+                      costs.fetch_cost, costs.eviction_cost};
   out.instance.validate();
   return out;
 }

@@ -24,7 +24,8 @@ namespace bac {
 
 struct BuiltAdversarial {
   Instance instance;
-  /// The optimal policy from the Claim 2.1 proof, replayable via evaluate().
+  /// The optimal policy from the Claim 2.1 proof, scored by
+  /// replay_schedule().
   Schedule intended_schedule;
 };
 
@@ -60,7 +61,9 @@ Instance cyclic_nemesis(int k, int block_size, Time T);
 /// n = k + (block_size - 1) * (h - 1) + 1 pages in blocks of `block_size`;
 /// at each step requests a page absent from the policy's cache, chosen from
 /// the block with the most absent pages (ties toward lower ids, so the
-/// sequence is deterministic for deterministic policies).
+/// sequence is deterministic for deterministic policies). Each request is
+/// a step of the step kernel, so a policy that fails its audit throws
+/// std::runtime_error as under simulate().
 struct AdversaryResult {
   Instance instance;      ///< the generated request sequence
   Cost online_fetch = 0;  ///< the policy's batched fetching cost

@@ -51,86 +51,6 @@ void StreamingStats::merge(const StreamingStats& other) noexcept {
   max_ = std::max(max_, other.max_);
 }
 
-P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    pos_[i] = static_cast<double>(i + 1);
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  inc_[0] = 0.0;
-  inc_[1] = q_ / 2.0;
-  inc_[2] = q_;
-  inc_[3] = (1.0 + q_) / 2.0;
-  inc_[4] = 1.0;
-}
-
-void P2Quantile::add(double x) noexcept {
-  if (count_ < 5) {
-    heights_[count_++] = x;
-    if (count_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  // Find the cell containing x and clamp the extreme markers.
-  int cell;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    cell = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = std::max(heights_[4], x);
-    cell = 3;
-  } else {
-    cell = 0;
-    while (cell < 3 && x >= heights_[cell + 1]) ++cell;
-  }
-  for (int i = cell + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += inc_[i];
-  ++count_;
-
-  // Adjust the three interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - pos_[i];
-    const double below = pos_[i] - pos_[i - 1];
-    const double above = pos_[i + 1] - pos_[i];
-    if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
-      const double s = d >= 1.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic (P^2) height prediction.
-      const double np = pos_[i] + s;
-      double h = heights_[i] +
-                 s / (pos_[i + 1] - pos_[i - 1]) *
-                     ((below + s) * (heights_[i + 1] - heights_[i]) / above +
-                      (above - s) * (heights_[i] - heights_[i - 1]) / below);
-      if (h <= heights_[i - 1] || h >= heights_[i + 1]) {
-        // Parabola left the bracket; fall back to linear.
-        h = heights_[i] + s * (heights_[i + (s > 0 ? 1 : -1)] - heights_[i]) /
-                              (pos_[i + (s > 0 ? 1 : -1)] - pos_[i]);
-      }
-      heights_[i] = h;
-      pos_[i] = np;
-    }
-  }
-}
-
-double P2Quantile::value() const noexcept {
-  // NaN before any observation, matching StreamingStats::min/max — a 0.0
-  // would read as a real estimate (e.g. a fake 0-latency p99).
-  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (count_ < 5) {
-    double tmp[5];
-    std::copy(heights_, heights_ + count_, tmp);
-    std::sort(tmp, tmp + count_);
-    const double pos = q_ * static_cast<double>(count_ - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, count_ - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return tmp[lo] * (1.0 - frac) + tmp[hi] * frac;
-  }
-  return heights_[2];
-}
-
 double quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
   std::sort(xs.begin(), xs.end());

@@ -41,30 +41,6 @@ class StreamingStats {
   double max_ = 0.0;
 };
 
-/// Online quantile estimator with O(1) memory: the P^2 algorithm of Jain
-/// and Chlamtac (CACM 1985). Tracks one quantile with five markers; exact
-/// until five observations have arrived, then a parabolic approximation.
-/// The streaming simulator uses a handful of these to summarize per-step
-/// cost distributions over traces too long to materialize.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x) noexcept;
-  /// Current estimate (exact for < 5 observations; NaN before any, the
-  /// StreamingStats::min/max convention — JSON emitters turn it null).
-  [[nodiscard]] double value() const noexcept;
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  double heights_[5];   // marker heights
-  double pos_[5];       // marker positions (1-based)
-  double desired_[5];   // desired positions
-  double inc_[5];       // desired-position increments
-};
-
 /// Quantile of a sample (linear interpolation); makes its own sorted copy.
 [[nodiscard]] double quantile(std::vector<double> xs, double q);
 

@@ -39,6 +39,13 @@ std::string fmt(double x) {
   return os.str();
 }
 
+/// "a vs b", every counter of each record (CostCounters' operator<<).
+std::string versus(const CostCounters& a, const CostCounters& b) {
+  std::ostringstream os;
+  os << a << " vs " << b;
+  return os.str();
+}
+
 std::vector<std::unique_ptr<OnlinePolicy>> policy_set(
     const OracleOptions& options) {
   return options.policies ? options.policies() : make_policy_zoo();
@@ -268,23 +275,13 @@ std::vector<Violation> check_streaming(const GeneratedInstance& gi,
              "policy " + policy->name() + " failed on stream: " + e.what());
       continue;
     }
-    const std::string who = policy->name() + ": ";
-    if (str.eviction_cost != mat.eviction_cost ||
-        str.fetch_cost != mat.fetch_cost ||
-        str.classic_eviction_cost != mat.classic_eviction_cost ||
-        str.classic_fetch_cost != mat.classic_fetch_cost)
+    if (str.counters() != mat.counters() ||
+        str.cached_pages != mat.cached_pages)
       report(out, "streaming",
-             who + "costs diverge: stream (" + fmt(str.eviction_cost) + ", " +
-                 fmt(str.fetch_cost) + ") vs materialized (" +
-                 fmt(mat.eviction_cost) + ", " + fmt(mat.fetch_cost) + ")");
-    if (str.requests != mat.requests || str.misses != mat.misses ||
-        str.cached_pages != mat.cached_pages ||
-        str.evicted_pages != mat.evicted_pages ||
-        str.fetched_pages != mat.fetched_pages ||
-        str.evict_block_events != mat.evict_block_events ||
-        str.fetch_block_events != mat.fetch_block_events)
-      report(out, "streaming", who + "counters diverge between stream and "
-                                     "materialized replay");
+             policy->name() + ": stream diverges from materialized replay: " +
+                 versus(str, mat) + ", cached " +
+                 std::to_string(str.cached_pages) + " vs " +
+                 std::to_string(mat.cached_pages));
   }
   return out;
 }
@@ -314,20 +311,10 @@ std::vector<Violation> check_schedule_replay(const GeneratedInstance& gi,
       report(out, "schedule_replay",
              who + "replay final cache state diverges from live run");
     if (live.capture_cancellations == 0) {
-      if (replay.eviction_cost != live.eviction_cost ||
-          replay.fetch_cost != live.fetch_cost ||
-          replay.classic_eviction_cost != live.classic_eviction_cost ||
-          replay.classic_fetch_cost != live.classic_fetch_cost ||
-          replay.evicted_pages != live.evicted_pages ||
-          replay.fetched_pages != live.fetched_pages ||
-          replay.evict_block_events != live.evict_block_events ||
-          replay.fetch_block_events != live.fetch_block_events)
+      if (replay.counters() != live.counters())
         report(out, "schedule_replay",
-               who + "replay accounting diverges from live run (evict " +
-                   fmt(replay.eviction_cost) + " vs " +
-                   fmt(live.eviction_cost) + ", fetch " +
-                   fmt(replay.fetch_cost) + " vs " + fmt(live.fetch_cost) +
-                   ")");
+               who + "replay accounting diverges from live run: " +
+                   versus(replay, live));
     } else {
       // Transients were netted out of the capture: the replay may only be
       // cheaper than the live run, never dearer.
@@ -501,16 +488,13 @@ std::vector<Violation> check_concurrency(const GeneratedInstance& gi,
       server::serve_partitioned(many, inst.requests, options.threads);
       const server::ServerStats a = one.stats();
       const server::ServerStats b = many.stats();
-      if (a.total_cost() != b.total_cost() ||
-          a.eviction_cost != b.eviction_cost ||
-          a.fetch_cost != b.fetch_cost || a.hits != b.hits ||
-          a.misses != b.misses || a.evicted_pages != b.evicted_pages ||
-          a.fetched_pages != b.fetched_pages ||
-          a.cached_pages != b.cached_pages)
+      if (a.counters() != b.counters() || a.cached_pages != b.cached_pages)
         report(out, "concurrency",
-               policy->name() + ": 1-thread cost " + fmt(a.total_cost()) +
-                   " != " + std::to_string(options.threads) +
-                   "-thread cost " + fmt(b.total_cost()));
+               policy->name() + ": 1 thread vs " +
+                   std::to_string(options.threads) + " threads: " +
+                   versus(a, b) + ", cached " +
+                   std::to_string(a.cached_pages) + " vs " +
+                   std::to_string(b.cached_pages));
       // The bacobs determinism contract: every exported event counter —
       // not just the stats fields above — must be bit-identical across
       // thread counts. snapshot() is name-sorted, so a pairwise walk

@@ -648,13 +648,6 @@ class RefBlockSievePolicy final : public OnlinePolicy {
 
 // --- run comparison ---------------------------------------------------------
 
-std::string fmt17(double x) {
-  std::ostringstream os;
-  os.precision(17);
-  os << x;
-  return os.str();
-}
-
 std::vector<PageId> sorted(std::vector<PageId> v) {
   std::sort(v.begin(), v.end());
   return v;
@@ -717,30 +710,13 @@ std::vector<std::string> diff_policy_runs(const Instance& inst,
     return out;
   }
 
-  const auto diff_cost = [&](const char* what, double x, double y) {
-    if (x != y)
-      out.push_back(label + ": " + what + " " + fmt17(x) + " != " + fmt17(y));
-  };
-  const auto diff_count = [&](const char* what, long long x, long long y) {
-    if (x != y)
-      out.push_back(label + ": " + what + " " + std::to_string(x) +
-                    " != " + std::to_string(y));
-  };
-  diff_cost("eviction cost", ra.eviction_cost, rb.eviction_cost);
-  diff_cost("fetch cost", ra.fetch_cost, rb.fetch_cost);
-  diff_cost("classic eviction cost", ra.classic_eviction_cost,
-            rb.classic_eviction_cost);
-  diff_cost("classic fetch cost", ra.classic_fetch_cost,
-            rb.classic_fetch_cost);
-  diff_count("evict block events", ra.evict_block_events,
-             rb.evict_block_events);
-  diff_count("fetch block events", ra.fetch_block_events,
-             rb.fetch_block_events);
-  diff_count("evicted pages", ra.evicted_pages, rb.evicted_pages);
-  diff_count("fetched pages", ra.fetched_pages, rb.fetched_pages);
-  diff_count("misses", ra.misses, rb.misses);
-  diff_count("requests", ra.requests, rb.requests);
-  diff_count("cached pages", ra.cached_pages, rb.cached_pages);
+  if (ra.counters() != rb.counters() || ra.cached_pages != rb.cached_pages) {
+    std::ostringstream os;
+    os << label << ": counters diverge: " << ra.counters() << " vs "
+       << rb.counters() << ", cached " << ra.cached_pages << " vs "
+       << rb.cached_pages;
+    out.push_back(os.str());
+  }
   if (ra.final_cache != rb.final_cache)
     out.push_back(label + ": final cache contents diverge");
 

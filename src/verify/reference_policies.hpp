@@ -48,11 +48,12 @@ std::vector<std::pair<std::string, std::unique_ptr<OnlinePolicy>>>
 reference_policy_twins();
 
 /// Replay `inst` through both policies (record_schedule on, seed
-/// forwarded) and describe every divergence: any cost/counter field that
-/// differs, a different final cache, or any step whose eviction/fetch
-/// sets differ (compared as sorted sets — capture order within a step is
-/// unspecified). Empty result == the runs are equivalent. `label` prefixes
-/// the messages. A policy throwing is itself reported as a divergence.
+/// forwarded) and describe every divergence: different counters (both
+/// records printed whole), a different final cache, or any step whose
+/// eviction/fetch sets differ (compared as sorted sets — capture order
+/// within a step is unspecified). Empty result == the runs are
+/// equivalent. `label` prefixes the messages. A policy throwing is itself
+/// reported as a divergence.
 std::vector<std::string> diff_policy_runs(const Instance& inst,
                                           OnlinePolicy& a, OnlinePolicy& b,
                                           std::uint64_t seed,

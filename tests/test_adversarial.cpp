@@ -24,7 +24,8 @@ TEST(Claim21, FetchCheapInstanceShape) {
 TEST(Claim21, FetchCheapIntendedScheduleIsFeasibleAndSkewed) {
   for (int beta : {2, 3, 4, 5}) {
     const auto built = claim21_fetch_cheap(beta, 2);
-    const ScheduleCost c = evaluate(built.instance, built.intended_schedule);
+    const ReplayResult c =
+        replay_schedule(built.instance, built.intended_schedule);
     ASSERT_TRUE(c.feasible) << "beta=" << beta << ": " << c.infeasibility;
     // Intended: fetch ~2*beta block events, evictions ~beta^2.
     EXPECT_LE(c.fetch_cost, 2.0 * beta + 1);
@@ -38,7 +39,8 @@ TEST(Claim21, FetchCheapIntendedScheduleIsFeasibleAndSkewed) {
 TEST(Claim21, EvictCheapIntendedScheduleIsFeasibleAndSkewed) {
   for (int beta : {2, 3, 4, 5}) {
     const auto built = claim21_evict_cheap(beta, 2);
-    const ScheduleCost c = evaluate(built.instance, built.intended_schedule);
+    const ReplayResult c =
+        replay_schedule(built.instance, built.intended_schedule);
     ASSERT_TRUE(c.feasible) << "beta=" << beta << ": " << c.infeasibility;
     // Intended: evict ~beta - 1 block events, fetch ~beta^2 + 2 beta.
     EXPECT_LE(c.eviction_cost, static_cast<double>(beta));

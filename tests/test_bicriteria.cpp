@@ -56,7 +56,7 @@ TEST(Bicriteria, FetchRoundingServesEveryRequest) {
   // Verify against a relaxed instance with doubled cache.
   Instance relaxed = inst;
   relaxed.k = 2 * inst.k;
-  const ScheduleCost sc = evaluate(relaxed, outcome.schedule);
+  const ReplayResult sc = replay_schedule(relaxed, outcome.schedule);
   EXPECT_TRUE(sc.feasible) << sc.infeasibility;
   EXPECT_DOUBLE_EQ(sc.fetch_cost, outcome.fetch_cost);
 }

@@ -2,7 +2,6 @@
 // batched cost metering, schedules, and the simulator's auditing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/cache_set.hpp"
@@ -10,7 +9,6 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/simulator.hpp"
-#include "trace/generators.hpp"
 
 namespace bac {
 namespace {
@@ -130,7 +128,7 @@ TEST(ScheduleTest, EvaluateComputesBatchedCosts) {
   s.steps[3].fetches = {3};
   s.steps[4].evictions = {2, 3};  // one block event (block 1)
   s.steps[4].fetches = {0};
-  const ScheduleCost c = evaluate(inst, s);
+  const ReplayResult c = replay_schedule(inst, s);
   EXPECT_TRUE(c.feasible) << c.infeasibility;
   EXPECT_DOUBLE_EQ(c.eviction_cost, 2.0);
   EXPECT_DOUBLE_EQ(c.fetch_cost, 5.0);  // steps 1,2,3,4,5 each one block fetch
@@ -140,7 +138,7 @@ TEST(ScheduleTest, DetectsInfeasibility) {
   const Instance inst = tiny_instance();
   Schedule s;
   s.steps.resize(5);  // never fetches anything
-  const ScheduleCost c = evaluate(inst, s);
+  const ReplayResult c = replay_schedule(inst, s);
   EXPECT_FALSE(c.feasible);
   EXPECT_NE(c.infeasibility.find("t=1"), std::string::npos);
 }
@@ -150,7 +148,7 @@ TEST(ScheduleTest, DetectsCapacityViolation) {
   Schedule s;
   s.steps.resize(5);
   s.steps[0].fetches = {0, 1, 2};  // 3 > k = 2
-  const ScheduleCost c = evaluate(inst, s);
+  const ReplayResult c = replay_schedule(inst, s);
   EXPECT_FALSE(c.feasible);
 }
 
@@ -168,17 +166,6 @@ TEST(SimulatorTest, ThrowsOnInfeasiblePolicy) {
   EXPECT_THROW(simulate(inst, p), std::runtime_error);
 }
 
-TEST(SimulatorTest, RepairModeCountsViolations) {
-  const Instance inst = tiny_instance();
-  DoNothing p;
-  SimOptions opt;
-  opt.throw_on_violation = false;
-  const RunResult r = simulate(inst, p, opt);
-  // Every request is missing (5 violations); the repair fetches then
-  // overflow the k=2 cache, adding capacity violations on later steps.
-  EXPECT_GE(r.violations, 5);
-}
-
 /// A policy that hoards pages beyond capacity.
 class Hoarder final : public OnlinePolicy {
  public:
@@ -193,56 +180,6 @@ TEST(SimulatorTest, ThrowsOnCapacityViolation) {
   EXPECT_THROW(simulate(inst, p), std::runtime_error);
 }
 
-/// Fetches the requested page plus every other page of the universe on
-/// each step — the worst capacity violator the repair path can face.
-class FloodingHoarder final : public OnlinePolicy {
- public:
-  [[nodiscard]] std::string name() const override {
-    return "FloodingHoarder";
-  }
-  void reset(const Instance& inst) override { n_ = inst.n_pages(); }
-  void on_request(Time, PageId, CacheOps& cache) override {
-    for (PageId q = 0; q < n_; ++q) cache.fetch(q);
-  }
-
- private:
-  int n_ = 0;
-};
-
-TEST(SimulatorTest, RepairModeRestoresCapacityInOnePass) {
-  // A large universe with k << n: each step the repair must evict
-  // hundreds of excess pages. The single backward-pass repair handles
-  // this linearly (the old front-rescan loop was quadratic per step);
-  // correctness here is capacity restored, requested page kept, one
-  // counted violation per audit failure.
-  Xoshiro256pp rng(3);
-  const Instance inst{BlockMap::contiguous(512, 4),
-                      uniform_trace(512, 40, rng), 16};
-  FloodingHoarder policy;
-  SimOptions opt;
-  opt.throw_on_violation = false;
-  const RunResult r = simulate(inst, policy, opt);
-  EXPECT_EQ(r.requests, 40);
-  // One capacity violation per step (the page itself is always fetched).
-  EXPECT_EQ(r.violations, 40);
-  EXPECT_LE(r.cached_pages, inst.k);
-  EXPECT_GT(r.cached_pages, 0);
-}
-
-TEST(SimulatorTest, RepairKeepsRequestedPageCached) {
-  const Instance inst = tiny_instance();
-  FloodingHoarder policy;
-  SimOptions opt;
-  opt.throw_on_violation = false;
-  opt.record_schedule = true;
-  const RunResult r = simulate(inst, policy, opt);
-  // The final request must have survived the repair evictions.
-  const PageId last = inst.requests.back();
-  EXPECT_NE(std::find(r.final_cache.begin(), r.final_cache.end(), last),
-            r.final_cache.end());
-  EXPECT_LE(r.cached_pages, inst.k);
-}
-
 TEST(SimulatorTest, SchedulePolicyMatchesEvaluate) {
   const Instance inst = tiny_instance();
   Schedule s;
@@ -254,11 +191,11 @@ TEST(SimulatorTest, SchedulePolicyMatchesEvaluate) {
   s.steps[3].fetches = {3};
   s.steps[4].evictions = {2, 3};
   s.steps[4].fetches = {0};
-  const ScheduleCost ref = evaluate(inst, s);
+  const ReplayResult ref = replay_schedule(inst, s);
   SchedulePolicy policy(s);
   const RunResult r = simulate(inst, policy);
-  EXPECT_DOUBLE_EQ(r.eviction_cost, ref.eviction_cost);
-  EXPECT_DOUBLE_EQ(r.fetch_cost, ref.fetch_cost);
+  // Replay counts requests, hits and misses the way a live run does.
+  EXPECT_EQ(r.counters(), ref.counters());
 }
 
 TEST(SimulatorTest, StepRecordingSumsToTotal) {
@@ -304,6 +241,10 @@ TEST(ScheduleTest, ReplayReportsFullAccountingAndFinalState) {
   EXPECT_EQ(r.evicted_pages, 4);
   EXPECT_EQ(r.fetched_pages, 5);
   EXPECT_EQ(r.evict_block_events, 2);
+  // Every request finds its page absent before its step's actions.
+  EXPECT_EQ(r.requests, 5);
+  EXPECT_EQ(r.misses, 5);
+  EXPECT_EQ(r.hits, 0);
   EXPECT_EQ(r.final_cache, (std::vector<PageId>{0}));
 }
 
@@ -335,12 +276,7 @@ TEST(SimulatorTest, FlushHeavyCaptureReplaysExactly) {
   EXPECT_EQ(live.capture_cancellations, 0);
   const ReplayResult replay = replay_schedule(inst, live.schedule);
   EXPECT_TRUE(replay.feasible) << replay.infeasibility;
-  EXPECT_DOUBLE_EQ(replay.eviction_cost, live.eviction_cost);
-  EXPECT_DOUBLE_EQ(replay.fetch_cost, live.fetch_cost);
-  EXPECT_DOUBLE_EQ(replay.classic_eviction_cost, live.classic_eviction_cost);
-  EXPECT_DOUBLE_EQ(replay.classic_fetch_cost, live.classic_fetch_cost);
-  EXPECT_EQ(replay.evicted_pages, live.evicted_pages);
-  EXPECT_EQ(replay.fetched_pages, live.fetched_pages);
+  EXPECT_EQ(replay.counters(), live.counters());
   EXPECT_EQ(replay.final_cache, live.final_cache);
   EXPECT_EQ(static_cast<int>(replay.final_cache.size()), live.cached_pages);
 }

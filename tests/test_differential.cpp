@@ -5,7 +5,8 @@
 //  - CacheSet vs std::set<PageId>
 //  - CostMeter vs a naive per-step recomputation of batched costs
 //  - FlushVars::x_value vs the definition (3.2) evaluated from scratch
-//  - TraceStats::lru_hit_rate vs an O(T * k) list-based LRU stack
+//  - MissRatioCurve (the Fenwick stack-distance engine) vs an O(T * n)
+//    list-based LRU stack
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,9 +15,9 @@
 
 #include "core/cache_set.hpp"
 #include "core/cost_meter.hpp"
+#include "core/mrc.hpp"
 #include "submodular/flush_vars.hpp"
 #include "trace/generators.hpp"
-#include "trace/stats.hpp"
 #include "util/rng.hpp"
 
 namespace bac {
@@ -117,25 +118,50 @@ TEST(Differential, XValueAgainstDefinition) {
 
 TEST(Differential, StackDistanceHitRateAgainstListLru) {
   Xoshiro256pp rng(304);
-  const Instance inst = make_instance(30, 1, 8,
-                                      zipf_trace(30, 1500, 0.9, rng));
-  const TraceStats stats = analyze_trace(inst);
-  for (int k : {1, 2, 4, 8, 16, 30}) {
-    // Reference: explicit LRU stack as a list.
+  const std::vector<std::pair<int, std::vector<PageId>>> traces = {
+      {30, zipf_trace(30, 1500, 0.9, rng)},
+      {24, zipf_trace(24, 3000, 0.8, Xoshiro256pp(11))},
+      {8, scan_trace(8, 40)},
+      {4, {1, 1, 1}},
+      {4, {}}};
+  for (const auto& [n, requests] : traces) {
+    MissRatioCurve curve(n);
+    for (const PageId p : requests) curve.add(p);
+    ASSERT_EQ(curve.requests(), static_cast<long long>(requests.size()));
+    // Reference: an explicit LRU stack as a list, most recent first. A
+    // request found at 0-based position d hits every cache of k > d pages.
     std::list<PageId> stack;
-    long long hits = 0;
-    for (PageId p : inst.requests) {
-      auto it = std::find(stack.begin(), stack.end(), p);
-      if (it != stack.end()) {
-        if (std::distance(stack.begin(), it) < k) ++hits;
+    std::vector<long long> at_position(static_cast<std::size_t>(n), 0);
+    long long first_seen = 0;
+    for (const PageId p : requests) {
+      const auto it = std::find(stack.begin(), stack.end(), p);
+      if (it == stack.end()) {
+        ++first_seen;
+      } else {
+        ++at_position[static_cast<std::size_t>(
+            std::distance(stack.begin(), it))];
         stack.erase(it);
       }
       stack.push_front(p);
     }
-    const double expect =
-        static_cast<double>(hits) / static_cast<double>(inst.horizon());
-    ASSERT_NEAR(stats.lru_hit_rate(k), expect, 1e-12) << "k=" << k;
+    EXPECT_EQ(curve.compulsory_misses(), first_seen) << "n=" << n;
+    long long hits = 0;
+    for (int k = 1; k <= n; ++k) {
+      hits += at_position[static_cast<std::size_t>(k - 1)];
+      const double expect =
+          requests.empty() ? 1.0
+                           : 1.0 - static_cast<double>(hits) /
+                                       static_cast<double>(requests.size());
+      ASSERT_NEAR(curve.miss_ratio(k), expect, 1e-12)
+          << "n=" << n << " k=" << k;
+    }
   }
+  // A scan over n pages reuses every page at stack distance n exactly:
+  // no hits below k = n, then every reuse hits (32 of 40 requests).
+  MissRatioCurve scan(8);
+  for (const PageId p : scan_trace(8, 40)) scan.add(p);
+  EXPECT_DOUBLE_EQ(scan.miss_ratio(7), 1.0);
+  EXPECT_NEAR(scan.miss_ratio(8), 8.0 / 40.0, 1e-12);
 }
 
 TEST(Differential, FlushSetIncrementalGAgainstRecount) {

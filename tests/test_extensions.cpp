@@ -1,6 +1,6 @@
 // Tests for the extension modules: the dual-feasibility audit harness,
-// schedule capture, GreedyFlush, the online threshold-bicriteria policy,
-// and trace statistics.
+// schedule capture, GreedyFlush, and the online threshold-bicriteria
+// policy.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,7 +16,6 @@
 #include "algs/threshold_bicriteria.hpp"
 #include "core/simulator.hpp"
 #include "trace/generators.hpp"
-#include "trace/stats.hpp"
 #include "verify/reference_policies.hpp"
 
 namespace bac {
@@ -77,7 +76,7 @@ TEST(ScheduleCapture, ReplayMatchesLiveRun) {
   SimOptions opt;
   opt.record_schedule = true;
   const RunResult live = simulate(inst, alg, opt);
-  const ScheduleCost replay = evaluate(inst, live.schedule);
+  const ReplayResult replay = replay_schedule(inst, live.schedule);
   EXPECT_TRUE(replay.feasible) << replay.infeasibility;
   EXPECT_DOUBLE_EQ(replay.eviction_cost, live.eviction_cost);
   EXPECT_DOUBLE_EQ(replay.fetch_cost, live.fetch_cost);
@@ -91,7 +90,7 @@ TEST(ScheduleCapture, WorksForClassicalPolicies) {
   SimOptions opt;
   opt.record_schedule = true;
   const RunResult live = simulate(inst, alg, opt);
-  const ScheduleCost replay = evaluate(inst, live.schedule);
+  const ReplayResult replay = replay_schedule(inst, live.schedule);
   EXPECT_TRUE(replay.feasible);
   EXPECT_DOUBLE_EQ(replay.eviction_cost, live.eviction_cost);
 }
@@ -275,91 +274,6 @@ TEST(ThresholdBicriteria, CloneOutlivesItsSource) {
     EXPECT_EQ(g17(meter.eviction_cost()), g17(want.eviction_cost));
     EXPECT_EQ(g17(meter.fetch_cost()), g17(want.fetch_cost));
   }
-}
-
-TEST(TraceStats, ScanHasMaximalReuseDistance) {
-  const Instance inst = make_instance(8, 2, 4, scan_trace(8, 40));
-  const TraceStats stats = analyze_trace(inst);
-  EXPECT_EQ(stats.distinct_pages, 8);
-  EXPECT_EQ(stats.distinct_blocks, 4);
-  // Every reuse of a scan over n pages has distance exactly n - 1.
-  for (int d : stats.page_reuse_distances) EXPECT_EQ(d, 7);
-  EXPECT_DOUBLE_EQ(stats.lru_hit_rate(7), 0.0);
-  // 32 of 40 requests are reuses with distance 7 < 8.
-  EXPECT_NEAR(stats.lru_hit_rate(8), 32.0 / 40.0, 1e-12);
-}
-
-TEST(TraceStats, HitRateMatchesLruSimulation) {
-  Xoshiro256pp rng(208);
-  const Instance inst = make_instance(20, 1, 6,
-                                      zipf_trace(20, 600, 0.8, rng));
-  const TraceStats stats = analyze_trace(inst);
-  // Simulate LRU and compare hit rates exactly.
-  class LruCounter {
-   public:
-    static double hit_rate(const Instance& inst) {
-      LruPolicyForTest lru;
-      const RunResult r = simulate(inst, lru);
-      return 1.0 - static_cast<double>(r.misses) /
-                       static_cast<double>(inst.horizon());
-    }
-    // minimal LRU to avoid include cycles in the test
-    class LruPolicyForTest final : public OnlinePolicy {
-     public:
-      [[nodiscard]] std::string name() const override { return "lru-t"; }
-      void reset(const Instance& inst) override {
-        last_.assign(static_cast<std::size_t>(inst.n_pages()), 0);
-        order_.clear();
-      }
-      void on_request(Time t, PageId p, CacheOps& cache) override {
-        if (cache.contains(p)) {
-          order_.erase({last_[static_cast<std::size_t>(p)], p});
-        } else {
-          if (cache.size() >= cache.capacity()) {
-            const auto victim = *order_.begin();
-            order_.erase(order_.begin());
-            cache.evict(victim.second);
-          }
-          cache.fetch(p);
-        }
-        last_[static_cast<std::size_t>(p)] = t;
-        order_.insert({t, p});
-      }
-
-     private:
-      std::vector<Time> last_;
-      std::set<std::pair<Time, PageId>> order_;
-    };
-  };
-  EXPECT_NEAR(stats.lru_hit_rate(inst.k), LruCounter::hit_rate(inst), 1e-12)
-      << "stack-distance profile must equal LRU simulation exactly";
-}
-
-TEST(TraceStats, BlockLocalityVisible) {
-  const BlockMap blocks = BlockMap::contiguous(64, 8);
-  Instance local{blocks, block_local_trace(blocks, 4000, 0.9, 0.8,
-                                           Xoshiro256pp(209)), 16};
-  Instance scattered{blocks, uniform_trace(64, 4000, Xoshiro256pp(210)), 16};
-  const TraceStats sl = analyze_trace(local);
-  const TraceStats ss = analyze_trace(scattered);
-  EXPECT_LT(sl.block_switch_rate, ss.block_switch_rate * 0.5)
-      << "the block-local generator must show in the switch rate";
-  EXPECT_GT(sl.block_lru_hit_rate(2), ss.block_lru_hit_rate(2));
-}
-
-TEST(TraceStats, EmptyAndTrivialTraces) {
-  Instance empty{BlockMap::contiguous(4, 2), {}, 2};
-  const TraceStats se = analyze_trace(empty);
-  EXPECT_EQ(se.requests, 0);
-  EXPECT_EQ(se.distinct_pages, 0);
-  EXPECT_DOUBLE_EQ(se.lru_hit_rate(4), 0.0);
-
-  Instance single{BlockMap::contiguous(4, 2), {1, 1, 1}, 2};
-  const TraceStats ss = analyze_trace(single);
-  EXPECT_EQ(ss.distinct_pages, 1);
-  ASSERT_EQ(ss.page_reuse_distances.size(), 2u);
-  EXPECT_EQ(ss.page_reuse_distances[0], 0);
-  EXPECT_DOUBLE_EQ(ss.lru_hit_rate(1), 2.0 / 3.0);
 }
 
 }  // namespace

@@ -66,7 +66,8 @@ TEST(ExactOpt, NeverExceedsAnyFeasibleSchedule) {
   // OPT <= the Claim 2.1 intended schedules, in the matching model.
   for (int beta : {2, 3}) {
     const auto built = claim21_fetch_cheap(beta, 1);
-    const ScheduleCost sc = evaluate(built.instance, built.intended_schedule);
+    const ReplayResult sc =
+        replay_schedule(built.instance, built.intended_schedule);
     ASSERT_TRUE(sc.feasible);
     OptLimits limits;
     limits.max_layer_states = 500'000;

@@ -1,19 +1,17 @@
 // Streaming request sources: generator adapters must reproduce the
 // materialized generator vectors exactly, the streaming simulate() core
 // must match the Instance path bit for bit, and the online aggregates
-// (P^2 sketches, miss-ratio curve) must agree with their offline
-// counterparts.
+// (step-cost histogram, miss-ratio curve) must agree with exact
+// recomputations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
 #include "algs/policies/classical.hpp"
 #include "core/mrc.hpp"
 #include "core/request_source.hpp"
 #include "core/simulator.hpp"
 #include "trace/generators.hpp"
-#include "trace/stats.hpp"
 #include "util/stats.hpp"
 
 namespace bac {
@@ -158,14 +156,7 @@ TEST(NextBatch, MixesWithNextMidStream) {
 }
 
 bool same_run(const RunResult& a, const RunResult& b) {
-  return a.eviction_cost == b.eviction_cost && a.fetch_cost == b.fetch_cost &&
-         a.classic_eviction_cost == b.classic_eviction_cost &&
-         a.classic_fetch_cost == b.classic_fetch_cost &&
-         a.evict_block_events == b.evict_block_events &&
-         a.fetch_block_events == b.fetch_block_events &&
-         a.evicted_pages == b.evicted_pages &&
-         a.fetched_pages == b.fetched_pages && a.misses == b.misses &&
-         a.requests == b.requests && a.violations == b.violations;
+  return a.counters() == b.counters() && a.violations == b.violations;
 }
 
 TEST(StreamingSimulate, MatchesMaterializedPathBitForBit) {
@@ -224,16 +215,46 @@ TEST(MissRatioCurve, MatchesOfflineStackDistances) {
   Xoshiro256pp rng(11);
   const Instance inst =
       make_instance(24, 3, 6, zipf_trace(24, 3000, 0.8, rng));
-  const TraceStats stats = analyze_trace(inst);
+  const int n = inst.n_pages();
+  const long long T = inst.horizon();
 
-  MissRatioCurve curve(inst.n_pages());
+  // Offline reference: the stack distance of a reuse is one plus the number
+  // of distinct pages requested since the previous request of the same
+  // page; LRU with k pages hits exactly the reuses at distance <= k.
+  std::vector<long long> reuses_at(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<long long> last(static_cast<std::size_t>(n), -1);
+  long long distinct = 0;
+  for (long long t = 0; t < T; ++t) {
+    const PageId p = inst.requests[static_cast<std::size_t>(t)];
+    const long long prev = last[static_cast<std::size_t>(p)];
+    if (prev < 0) {
+      ++distinct;
+    } else {
+      std::vector<char> seen(static_cast<std::size_t>(n), 0);
+      int between = 0;
+      for (long long s = prev + 1; s < t; ++s) {
+        char& mark = seen[static_cast<std::size_t>(
+            inst.requests[static_cast<std::size_t>(s)])];
+        if (!mark) ++between;
+        mark = 1;
+      }
+      ++reuses_at[static_cast<std::size_t>(between) + 1];
+    }
+    last[static_cast<std::size_t>(p)] = t;
+  }
+
+  MissRatioCurve curve(n);
   for (PageId p : inst.requests) curve.add(p);
   for (const int k : {1, 2, 4, 8, 16, 24}) {
-    EXPECT_NEAR(curve.miss_ratio(k), 1.0 - stats.lru_hit_rate(k), 1e-12)
+    long long hits = 0;
+    for (int d = 1; d <= k; ++d) hits += reuses_at[static_cast<std::size_t>(d)];
+    EXPECT_NEAR(curve.miss_ratio(k),
+                1.0 - static_cast<double>(hits) / static_cast<double>(T),
+                1e-12)
         << "k=" << k;
   }
   EXPECT_EQ(curve.requests(), 3000);
-  EXPECT_EQ(curve.compulsory_misses(), stats.distinct_pages);
+  EXPECT_EQ(curve.compulsory_misses(), distinct);
 }
 
 TEST(MissRatioCurve, SurvivesPositionCompaction) {
@@ -276,32 +297,6 @@ TEST(MissRatioCurve, MatchesSimulatedLruMisses) {
                 static_cast<double>(r.misses) / static_cast<double>(T), 1e-12)
         << "LRU misses must equal the curve at its own k";
   }
-}
-
-TEST(P2Quantile, TracksExactQuantilesOnRandomData) {
-  Xoshiro256pp rng(33);
-  P2Quantile p50(0.5), p90(0.9);
-  std::vector<double> xs;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.uniform();
-    xs.push_back(x);
-    p50.add(x);
-    p90.add(x);
-  }
-  EXPECT_NEAR(p50.value(), quantile(xs, 0.5), 0.02);
-  EXPECT_NEAR(p90.value(), quantile(xs, 0.9), 0.02);
-}
-
-TEST(P2Quantile, ExactForSmallSamples) {
-  P2Quantile q(0.5);
-  // No observations yet: NaN, the StreamingStats::min/max convention
-  // (JSON emitters turn it into null) — not a fake 0.0.
-  EXPECT_TRUE(std::isnan(q.value()));
-  q.add(3.0);
-  EXPECT_DOUBLE_EQ(q.value(), 3.0);
-  q.add(1.0);
-  q.add(2.0);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);
 }
 
 }  // namespace

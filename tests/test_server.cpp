@@ -91,6 +91,7 @@ TEST(ConcurrentCache, CapacitiesSumToTotalAndRespectBeta) {
       total += snap.capacity;
     }
     EXPECT_EQ(total, w.inst.k) << "shards=" << shards;
+    EXPECT_EQ(cache.stats().capacity, w.inst.k) << "shards=" << shards;
   }
 }
 
@@ -144,12 +145,8 @@ TEST(ConcurrentCache, SingleShardMatchesSimulator) {
     ConcurrentCache cache(w.inst, *policy, 1, 1);
     for (const PageId p : w.requests) cache.get(p);
     const ServerStats stats = cache.stats();
-    EXPECT_EQ(stats.requests, expected.requests);
-    EXPECT_EQ(stats.misses, expected.misses);
-    EXPECT_EQ(stats.eviction_cost, expected.eviction_cost);
-    EXPECT_EQ(stats.fetch_cost, expected.fetch_cost);
-    EXPECT_EQ(stats.evict_block_events, expected.evict_block_events);
-    EXPECT_EQ(stats.fetch_block_events, expected.fetch_block_events);
+    EXPECT_EQ(stats.counters(), expected.counters()) << policy->name();
+    EXPECT_EQ(stats.cached_pages, expected.cached_pages) << policy->name();
   }
 }
 
@@ -171,15 +168,9 @@ TEST(ConcurrentCache, PartitionedDispatchIsThreadCountInvariant) {
       have_baseline = true;
       continue;
     }
-    EXPECT_EQ(stats.eviction_cost, baseline.eviction_cost)
+    EXPECT_EQ(stats.counters(), baseline.counters()) << "threads=" << threads;
+    EXPECT_EQ(stats.cached_pages, baseline.cached_pages)
         << "threads=" << threads;
-    EXPECT_EQ(stats.fetch_cost, baseline.fetch_cost) << "threads=" << threads;
-    EXPECT_EQ(stats.hits, baseline.hits) << "threads=" << threads;
-    EXPECT_EQ(stats.misses, baseline.misses) << "threads=" << threads;
-    EXPECT_EQ(stats.evict_block_events, baseline.evict_block_events);
-    EXPECT_EQ(stats.fetch_block_events, baseline.fetch_block_events);
-    EXPECT_EQ(stats.evicted_pages, baseline.evicted_pages);
-    EXPECT_EQ(stats.fetched_pages, baseline.fetched_pages);
   }
 }
 
@@ -270,17 +261,7 @@ TEST(ConcurrentCache, GetBatchMatchesPerRequestGet) {
           SCOPED_TRACE(policy->name() + " shards=" + std::to_string(shards) +
                        " batch=" + std::to_string(batch) +
                        " shard=" + std::to_string(s));
-          EXPECT_EQ(b.requests, a.requests);
-          EXPECT_EQ(b.hits, a.hits);
-          EXPECT_EQ(b.misses, a.misses);
-          EXPECT_EQ(b.eviction_cost, a.eviction_cost);
-          EXPECT_EQ(b.fetch_cost, a.fetch_cost);
-          EXPECT_EQ(b.classic_eviction_cost, a.classic_eviction_cost);
-          EXPECT_EQ(b.classic_fetch_cost, a.classic_fetch_cost);
-          EXPECT_EQ(b.evict_block_events, a.evict_block_events);
-          EXPECT_EQ(b.fetch_block_events, a.fetch_block_events);
-          EXPECT_EQ(b.evicted_pages, a.evicted_pages);
-          EXPECT_EQ(b.fetched_pages, a.fetched_pages);
+          EXPECT_EQ(b.counters(), a.counters());
           EXPECT_EQ(b.cached_pages, a.cached_pages);
           EXPECT_EQ(b.capacity, a.capacity);
         }
@@ -369,6 +350,46 @@ TEST(CacheShard, OneSlowRequestInABatchMovesTheTail) {
   // The bulk of the batch stays fast: the straggler must not drag the
   // median (it would under any form of batch averaging).
   EXPECT_LT(snap.latency_us.quantile(0.5), 250.0);
+}
+
+/// Serves nothing: every request stays uncached.
+class LeavesRequestUncached final : public OnlinePolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "Uncached"; }
+  void reset(const Instance&) override {}
+  void on_request(Time, PageId, CacheOps&) override {}
+};
+
+/// Fetches every request and never evicts, so it overfills the cache.
+class Overfills final : public OnlinePolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "Overfills"; }
+  void reset(const Instance&) override {}
+  void on_request(Time, PageId p, CacheOps& cache) override { cache.fetch(p); }
+};
+
+// The shard serves each request as a step of the shared step kernel, so
+// it audits a broken policy as simulate() does, from get() and get_batch()
+// alike: a server must not serve on from an infeasible cache.
+TEST(CacheShard, AuditThrowsWhenRequestLeftUncached) {
+  const Instance header{BlockMap::contiguous(16, 2), {}, 4};
+  const std::vector<PageId> pages = {0, 5, 9};
+  CacheShard one(header, std::make_unique<LeavesRequestUncached>(), 1);
+  EXPECT_THROW(one.get(pages[0]), std::runtime_error);
+  CacheShard batch(header, std::make_unique<LeavesRequestUncached>(), 1);
+  EXPECT_THROW(batch.get_batch(pages.data(), static_cast<int>(pages.size())),
+               std::runtime_error);
+}
+
+TEST(CacheShard, AuditThrowsWhenCapacityExceeded) {
+  const Instance header{BlockMap::contiguous(16, 2), {}, 4};
+  const std::vector<PageId> pages = {0, 3, 6, 9, 12};  // k + 1 distinct
+  CacheShard one(header, std::make_unique<Overfills>(), 1);
+  for (int i = 0; i < header.k; ++i) EXPECT_FALSE(one.get(pages[i]));
+  EXPECT_THROW(one.get(pages[4]), std::runtime_error);
+  CacheShard batch(header, std::make_unique<Overfills>(), 1);
+  EXPECT_THROW(batch.get_batch(pages.data(), static_cast<int>(pages.size())),
+               std::runtime_error);
 }
 
 TEST(ConcurrentCache, EmptyCacheReportsNaNLatencies) {

@@ -62,14 +62,7 @@ std::vector<Instance> generator_workloads() {
 }
 
 bool identical_run(const RunResult& a, const RunResult& b) {
-  return a.eviction_cost == b.eviction_cost && a.fetch_cost == b.fetch_cost &&
-         a.classic_eviction_cost == b.classic_eviction_cost &&
-         a.classic_fetch_cost == b.classic_fetch_cost &&
-         a.evict_block_events == b.evict_block_events &&
-         a.fetch_block_events == b.fetch_block_events &&
-         a.evicted_pages == b.evicted_pages &&
-         a.fetched_pages == b.fetched_pages && a.misses == b.misses &&
-         a.requests == b.requests && a.violations == b.violations;
+  return a.counters() == b.counters() && a.violations == b.violations;
 }
 
 std::vector<std::unique_ptr<OnlinePolicy>> equivalence_policies() {
