@@ -1,6 +1,7 @@
 // PERF: microbenchmarks of the library's hot paths — simulator throughput
-// per policy, the sharded server's batch path, f_tau marginal evaluation,
-// the fractional algorithm's per-step cost, and the exact-OPT solvers.
+// per policy, the sharded server's batch path, request-source decode,
+// f_tau marginal evaluation, the fractional algorithm's per-step cost,
+// and the exact-OPT solvers.
 // Unlike the experiment benches this one measures wall time, so it runs
 // each case --trials times (default 3) and reports the fastest run plus
 // items/second; --json writes the same numbers to BENCH_perf.json, one
@@ -17,6 +18,7 @@
 #include "algs/opt.hpp"
 #include "algs/rounding.hpp"
 #include "algs/threshold_bicriteria.hpp"
+#include "core/request_source.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "server/concurrent_cache.hpp"
@@ -271,6 +273,65 @@ void ingest_csv_keys() {
               "ingest");
 }
 
+/// Decode at replay's shape (zipf0.9, n = 2^14, beta = 8, k = 2^11,
+/// T = 5*10^5): drain the synthetic source, and a string-keyed
+/// `timestamp,obj-<page>,4096` CSV of the same stream through pass 2,
+/// via next_batch alone. The checksum (sum of page ids) pins the zipf
+/// draws and, for CSV, the first-appearance page ids.
+void decode_sources() {
+  Table table = perf_table();
+  constexpr int kPages = 1 << 14;
+  constexpr int kBeta = 8;
+  constexpr int kCache = 1 << 11;
+  constexpr long long kRequests = 500'000;
+  const auto drain = [](RequestSource& src) {
+    PageId buf[512];
+    double checksum = 0.0;
+    for (int got; (got = src.next_batch(buf, 512)) > 0;)
+      for (int i = 0; i < got; ++i) checksum += static_cast<double>(buf[i]);
+    return checksum;
+  };
+
+  const std::uint64_t seed = bench::seed_of(13);
+  const auto zipf =
+      SyntheticSource::zipf(kPages, kBeta, kCache, kRequests, 0.9, seed);
+  run_case(table, "decode/zipf/" + std::to_string(kPages), zipf->context(),
+           kRequests, [&] {
+             zipf->rewind();
+             return drain(*zipf);
+           });
+
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() / "bac_bench_decode.csv";
+  {
+    std::ofstream out(path);
+    const std::vector<PageId> pages = zipf_trace(
+        kPages, kRequests, 0.9, Xoshiro256pp(bench::seed_of(14)));
+    std::string row;
+    for (std::size_t t = 0; t < pages.size(); ++t) {
+      row.clear();
+      row += std::to_string(t + 1);
+      row += ",obj-";
+      row += std::to_string(pages[t]);
+      row += ",4096\n";
+      out << row;
+    }
+  }
+  CsvOptions options;
+  options.k = kCache;
+  options.block_pages = kBeta;
+  const auto mapping = std::make_shared<const CsvMapping>(
+      build_csv_mapping(path.string(), options));
+  run_case(table, "decode/csv/" + std::to_string(kPages), mapping->header(),
+           kRequests, [&] {
+             CsvSource src(path.string(), mapping, options);
+             return drain(src);
+           });
+  std::error_code ec;
+  fs::remove(path, ec);
+  bench::emit(table, "bench_perf", "PERF request-source decode", "decode");
+}
+
 /// The layer DP both exact-OPT solvers spend their time in: every time
 /// step rebuilds a mask -> cost map from the previous layer. Dominance
 /// pruning is off so the layers stay wide and the map operations
@@ -295,6 +356,7 @@ void opt_layer_dp() {
 
 BAC_BENCH_EXPERIMENT("simulate", simulator_throughput);
 BAC_BENCH_EXPERIMENT("ingest", ingest_csv_keys);
+BAC_BENCH_EXPERIMENT("decode", decode_sources);
 BAC_BENCH_EXPERIMENT("opt", opt_layer_dp);
 BAC_BENCH_EXPERIMENT("ftau", ftau_marginals);
 BAC_BENCH_EXPERIMENT("fractional", fractional_step);

@@ -1,7 +1,6 @@
 #include "core/request_source.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace bac {
@@ -39,7 +38,7 @@ std::unique_ptr<SyntheticSource> SyntheticSource::zipf(int n_pages,
                                                        std::uint64_t seed) {
   auto src = std::unique_ptr<SyntheticSource>(
       new SyntheticSource(Kind::Zipf, n_pages, block_size, k, T, seed));
-  src->alpha_ = alpha;
+  src->sampler_ = ZipfSampler(n_pages, alpha);
   src->reset_state();
   return src;
 }
@@ -74,7 +73,7 @@ std::unique_ptr<SyntheticSource> SyntheticSource::block_local(
   auto src = std::unique_ptr<SyntheticSource>(
       new SyntheticSource(Kind::BlockLocal, n_pages, block_size, k, T, seed));
   src->stay_ = stay;
-  src->alpha_ = alpha;
+  src->sampler_ = ZipfSampler(src->header_.blocks.n_blocks(), alpha);
   src->reset_state();
   return src;
 }
@@ -84,19 +83,9 @@ void SyntheticSource::reset_state() {
   rng_ = Xoshiro256pp(seed_);
   switch (kind_) {
     case Kind::Uniform:
+    case Kind::Zipf:
     case Kind::Scan:
       break;
-    case Kind::Zipf: {
-      // Same cumulative table as zipf_trace.
-      const int n = header_.n_pages();
-      cum_.resize(static_cast<std::size_t>(n));
-      total_ = 0;
-      for (int i = 0; i < n; ++i) {
-        total_ += 1.0 / std::pow(static_cast<double>(i + 1), alpha_);
-        cum_[static_cast<std::size_t>(i)] = total_;
-      }
-      break;
-    }
     case Kind::Phased: {
       const int n = header_.n_pages();
       universe_.resize(static_cast<std::size_t>(n));
@@ -105,22 +94,10 @@ void SyntheticSource::reset_state() {
       ws_.clear();
       break;
     }
-    case Kind::BlockLocal: {
-      // Same cumulative table as block_local_trace, over blocks.
-      const int m = header_.blocks.n_blocks();
-      cum_.resize(static_cast<std::size_t>(m));
-      total_ = 0;
-      for (int i = 0; i < m; ++i) {
-        total_ += 1.0 / std::pow(static_cast<double>(i + 1), alpha_);
-        cum_[static_cast<std::size_t>(i)] = total_;
-      }
+    case Kind::BlockLocal:
       // block_local_trace draws the starting block before its loop.
-      const double u = rng_.uniform() * total_;
-      const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-      current_block_ = static_cast<BlockId>(
-          std::min<std::ptrdiff_t>(it - cum_.begin(), m - 1));
+      current_block_ = sampler_.draw(rng_);
       break;
-    }
   }
 }
 
@@ -139,13 +116,7 @@ int SyntheticSource::next_batch(PageId* out, int cap) {
             static_cast<PageId>(rng_.below(static_cast<std::uint64_t>(n)));
       break;
     case Kind::Zipf:
-      for (int i = 0; i < m; ++i) {
-        const double u = rng_.uniform() * total_;
-        const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-        PageId p = static_cast<PageId>(it - cum_.begin());
-        if (p >= n) p = n - 1;
-        out[i] = p;
-      }
+      for (int i = 0; i < m; ++i) out[i] = sampler_.draw(rng_);
       break;
     case Kind::Scan:
       for (int i = 0; i < m; ++i)
@@ -167,12 +138,7 @@ int SyntheticSource::next_batch(PageId* out, int cap) {
       break;
     case Kind::BlockLocal:
       for (int i = 0; i < m; ++i) {
-        if (!rng_.bernoulli(stay_)) {
-          const double u = rng_.uniform() * total_;
-          const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
-          current_block_ = static_cast<BlockId>(std::min<std::ptrdiff_t>(
-              it - cum_.begin(), header_.blocks.n_blocks() - 1));
-        }
+        if (!rng_.bernoulli(stay_)) current_block_ = sampler_.draw(rng_);
         const auto pages = header_.blocks.pages_in(current_block_);
         out[i] =
             pages[static_cast<std::size_t>(rng_.below(pages.size()))];

@@ -34,6 +34,7 @@
 
 #include "core/instance.hpp"
 #include "util/rng.hpp"
+#include "util/zipf_sampler.hpp"
 
 namespace bac {
 
@@ -112,8 +113,12 @@ class InstanceSource final : public RequestSource {
 /// Streaming adapter over the synthetic workload generators: produces
 /// exactly the sequence the corresponding trace/generators.hpp function
 /// materializes (same RNG, same per-step draws), but one request at a
-/// time with O(n_pages) state. rewind() restores the seed state, so every
-/// replay is identical.
+/// time with O(n_pages) state. Zipf and blocklocal draw pages (blocks)
+/// through the same ZipfSampler the generators use (util/zipf_sampler.hpp:
+/// the cumulative table plus a checked guide table, ~2 cache lines per
+/// draw instead of a binary search), built once per source. rewind()
+/// restores the seed state only, so every replay is identical and
+/// costs no table rebuild.
 class SyntheticSource final : public RequestSource {
  public:
   /// Mirrors uniform_trace(n_pages, T, rng) over contiguous blocks.
@@ -163,10 +168,8 @@ class SyntheticSource final : public RequestSource {
   std::uint64_t seed_;
   Xoshiro256pp rng_;
 
-  // Zipf / BlockLocal: normalized cumulative popularity weights.
-  std::vector<double> cum_;
-  double total_ = 0;
-  double alpha_ = 0;
+  // Zipf / BlockLocal: popularity over pages / blocks.
+  ZipfSampler sampler_;
   // Phased.
   long long phase_len_ = 0;
   int ws_size_ = 0;

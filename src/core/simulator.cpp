@@ -18,10 +18,6 @@ namespace {
 /// and serve loops tight, small enough to stay in L1 (2 KiB).
 constexpr int kSimBatch = 512;
 
-/// Requests between `progress` trace events (checked once per batch, so
-/// tracing costs one pointer test per 512 requests when disabled).
-constexpr long long kTraceProgressStride = 1 << 20;
-
 }  // namespace
 
 RunResult simulate(RequestSource& source, OnlinePolicy& policy,
@@ -46,12 +42,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
     result.schedule.steps.reserve(static_cast<std::size_t>(hint));
 
   obs::Histogram step_hist;
-  const std::string obs_label =
-      options.trace == nullptr
-          ? std::string()
-          : options.trace_label.empty() ? policy.name() : options.trace_label;
-  obs::PhaseTimer phase(options.trace, obs_label);
-  long long next_progress = kTraceProgressStride;
   std::unique_ptr<MissRatioCurve> mrc;
   if (!options.mrc_ks.empty())
     mrc = std::make_unique<MissRatioCurve>(ctx.n_pages());
@@ -111,19 +101,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
         prev_fetch = meter.fetch_cost();
       }
     }
-    if (options.trace != nullptr && kernel.time() >= next_progress) {
-      const CostCounters now = kernel.counters();
-      obs::TraceEvent e;
-      e.type = "progress";
-      e.name = obs_label;
-      e.num("t", static_cast<double>(now.requests))
-          .num("misses", static_cast<double>(now.misses))
-          .num("eviction_cost", static_cast<double>(now.eviction_cost))
-          .num("fetch_cost", static_cast<double>(now.fetch_cost));
-      options.trace->emit(e);
-      while (next_progress <= now.requests)
-        next_progress += kTraceProgressStride;
-    }
   }
 
   result.counters() = kernel.counters();
@@ -163,16 +140,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
     // adjustments, block flushes) — the "why did this policy win" layer
     // on top of the cost counters above. No-op for policies without them.
     policy.export_metrics(m);
-  }
-  if (options.trace != nullptr) {
-    // Boundary counters ride on the phase_end event (with dur_ms).
-    phase.num("requests", static_cast<double>(result.requests));
-    phase.num("misses", static_cast<double>(result.misses));
-    phase.num("eviction_cost", static_cast<double>(result.eviction_cost));
-    phase.num("fetch_cost", static_cast<double>(result.fetch_cost));
-    phase.num("flush_events", static_cast<double>(result.evict_block_events));
-    phase.num("fetch_events", static_cast<double>(result.fetch_block_events));
-    phase.num("violations", static_cast<double>(result.violations));
   }
   if (options.record_sketch) {
     result.step_cost_p50 = step_hist.quantile(0.50);

@@ -8,16 +8,14 @@
 // text, CSV, synthetic generators) whose length never enters memory.
 // Per-step costs are folded online into a fixed-layout mergeable
 // log-bucket histogram (obs/histogram.hpp, O(1) memory); an optional
-// single-pass LRU miss-ratio curve rides along. With an obs::TraceWriter
-// attached the run emits phase begin/progress/end JSONL events; with a
-// MetricRegistry attached its event counters and step-cost histogram are
-// folded in at the end of the run.
+// single-pass LRU miss-ratio curve rides along. With a MetricRegistry
+// attached the run's event counters and step-cost histogram are folded
+// in at the end of the run.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,7 +27,6 @@
 #include "core/types.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace bac {
 
@@ -41,14 +38,10 @@ struct SimOptions {
   /// Cache sizes to evaluate the single-pass LRU miss-ratio curve at;
   /// empty disables the curve (it costs O(log n) per request).
   std::vector<int> mrc_ks;
-  /// Optional observability hooks; both nullptr by default (the disabled
-  /// path costs one pointer test per 512-request batch). Counters folded
-  /// into `metrics` are pure event counts — deterministic for a fixed
-  /// (source, policy, seed) at any thread count.
+  /// Optional metrics hook, nullptr by default. Counters folded into it
+  /// are pure event counts — deterministic for a fixed (source, policy,
+  /// seed) at any thread count.
   obs::MetricRegistry* metrics = nullptr;
-  obs::TraceWriter* trace = nullptr;
-  /// Names the phase span and progress events; policy name when empty.
-  std::string trace_label;
 };
 
 /// The run's counters (CostCounters: requests, hits, misses and the

@@ -270,9 +270,8 @@ SweepTotals run_sweep(const SweepConfig& config, const RecordSink& sink) {
       SimOptions options;
       options.seed = config.seed;
       if (config.mrc) options.mrc_ks = config.ks;
-      // Cells fold event counters into the shared registry; per-cell
-      // phase spans stay off (cell_begin/cell_end already bracket the
-      // cell, and nested per-cell phases would swamp a big grid's trace).
+      // Cells fold event counters into the shared registry;
+      // cell_begin/cell_end bracket the cell in the trace.
       options.metrics = config.metrics;
       const RunResult r = simulate(*source, *policy, options);
       record.requests = r.requests;

@@ -126,7 +126,7 @@ const std::vector<Rule>& rule_table() {
        {},
        lint_home_plus({"util/timer.hpp"}),
        "time intervals with bac::Stopwatch (util/timer.hpp) or an obs "
-       "Span/PhaseTimer (obs/trace.hpp)"},
+       "Span (obs/trace.hpp)"},
   };
   return rules;
 }

@@ -46,15 +46,14 @@ void TraceWriter::flush() {
   os_.flush();
 }
 
-Span::Span(TraceWriter* writer, std::string_view name, std::string_view kind)
-    : writer_(writer) {
+Span::Span(TraceWriter* writer, std::string_view name) : writer_(writer) {
   if (!writer_) return;
   t0_ms_ = writer_->elapsed_ms();
   TraceEvent begin;
-  begin.type = std::string(kind) + "_begin";
+  begin.type = "span_begin";
   begin.name = std::string(name);
   writer_->emit(begin);
-  end_.type = std::string(kind) + "_end";
+  end_.type = "span_end";
   end_.name = begin.name;
 }
 

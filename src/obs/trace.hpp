@@ -1,5 +1,5 @@
-// Structured JSONL tracing: a thread-safe TraceWriter plus RAII
-// Span/PhaseTimer scopes, behind a near-zero-cost disabled path.
+// Structured JSONL tracing: a thread-safe TraceWriter plus RAII Span
+// scopes, behind a near-zero-cost disabled path.
 //
 // Every call site holds an `obs::TraceWriter*` that is nullptr when
 // tracing is off; the disabled path is a single pointer test (Span's
@@ -10,9 +10,9 @@
 //    "ev": "<type>", "name": "<who>", ...numeric/string fields...}
 //
 // Event types emitted by the wired layers: span_begin/span_end,
-// phase_begin/phase_end (simulate runs), progress (mid-phase counters),
-// cell_begin/cell_end (sweep cells), and free-form `event`. Spans attach
-// their counters to the *end* event along with dur_ms.
+// progress (fuzz campaigns), cell_begin/cell_end (sweep cells), and
+// free-form `event`. Spans attach their counters to the *end* event
+// along with dur_ms.
 //
 // Determinism contract: ts_ms/dur_ms are steady-clock wall time — trace
 // files are observability artifacts and are never checksummed or diffed
@@ -76,13 +76,12 @@ class TraceWriter {
   std::uint64_t seq_ GUARDED_BY(mutex_) = 0;
 };
 
-/// RAII scope: emits `<kind>_begin` at construction and `<kind>_end`
-/// (with dur_ms plus any attached fields) at end()/destruction. With a
-/// null writer every method is a pointer test and nothing else.
+/// RAII scope: emits `span_begin` at construction and `span_end` (with
+/// dur_ms plus any attached fields) at end()/destruction. With a null
+/// writer every method is a pointer test and nothing else.
 class Span {
  public:
-  Span(TraceWriter* writer, std::string_view name)
-      : Span(writer, name, "span") {}
+  Span(TraceWriter* writer, std::string_view name);
   ~Span() { end(); }
 
   Span(const Span&) = delete;
@@ -98,20 +97,10 @@ class Span {
   /// Emit the end event now (idempotent; the destructor is then a no-op).
   void end();
 
- protected:
-  Span(TraceWriter* writer, std::string_view name, std::string_view kind);
-
  private:
   TraceWriter* writer_;
   double t0_ms_ = 0.0;
   TraceEvent end_;  ///< populated only when writer_ != nullptr
-};
-
-/// A Span that reads as a phase: phase_begin / phase_end event types.
-class PhaseTimer : public Span {
- public:
-  PhaseTimer(TraceWriter* writer, std::string_view name)
-      : Span(writer, name, "phase") {}
 };
 
 }  // namespace bac::obs

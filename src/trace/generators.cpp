@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/zipf_sampler.hpp"
+
 namespace bac {
 
 std::vector<PageId> uniform_trace(int n_pages, Time T, Xoshiro256pp rng) {
@@ -17,20 +19,9 @@ std::vector<PageId> uniform_trace(int n_pages, Time T, Xoshiro256pp rng) {
 std::vector<PageId> zipf_trace(int n_pages, Time T, double alpha,
                                Xoshiro256pp rng) {
   if (n_pages <= 0) throw std::invalid_argument("zipf_trace: n_pages");
-  // Inverse-CDF over the precomputed normalized cumulative weights.
-  std::vector<double> cum(static_cast<std::size_t>(n_pages));
-  double total = 0;
-  for (int i = 0; i < n_pages; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-    cum[static_cast<std::size_t>(i)] = total;
-  }
+  const ZipfSampler zipf(n_pages, alpha);
   std::vector<PageId> out(static_cast<std::size_t>(T));
-  for (auto& p : out) {
-    const double u = rng.uniform() * total;
-    const auto it = std::lower_bound(cum.begin(), cum.end(), u);
-    p = static_cast<PageId>(it - cum.begin());
-    if (p >= n_pages) p = n_pages - 1;
-  }
+  for (auto& p : out) p = zipf.draw(rng);
   return out;
 }
 
@@ -76,25 +67,12 @@ std::vector<PageId> phased_trace(int n_pages, Time T, Time phase_len,
 std::vector<PageId> block_local_trace(const BlockMap& blocks, Time T,
                                       double stay, double alpha,
                                       Xoshiro256pp rng) {
-  const int n_blocks = blocks.n_blocks();
-  std::vector<double> cum(static_cast<std::size_t>(n_blocks));
-  double total = 0;
-  for (int i = 0; i < n_blocks; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-    cum[static_cast<std::size_t>(i)] = total;
-  }
-  auto draw_block = [&]() -> BlockId {
-    const double u = rng.uniform() * total;
-    const auto it = std::lower_bound(cum.begin(), cum.end(), u);
-    return static_cast<BlockId>(std::min<std::ptrdiff_t>(
-        it - cum.begin(), n_blocks - 1));
-  };
-
+  const ZipfSampler zipf(blocks.n_blocks(), alpha);
   std::vector<PageId> out;
   out.reserve(static_cast<std::size_t>(T));
-  BlockId current = draw_block();
+  BlockId current = zipf.draw(rng);
   for (Time t = 0; t < T; ++t) {
-    if (!rng.bernoulli(stay)) current = draw_block();
+    if (!rng.bernoulli(stay)) current = zipf.draw(rng);
     const auto pages = blocks.pages_in(current);
     out.push_back(pages[static_cast<std::size_t>(
         rng.below(pages.size()))]);

@@ -92,7 +92,10 @@ void ThreadPool::parallel_for_indexed(
     }
   };
 
-  const std::size_t n_tasks = std::min(count, size());
+  // The caller is one of the size() participants, so at most size()
+  // bodies run at once (a 1-worker pool runs the loop serially here).
+  const std::size_t n_tasks =
+      std::min(count, std::max<std::size_t>(size(), 1)) - 1;
   std::vector<std::future<void>> futs;
   futs.reserve(n_tasks);
   for (std::size_t t = 0; t < n_tasks; ++t) futs.push_back(submit(body));

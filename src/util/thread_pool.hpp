@@ -78,8 +78,10 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, count) across the pool; rethrows the first
-  /// task exception after all tasks finish. The calling thread joins the
-  /// work and drains queued tasks while it waits, so nesting (a pool task
+  /// task exception after all tasks finish. The calling thread is one of
+  /// at most size() threads running fn at once (it submits size() - 1
+  /// tasks and joins the work), and it drains queued tasks while it
+  /// waits, so nesting (a pool task
   /// that itself calls parallel_for_indexed — e.g. a sweep cell running a
   /// parallel Monte-Carlo) cannot deadlock the pool. Throws
   /// std::runtime_error after shutdown() (it will not silently fall back

@@ -292,8 +292,8 @@ TEST(TraceWriter, SpanEmitsBeginAndEndWithFields) {
     span.num("items", 42.0);
     span.str("mode", "test");
     span.end();
-    PhaseTimer phase(&writer, "lru");
-  }  // phase end on destruction
+    Span scoped(&writer, "scoped");
+  }  // scoped's end on destruction
   const std::vector<std::string> lines = read_lines(path);
   ASSERT_EQ(lines.size(), 4u);
   EXPECT_NE(lines[0].find("\"ev\": \"span_begin\""), std::string::npos);
@@ -302,8 +302,9 @@ TEST(TraceWriter, SpanEmitsBeginAndEndWithFields) {
   EXPECT_NE(lines[1].find("\"dur_ms\": "), std::string::npos);
   EXPECT_NE(lines[1].find("\"items\": 42"), std::string::npos);
   EXPECT_NE(lines[1].find("\"mode\": \"test\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"ev\": \"phase_begin\""), std::string::npos);
-  EXPECT_NE(lines[3].find("\"ev\": \"phase_end\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"ev\": \"span_begin\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"name\": \"scoped\""), std::string::npos);
+  EXPECT_NE(lines[3].find("\"ev\": \"span_end\""), std::string::npos);
   // seq is a gapless total order from 0.
   for (std::size_t i = 0; i < lines.size(); ++i)
     EXPECT_NE(lines[i].find("\"seq\": " + std::to_string(i)),
@@ -318,7 +319,6 @@ TEST(TraceWriter, DisabledSpanEmitsNothingAndIsCheap) {
   span.num("x", 1.0);
   span.end();  // must be safe twice
   span.end();
-  PhaseTimer phase(nullptr, "never");
   SUCCEED();
 }
 

@@ -4,16 +4,20 @@
 // and its error messages, structural counters through export_metrics,
 // quick-check equivalence against the frozen reference twins, the
 // zero-allocation reset-reuse guarantee the sweep relies on, and the
-// allocation-free million-request streams of Algorithm 1 and of the
-// sharded ConcurrentCache.
+// allocation-free million-request streams of Algorithm 1, of the
+// sharded ConcurrentCache and of the synthetic and CSV decoders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <memory>
 #include <new>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "algs/det_online.hpp"
@@ -23,8 +27,10 @@
 #include "core/cost_meter.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
+#include "core/request_source.hpp"
 #include "obs/metrics.hpp"
 #include "server/concurrent_cache.hpp"
+#include "trace/csv.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"
 #include "verify/reference_policies.hpp"
@@ -445,6 +451,65 @@ TEST(ResetReuseTest, ConcurrentCacheServesWithoutAllocating) {
     cache.get_batch(requests.data() + i, std::min(kBatch, T - i));
   EXPECT_EQ(g_allocations.load(), before);
   EXPECT_EQ(cache.stats().requests, 4096 + 1'000'000);
+}
+
+TEST(ResetReuseTest, DecodersServeAMillionRequestsWithoutAllocating) {
+  // Decode runs once per request before any policy does. After the first
+  // batch (which may size buffers), each source must serve 10^6 requests
+  // through next_batch without allocating: the synthetic zipf and
+  // blocklocal draws, and CSV rows, whose ~10^5-row file is rewound
+  // whenever it ends, so rewind() and every chunk refill are inside the
+  // counted region.
+  constexpr long long kRequests = 1'000'000;
+  constexpr int kBatch = 512;
+  std::vector<PageId> buf(kBatch);
+  const auto served_without_allocating = [&](RequestSource& src,
+                                             const char* label) {
+    ASSERT_EQ(src.next_batch(buf.data(), kBatch), kBatch) << label;
+    long long served = 0;
+    long long checksum = 0;
+    const long long before = g_allocations.load();
+    while (served < kRequests) {
+      const int m = src.next_batch(buf.data(), kBatch);
+      if (m == 0) {
+        src.rewind();
+        continue;
+      }
+      for (int i = 0; i < m; ++i) checksum += buf[static_cast<std::size_t>(i)];
+      served += m;
+    }
+    EXPECT_EQ(g_allocations.load(), before) << label;
+    EXPECT_GT(checksum, 0) << label;
+  };
+
+  const auto zipf =
+      SyntheticSource::zipf(1 << 14, 8, 1 << 11, kBatch + kRequests, 0.9, 1);
+  served_without_allocating(*zipf, "zipf");
+  const auto blocklocal = SyntheticSource::block_local(
+      4096, 8, 1024, kBatch + kRequests, 0.75, 0.9, 2);
+  served_without_allocating(*blocklocal, "blocklocal");
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bac_decode_alloc_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  {
+    std::ofstream out(path);
+    out << "timestamp,key,size\n";
+    const std::vector<PageId> keys =
+        zipf_trace(1 << 14, 100'000, 0.9, Xoshiro256pp(3));
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      out << i + 1 << ",obj-" << keys[i] << ",4096\n";
+  }
+  CsvOptions options;
+  options.k = 1 << 11;
+  auto mapping =
+      std::make_shared<const CsvMapping>(build_csv_mapping(path, options));
+  {
+    CsvSource csv(path, mapping, options);
+    served_without_allocating(csv, "csv");
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "algs/policies/classical.hpp"
 #include "core/mrc.hpp"
@@ -106,6 +108,60 @@ std::vector<PageId> drain_batched(RequestSource& src, int cap) {
   PageId p;
   EXPECT_FALSE(src.next(p));
   return out;
+}
+
+/// FNV-1a over the page ids, one 32-bit word at a time.
+std::uint64_t stream_hash(const std::vector<PageId>& pages) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const PageId p : pages) {
+    h ^= static_cast<std::uint32_t>(p);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(SyntheticSource, ZipfAndBlockLocalStreamsArePinned) {
+  // Hashes of 10^5-request streams at the shapes the end-to-end benchmark
+  // replays (zipf0.9 at n = 2^14 and 4096; blocklocal, stay 0.75 and
+  // zipf0.9 over blocks of 8, at n = 256 and 4096), captured when every
+  // draw still ran a binary search over the cumulative table. The
+  // guide-table sampler must reproduce them bit for bit, in the
+  // generators and in the streaming sources, before and after rewind().
+  struct Pin {
+    bool zipf;  ///< else blocklocal
+    int n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {true, 16384, 1, 0xda7a07c67c66754cULL},
+      {true, 4096, 1, 0x61ad37b4aa4809eeULL},
+      {false, 256, 1, 0x8bbbb3a58fa419eaULL},
+      {false, 4096, 1, 0x65947669dc23f042ULL},
+      {true, 16384, 4, 0xd11a696bed7282a6ULL},
+      {true, 4096, 4, 0x62748c561fba345eULL},
+      {false, 256, 4, 0x8f4b940a8964401dULL},
+      {false, 4096, 4, 0xf56c5dbc956da4e5ULL},
+  };
+  constexpr long long kT = 100'000;
+  for (const Pin& pin : pins) {
+    const std::string label = std::string(pin.zipf ? "zipf" : "blocklocal") +
+                              " n=" + std::to_string(pin.n) +
+                              " seed=" + std::to_string(pin.seed);
+    const std::vector<PageId> generated =
+        pin.zipf ? zipf_trace(pin.n, kT, 0.9, Xoshiro256pp(pin.seed))
+                 : block_local_trace(BlockMap::contiguous(pin.n, 8), kT, 0.75,
+                                     0.9, Xoshiro256pp(pin.seed));
+    EXPECT_EQ(stream_hash(generated), pin.hash) << label;
+    const auto src =
+        pin.zipf ? SyntheticSource::zipf(pin.n, 8, pin.n / 8, kT, 0.9,
+                                         pin.seed)
+                 : SyntheticSource::block_local(pin.n, 8, pin.n / 4, kT, 0.75,
+                                                0.9, pin.seed);
+    EXPECT_EQ(stream_hash(drain_batched(*src, 512)), pin.hash) << label;
+    src->rewind();
+    EXPECT_EQ(stream_hash(drain_batched(*src, 512)), pin.hash) << label;
+  }
 }
 
 TEST(NextBatch, MatchesNextForEverySourceKind) {

@@ -1,8 +1,10 @@
-// Unit tests for util: RNG determinism/quality smoke checks, streaming
-// statistics, tables, thread pool.
+// Unit tests for util: RNG determinism/quality smoke checks, the zipf
+// sampler's exactness, streaming statistics, tables, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -13,6 +15,7 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
+#include "util/zipf_sampler.hpp"
 
 namespace bac {
 namespace {
@@ -112,6 +115,59 @@ TEST(Rng, SubstreamsDiffer) {
   EXPECT_GT(diff, 60);
 }
 
+TEST(ZipfSampler, TableIsTheWeightsSummedInIndexOrder) {
+  const ZipfSampler zipf(100, 0.9);
+  double total = 0;
+  for (int i = 0; i < 100; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), 0.9);
+    EXPECT_EQ(zipf.cumulative()[static_cast<std::size_t>(i)], total);
+  }
+  EXPECT_EQ(zipf.total(), total);
+  EXPECT_THROW(ZipfSampler(0, 0.9), std::invalid_argument);
+}
+
+TEST(ZipfSampler, GuidedIndexEqualsLowerBoundEverywhere) {
+  // The guide table must never change an answer: compare index(u) with
+  // a plain lower_bound over the same table at every cumulative value
+  // and guide-cell edge, one ulp either side of each, and at random u.
+  // alpha = 0 puts cell edges exactly on cumulative values; alpha = 8
+  // gives long flat runs of equal cumulative values.
+  const auto reference = [](const std::vector<double>& cum, double u) {
+    const auto it = std::lower_bound(cum.begin(), cum.end(), u);
+    return static_cast<int>(std::min<std::ptrdiff_t>(
+        it - cum.begin(), static_cast<std::ptrdiff_t>(cum.size()) - 1));
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  constexpr int kRandomPerTable = 24'000;  // 10^6 over the 42 tables
+  Xoshiro256pp rng(2024);
+  for (const int n : {1, 2, 3, 5, 64, 4096, 1 << 14}) {
+    for (const double alpha : {0.0, 0.5, 0.9, 1.1, 3.0, 8.0}) {
+      const ZipfSampler zipf(n, alpha);
+      const std::vector<double>& cum = zipf.cumulative();
+      const double total = zipf.total();
+      std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0) * total,
+                                    total, std::nextafter(total, inf), inf,
+                                    -1.0, std::nan("")};
+      const auto around = [&](double u) {
+        probes.push_back(std::nextafter(u, -inf));
+        probes.push_back(u);
+        probes.push_back(std::nextafter(u, inf));
+      };
+      for (const double c : cum) around(c);
+      for (int j = 0; j < n; ++j)
+        around(static_cast<double>(j) * (total / static_cast<double>(n)));
+      for (const double u : probes)
+        ASSERT_EQ(zipf.index(u), reference(cum, u))
+            << "n=" << n << " alpha=" << alpha << " u=" << u;
+      for (int r = 0; r < kRandomPerTable; ++r) {
+        const double u = rng.uniform() * total;
+        if (zipf.index(u) != reference(cum, u))
+          FAIL() << "n=" << n << " alpha=" << alpha << " u=" << u;
+      }
+    }
+  }
+}
+
 TEST(Stats, WelfordMatchesClosedForm) {
   StreamingStats s;
   const std::vector<double> xs{1, 2, 3, 4, 5, 6};
@@ -204,6 +260,28 @@ TEST(ThreadPool, RunsAllIndices) {
   std::vector<std::atomic<int>> hits(100);
   pool.parallel_for_indexed(100, [&](std::size_t i) { hits[i]++; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForRunsAtMostSizeBodiesAtOnce) {
+  // The caller joins the work, so it must count as one of the size()
+  // participants: a 1-worker pool (bacsim --threads 1) used to run two
+  // bodies at once, and an N-worker pool N + 1.
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    std::atomic<int> in_flight{0};
+    std::atomic<int> peak{0};
+    pool.parallel_for_indexed(24, [&](std::size_t) {
+      const int now = ++in_flight;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      --in_flight;
+    });
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), static_cast<int>(pool.size()))
+        << workers << " workers";
+  }
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
