@@ -1,6 +1,6 @@
 // PERF: microbenchmarks of the library's hot paths — simulator throughput
 // per policy, the sharded server's batch path, request-source decode,
-// f_tau marginal evaluation, the fractional algorithm's per-step cost,
+// f_tau marginal evaluation, the fractional algorithms' per-step cost,
 // and the exact-OPT solvers.
 // Unlike the experiment benches this one measures wall time, so it runs
 // each case --trials times (default 3) and reports the fastest run plus
@@ -8,6 +8,7 @@
 // snapshot of the perf trajectory's machine-readable trail.
 #include "bench_common.hpp"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 
@@ -16,6 +17,7 @@
 #include "algs/det_online.hpp"
 #include "algs/fractional.hpp"
 #include "algs/opt.hpp"
+#include "algs/policies/fractional_paging.hpp"
 #include "algs/rounding.hpp"
 #include "algs/threshold_bicriteria.hpp"
 #include "core/request_source.hpp"
@@ -209,6 +211,33 @@ void fractional_step() {
               "PERF fractional algorithm per-step cost", "fractional");
 }
 
+/// Theorem 4.1's fractional substrate alone: FractionalWeightedPaging::step
+/// at the policy's half-size cache h = 32, over simulate/BA-Bicrit-fetch/256's
+/// trace. With unit costs each bisection halving is decided against one
+/// exact growth threshold; costs 2^(b mod 4) keep the evaluated mass. The
+/// checksum, block_fetch_cost(), moves if any x moves in its last bit.
+void fractional_paging_step() {
+  Table table = perf_table();
+  const Instance unit = bench_instance(256, 8, 32, 20'000);
+  std::vector<Cost> costs(static_cast<std::size_t>(unit.blocks.n_blocks()));
+  for (BlockId b = 0; b < unit.blocks.n_blocks(); ++b)
+    costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
+  const Instance dyadic{BlockMap::contiguous_weighted(256, 8, std::move(costs)),
+                        unit.requests, unit.k};
+  for (const auto& [label, inst] : {std::pair{"unit", &unit},
+                                    std::pair{"dyadic", &dyadic}}) {
+    run_case(table, std::string("frac_paging/") + label + "/256", *inst,
+             inst->horizon(), [&] {
+               FractionalWeightedPaging frac(inst->blocks, inst->k);
+               for (const PageId p : inst->requests) frac.step(p);
+               return frac.block_fetch_cost();
+             });
+  }
+  bench::emit(table, "bench_perf",
+              "PERF fractional weighted paging step (Theorem 4.1's substrate)",
+              "frac_paging");
+}
+
 void exact_opt() {
   Table table = perf_table();
   for (int n : {10, 12}) {
@@ -360,6 +389,7 @@ BAC_BENCH_EXPERIMENT("decode", decode_sources);
 BAC_BENCH_EXPERIMENT("opt", opt_layer_dp);
 BAC_BENCH_EXPERIMENT("ftau", ftau_marginals);
 BAC_BENCH_EXPERIMENT("fractional", fractional_step);
+BAC_BENCH_EXPERIMENT("frac_paging", fractional_paging_step);
 BAC_BENCH_EXPERIMENT("exact_opt", exact_opt);
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include "algs/policies/fractional_paging.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace bac {
 
@@ -33,26 +36,112 @@ FractionalWeightedPaging::FractionalWeightedPaging(BlockMap blocks, int k)
         class_cost_.begin());
 }
 
-bool FractionalWeightedPaging::grow_classes(double s) {
-  bool inert = true;
-  for (std::size_t j = 0; j < class_cost_.size(); ++j) {
+void FractionalWeightedPaging::grow_classes(double s) {
+  for (std::size_t j = 0; j < class_cost_.size(); ++j)
     growth_[j] = std::exp(s / class_cost_[j]);
-    // A page at x = 1 grows to min(1, this): it stays put unless below 1.
-    if ((1.0 + inv_k_) * growth_[j] - inv_k_ < 1.0) inert = false;
-  }
-  return inert;
+}
+
+const std::vector<PageId>& FractionalWeightedPaging::walk() const {
+  // A page at x = 1 grows to min(1, (1 + 1/k) g - 1/k): it stays put
+  // unless that is below 1.
+  for (const double g : growth_)
+    if ((1.0 + inv_k_) * g - inv_k_ < 1.0) return seen_list_;
+  return partial_;
 }
 
 double FractionalWeightedPaging::grown(std::size_t q) const {
   return std::min(1.0, (x_[q] + inv_k_) * growth_[class_of_[q]] - inv_k_);
 }
 
+double FractionalWeightedPaging::mass(PageId p) const {
+  double mass = 0;
+  for (const PageId q : walk())
+    if (q != p) mass += 1.0 - grown(static_cast<std::size_t>(q));
+  return mass + 1.0;  // the requested page contributes 1 - x_p = 1
+}
+
+double FractionalWeightedPaging::least_fitting_growth(PageId p) {
+  const double k = static_cast<double>(k_);
+  // Estimate: Newton from g = 1 on the real-valued mass M(g) = 1 + the sum
+  // over q in partial_, q != p, of max(0, 1 + 1/k - (x_q + 1/k) g). M is
+  // piecewise linear, convex and decreasing, so Newton approaches its root
+  // from below; once a pass finds as many active terms as the one before
+  // (the set only shrinks as g grows, so this ends), the last step solved
+  // the right linear piece. Any estimate will do: exactness comes from the
+  // search after it.
+  double g = 1.0;
+  std::size_t active_before = partial_.size() + 1;
+  for (;;) {
+    double m = 1.0;
+    double slope = 0.0;
+    std::size_t active = 0;
+    for (const PageId q : partial_) {
+      if (q == p) continue;
+      const double a = x_[static_cast<std::size_t>(q)] + inv_k_;
+      const double term = 1.0 + inv_k_ - a * g;
+      if (term > 0) {
+        m += term;
+        slope += a;
+        ++active;
+      }
+    }
+    if (m <= k || active == active_before) break;
+    g += (m - k) / slope;
+    active_before = active;
+  }
+
+  // Exact: gallop from the estimate to bits lo < hi with mass(lo) > k >=
+  // mass(hi), then bisect the bit patterns until they are adjacent. The
+  // bounds need no evaluation: +0.0 is below every positive double, and
+  // at +inf every page grows to 1, so the mass is 1 <= k.
+  using Bits = std::uint64_t;
+  constexpr Bits kInf =
+      std::bit_cast<Bits>(std::numeric_limits<double>::infinity());
+  const auto fits = [&](Bits b) {
+    growth_[0] = std::bit_cast<double>(b);
+    return mass(p) <= k;
+  };
+  Bits lo = std::bit_cast<Bits>(g);
+  Bits hi = lo;
+  if (fits(hi)) {
+    for (Bits step = 1;; step *= 2) {
+      if (hi <= step) {
+        lo = 0;
+        break;
+      }
+      if (!fits(hi - step)) {
+        lo = hi - step;
+        break;
+      }
+      hi -= step;
+    }
+  } else {
+    for (Bits step = 1;; step *= 2) {
+      if (kInf - lo <= step) {
+        hi = kInf;
+        break;
+      }
+      if (fits(lo + step)) {
+        hi = lo + step;
+        break;
+      }
+      lo += step;
+    }
+  }
+  while (hi - lo > 1) {
+    const Bits mid = lo + (hi - lo) / 2;
+    if (fits(mid)) hi = mid;
+    else lo = mid;
+  }
+  return std::bit_cast<double>(hi);
+}
+
 void FractionalWeightedPaging::grow_to(double s, PageId p, double p_from) {
-  const std::vector<PageId>& walk = grow_classes(s) ? partial_ : seen_list_;
+  grow_classes(s);
   next_partial_.clear();
   moved_.clear();
   moved_from_.clear();
-  for (const PageId q : walk) {
+  for (const PageId q : walk()) {
     if (q == p) {
       next_partial_.push_back(p);
       if (p_from > 0) {
@@ -113,22 +202,22 @@ const std::vector<double>& FractionalWeightedPaging::step(PageId p) {
     // Grow missing masses of all other seen pages along the exponential
     // dynamics x_q(s) = (x_q + 1/k) * exp(s / c_q) - 1/k, finding the
     // "time" s at which the fractional cache exactly fits via bisection
-    // (the cached mass is strictly decreasing in s).
-    const auto mass_at = [&](double s) {
-      const std::vector<PageId>& walk =
-          grow_classes(s) ? partial_ : seen_list_;
-      double mass = 0;
-      for (const PageId q : walk)
-        if (q != p) mass += 1.0 - grown(static_cast<std::size_t>(q));
-      return mass + 1.0;  // the requested page contributes 1 - x_p = 1
+    // (the cached mass is strictly decreasing in s). With one cost class
+    // the mass exceeds k exactly when exp(s / c) < g* (see the header).
+    const bool one_class = class_cost_.size() == 1;
+    const double g_star = one_class ? least_fitting_growth(p) : 0.0;
+    const auto overfull = [&](double s) {
+      if (one_class) return std::exp(s / class_cost_[0]) < g_star;
+      grow_classes(s);
+      return mass(p) > k;
     };
 
     double lo = 0.0, hi = 1.0;
-    while (mass_at(hi) > k) hi *= 2.0;
+    while (overfull(hi)) hi *= 2.0;
     for (int iter = 0; iter < 100; ++iter) {
       const double mid = 0.5 * (lo + hi);
       if (mid == lo || mid == hi) break;  // fixed point: nothing moves again
-      if (mass_at(mid) > k) lo = mid;
+      if (overfull(mid)) lo = mid;
       else hi = mid;
     }
     grow_to(hi, p, p_from);

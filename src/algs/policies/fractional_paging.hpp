@@ -14,13 +14,14 @@
 // randomized policy's indicator. Page costs are their block's cost.
 //
 // Each step bisects (100 halvings at most) for the growth time s at which
-// the cache fits, evaluating
+// the cache fits, deciding each halving by whether
 //   mass(s) = 1 + sum over seen q != p, ascending, of
-//             1 - min(1, (x_q + 1/k) * exp(s / c_q) - 1/k).
-// The result — x, both cost accumulators — is bit for bit that of the
-// plain loop over every seen page (verify::ReferenceFractionalWeightedPaging
-// is that loop, frozen), while one step costs O(pages with x < 1) plus one
-// std::exp per distinct block cost per evaluation. Why that is exact:
+//             1 - min(1, (x_q + 1/k) * exp(s / c_q) - 1/k)
+// exceeds k. The result — x, both cost accumulators — is bit for bit that
+// of the plain loop over every seen page (frozen as
+// verify::ReferenceFractionalWeightedPaging), while one step costs
+// O(pages with x < 1) per evaluated mass plus one std::exp per distinct
+// block cost per halving. Why that is exact:
 //   - Pages at x = 1 are inert while a check holds. All pages at x = 1 of
 //     one cost class c share the term 1 - min(1, (1 + 1/k) exp(s/c) - 1/k).
 //     If that min is 1 for every class, each such term is +0.0; adding +0.0
@@ -32,6 +33,24 @@
 //     seen page (also kept ascending), exactly as the plain loop does.
 //   - exp(s / c) depends on the page only through c: one call per class
 //     gives every page of the class the same bits.
+//   - One cost class (unit costs, and any single-cost instance): the mass
+//     depends on s only through g = exp(s / c), and as a function of g it
+//     never increases. Each term is a chain of correctly rounded IEEE
+//     operations, each monotone: the product of g with x_q + 1/k > 0, the
+//     subtraction of 1/k, the min with 1, and 1 minus that min; the
+//     running sum is monotone in each addend. (A compiler that fuses the
+//     multiply-subtract into one FMA keeps this: a correctly rounded FMA
+//     is monotone in g too.) Taking the walk over every seen page or only
+//     over x < 1 gives the same sum, as above. So for
+//     g* = the least positive double with mass <= k at growth g*,
+//     mass(s) > k  <=>  exp(s / c) < g*. The step finds g* once — a
+//     Newton estimate on the real-valued mass, a gallop of 1, 2, 4, ...
+//     ulps to a bracket, then a bisection of the bit patterns of positive
+//     doubles, which order like their values — and then runs the same
+//     doubling and halving loops on that comparison. Every decision, so
+//     hi and everything after it, is the same, and exp gets the same
+//     arguments. Instances with several block costs keep the evaluated
+//     mass as their only predicate; class_cost_.size() picks the path.
 //   - The bisection stops at its fixed point. Once mid == lo or mid == hi,
 //     no later halving moves lo or hi (mass(lo) > k and mass(hi) <= k
 //     already hold, and lo > 0 by then), so the final hi is the same.
@@ -95,11 +114,19 @@ class FractionalWeightedPaging {
   double fetch_cost_ = 0;
   double block_fetch_cost_ = 0;
 
-  /// Fill growth_ with exp(s / c) per class; true when every page at x = 1
-  /// stays at exactly 1 for this s (the x < 1 walk is then exact).
-  bool grow_classes(double s);
+  /// Fill growth_ with exp(s / c) per class.
+  void grow_classes(double s);
+  /// The pages a pass under growth_ walks: the x < 1 list when every page
+  /// at x = 1 stays at exactly 1 (the walk is then exact), else every seen
+  /// page.
+  [[nodiscard]] const std::vector<PageId>& walk() const;
   /// Page q's x grown by its class's factor in growth_.
   [[nodiscard]] double grown(std::size_t q) const;
+  /// The fractional cache content under growth_, with p requested.
+  [[nodiscard]] double mass(PageId p) const;
+  /// One cost class only: the least positive double g such that mass(p)
+  /// <= k when growth_[0] = g (leaves growth_ changed).
+  double least_fitting_growth(PageId p);
   /// Grow every walked page but `p` to time s; rebuilds partial_ and
   /// moved_ (with p, whose x went from `p_from` to 0, merged in order).
   void grow_to(double s, PageId p, double p_from);

@@ -12,7 +12,11 @@
 // theorem: cost <= 2 x the fractional block-batched cost of an
 // O(log h)-competitive fractional solution with cache h — i.e., an online
 // deterministic (h, 2h)-bicriteria algorithm, which is how Corollary 4.2's
-// "k = 2h matches classical caching" plays out online.
+// "k = 2h matches classical caching" plays out online. The 2x bound needs
+// beta <= max(1, floor(k/2)). For a larger beta, reset() raises h to beta,
+// so 2h > k, the capacity guard in on_request() evicts outside the
+// theorem's procedure, and the batched fetch cost can exceed twice
+// fractional_block_fetch().
 #pragma once
 
 #include <optional>
@@ -33,6 +37,7 @@ class ThresholdBicriteriaPolicy final : public OnlinePolicy {
     return mode_ == Mode::Fetching ? "BA-Bicrit(fetch,2h)"
                                    : "BA-Bicrit(evict,2h)";
   }
+  [[nodiscard]] Mode mode() const noexcept { return mode_; }
   void reset(const Instance& inst) override;
   void on_request(Time t, PageId p, CacheOps& cache) override;
   [[nodiscard]] std::unique_ptr<OnlinePolicy> clone() const override {

@@ -1,5 +1,6 @@
 #include "verify/oracles.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "algs/lower_bounds.hpp"
 #include "algs/opt.hpp"
 #include "algs/rounding.hpp"
+#include "algs/threshold_bicriteria.hpp"
 #include "algs/zoo.hpp"
 #include "core/schedule.hpp"
 #include "core/simulator.hpp"
@@ -143,6 +145,20 @@ std::vector<Violation> check_cost_model(const GeneratedInstance& gi,
       report(out, "cost_model",
              who + std::to_string(rand->fallback_alterations()) +
                  " fallback alterations");
+    // threshold_fetch (Theorem 4.1): the rounding pays at most twice the
+    // fractional block-batched fetch cost of its half-size cache h. Only
+    // when h = max(1, floor(k/2)) holds: reset() raises h to beta when
+    // beta is larger, so 2h > k and the capacity guard evicts.
+    if (const auto* bicrit =
+            dynamic_cast<const ThresholdBicriteriaPolicy*>(policy.get());
+        bicrit != nullptr &&
+        bicrit->mode() == ThresholdBicriteriaPolicy::Mode::Fetching &&
+        inst.blocks.beta() <= std::max(1, inst.k / 2) &&
+        !leq(r.fetch_cost, 2.0 * bicrit->fractional_block_fetch()))
+      report(out, "cost_model",
+             who + "batched fetch " + fmt(r.fetch_cost) +
+                 " > 2 x fractional block fetch " +
+                 fmt(2.0 * bicrit->fractional_block_fetch()));
   }
   return out;
 }

@@ -158,44 +158,74 @@ TEST(FractionalPaging, MatchesFrozenTwinBitForBit) {
   // k = 11, 12, 34 and 48 have fl(fl(1 + 1/k) - 1/k) < 1: a step whose
   // root s is tiny moves pages at x = 1 too, through the walk over every
   // seen page rather than the x < 1 list. The other k never take it.
-  enum CostKind { kUnit, kDyadic, kLogUniform };
+  // Instances with one block cost decide every halving against the exact
+  // growth threshold g*; the dyadic and log-uniform cells have several
+  // costs and evaluate the mass instead.
   const char* trace_names[] = {"zipf", "uniform", "blocklocal", "scan"};
-  const char* cost_names[] = {"unit", "dyadic", "log-uniform"};
   int left_one_at_fallback_k = 0;
+  const auto run_cell = [&](int k, int beta, const auto& costs_of,
+                            const std::string& cost_name, int shape, Time T,
+                            Xoshiro256pp& rng) {
+    const int n = k + 2 * beta + 6;
+    const BlockMap blocks = BlockMap::contiguous_weighted(
+        n, beta, costs_of((n + beta - 1) / beta));
+    std::vector<PageId> req;
+    if (shape == 0) req = zipf_trace(n, T, 0.9, rng.substream(2));
+    if (shape == 1) req = uniform_trace(n, T, rng.substream(2));
+    if (shape == 2)
+      req = block_local_trace(blocks, T, 0.75, 0.9, rng.substream(2));
+    if (shape == 3) req = scan_trace(n, T);
+    const Instance inst{blocks, std::move(req), k};
+    const int left_one = expect_matches_twin(
+        inst, "k=" + std::to_string(k) + " beta=" + std::to_string(beta) +
+                  " " + cost_name + " " + trace_names[shape] +
+                  " T=" + std::to_string(T));
+    if (k == 11 || k == 12 || k == 34 || k == 48)
+      left_one_at_fallback_k += left_one;
+    else
+      EXPECT_EQ(left_one, 0) << "k=" << k << " has no fallback";
+  };
+
+  enum CostKind { kUnit, kDyadic, kLogUniform };
+  const char* cost_names[] = {"unit", "dyadic", "log-uniform"};
   int trial = 0;
   for (int k : {1, 2, 3, 11, 12, 32, 34, 48}) {
     for (int beta : {1, 3, 8}) {
       for (CostKind kind : {kUnit, kDyadic, kLogUniform}) {
         ++trial;
         Xoshiro256pp rng(300 + static_cast<std::uint64_t>(trial));
-        const int n = k + 2 * beta + 6;
-        const int n_blocks = (n + beta - 1) / beta;
-        std::vector<Cost> costs(static_cast<std::size_t>(n_blocks), 1.0);
-        if (kind == kDyadic)
-          for (int b = 0; b < n_blocks; ++b)
-            costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
-        if (kind == kLogUniform)
-          costs = log_uniform_costs(n_blocks, 16.0, rng.substream(1));
-        const BlockMap blocks =
-            BlockMap::contiguous_weighted(n, beta, std::move(costs));
+        const auto costs_of = [&](int n_blocks) {
+          std::vector<Cost> costs(static_cast<std::size_t>(n_blocks), 1.0);
+          if (kind == kDyadic)
+            for (int b = 0; b < n_blocks; ++b)
+              costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
+          if (kind == kLogUniform)
+            costs = log_uniform_costs(n_blocks, 16.0, rng.substream(1));
+          return costs;
+        };
         // Each (k, beta, cost) cell gets one trace shape, rotating so all
         // four meet every k and every cost model.
-        const int shape = trial % 4;
-        const Time T = 160;
-        std::vector<PageId> req;
-        if (shape == 0) req = zipf_trace(n, T, 0.9, rng.substream(2));
-        if (shape == 1) req = uniform_trace(n, T, rng.substream(2));
-        if (shape == 2)
-          req = block_local_trace(blocks, T, 0.75, 0.9, rng.substream(2));
-        if (shape == 3) req = scan_trace(n, T);
-        const Instance inst{blocks, std::move(req), k};
-        const int left_one = expect_matches_twin(
-            inst, "k=" + std::to_string(k) + " beta=" + std::to_string(beta) +
-                      " " + cost_names[kind] + " " + trace_names[shape]);
-        if (k == 11 || k == 12 || k == 34 || k == 48)
-          left_one_at_fallback_k += left_one;
-        else
-          EXPECT_EQ(left_one, 0) << "k=" << k << " has no fallback";
+        run_cell(k, beta, costs_of, cost_names[kind], trial % 4, 160, rng);
+      }
+    }
+  }
+
+  // One cost that is not 1, on long traces, so the threshold search runs
+  // thousands of times per cell. g* does not depend on c, but the
+  // bisection's s does: exp(s / c) overflows to +inf at s = 1 when
+  // c = 2^-20, and the doubling loop carries s up to about 2^20 ln g*
+  // when c = 2^20.
+  for (int k : {1, 2, 3, 11, 12, 32, 34, 48}) {
+    for (double c : {3.0, 0.1, std::ldexp(1.0, -20), std::ldexp(1.0, 20)}) {
+      for (int shape : {0, 2, 3}) {
+        ++trial;
+        Xoshiro256pp rng(300 + static_cast<std::uint64_t>(trial));
+        const int beta = trial % 3 == 0 ? 1 : trial % 3 == 1 ? 3 : 8;
+        const auto costs_of = [c](int n_blocks) {
+          return std::vector<Cost>(static_cast<std::size_t>(n_blocks), c);
+        };
+        run_cell(k, beta, costs_of, "one-class c=" + g17(c), shape, 3000,
+                 rng);
       }
     }
   }

@@ -4,8 +4,9 @@
 // and its error messages, structural counters through export_metrics,
 // quick-check equivalence against the frozen reference twins, the
 // zero-allocation reset-reuse guarantee the sweep relies on, and the
-// allocation-free million-request streams of Algorithm 1, of the
-// sharded ConcurrentCache and of the synthetic and CSV decoders.
+// allocation-free million-request streams of Algorithm 1, of Theorem
+// 4.1's two rounding modes, of the sharded ConcurrentCache and of the
+// synthetic and CSV decoders.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "algs/det_online.hpp"
 #include "algs/policies/classical.hpp"
 #include "algs/policies/modern.hpp"
+#include "algs/threshold_bicriteria.hpp"
 #include "algs/zoo.hpp"
 #include "core/cost_meter.hpp"
 #include "core/instance.hpp"
@@ -427,6 +429,41 @@ TEST(ResetReuseTest, DetOnlineServesAMillionRequestsWithoutAllocating) {
       EXPECT_EQ(det.flushes(), 0) << s.label;
     else
       EXPECT_GT(det.flushes(), 1000) << s.label;
+  }
+}
+
+TEST(ResetReuseTest, ThresholdPoliciesServeAMillionRequestsWithoutAllocating) {
+  // Theorem 4.1's rounding and its fractional substrate keep their page
+  // lists (seen, x < 1, moved, per-block decreases) in vectors that only
+  // grow, each bounded by n. After a 2*10^4-request warm-up, both modes
+  // must serve a million blocklocal requests without allocating.
+  constexpr Time kWarmUp = 20'000;
+  constexpr Time kRequests = 1'000'000;
+  const BlockMap blocks = BlockMap::contiguous(64, 4);
+  const std::vector<PageId> requests = block_local_trace(
+      blocks, kWarmUp + kRequests, 0.75, 0.9, Xoshiro256pp(15));
+  using Mode = ThresholdBicriteriaPolicy::Mode;
+  for (const Mode mode : {Mode::Fetching, Mode::Eviction}) {
+    const Instance inst{blocks, {}, 16};
+    CacheSet cache(inst.n_pages());
+    for (PageId q = 0; q < inst.n_pages(); ++q) cache.insert(q);
+    cache.clear();  // the member list keeps room for every page
+    CostMeter meter(inst.blocks);
+    CacheOps ops(inst.blocks, cache, meter, inst.k);
+    ThresholdBicriteriaPolicy policy(mode);
+    policy.reset(inst);
+    const auto serve = [&](Time from, Time to) {
+      for (Time t = from; t <= to; ++t) {
+        meter.begin_step(t);
+        policy.on_request(t, requests[static_cast<std::size_t>(t - 1)], ops);
+      }
+    };
+    serve(1, kWarmUp);
+    const long long before = g_allocations.load();
+    serve(kWarmUp + 1, kWarmUp + kRequests);
+    EXPECT_EQ(g_allocations.load(), before) << policy.name();
+    EXPECT_LE(cache.size(), inst.k) << policy.name();
+    EXPECT_GT(policy.fractional_block_fetch(), 0.0) << policy.name();
   }
 }
 
