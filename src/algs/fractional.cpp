@@ -114,8 +114,12 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
       double lo = 0.0, hi = d_tight;
       for (int iter = 0; iter < 64; ++iter) {
         const double mid = 0.5 * (lo + hi);
+        // With mid at an end, this update leaves (lo, hi) final: every
+        // later halving recomputes this mid and takes this branch.
+        const bool fixed_point = mid == lo || mid == hi;
         if (lhs_at(mid) < rhs) lo = mid;
         else hi = mid;
+        if (fixed_point) break;
       }
       dstar = hi;
       if (dstar < 1e-13) adopt = true;  // numeric stall: force progress

@@ -206,8 +206,14 @@ SweepTotals run_sweep(const SweepConfig& config, const RecordSink& sink) {
   if (config.ks.empty())
     throw std::invalid_argument("sweep: no cache sizes selected");
 
-  // Resolve policy names upfront so typos fail before any work runs.
-  for (const std::string& name : config.policies) (void)make_policy(name);
+  // Resolve policy names upfront so typos, and offline policies that no
+  // streaming source can serve, fail before any cell runs.
+  for (const std::string& name : config.policies)
+    if (make_policy(name)->requires_future())
+      throw std::invalid_argument(
+          "sweep: policy '" + name +
+          "' is offline (it needs the whole trace upfront) and sweep "
+          "workloads stream");
 
   struct Cell {
     std::string policy;

@@ -111,7 +111,8 @@ int csv_mapping_cache_size();
 void csv_mapping_cache_clear();
 
 /// Expand and run the grid; throws on the first cell error (unknown
-/// policy/workload, malformed trace, infeasible k < beta, ...).
+/// policy/workload, malformed trace, infeasible k < beta, ...). Unknown
+/// and offline (requires_future()) policies throw before any cell runs.
 SweepTotals run_sweep(const SweepConfig& config, const RecordSink& sink);
 
 }  // namespace bac::driver

@@ -1,18 +1,29 @@
 #include "submodular/flush_coverage.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 namespace bac {
+
+std::uint64_t fresh_stamp() noexcept {
+  // Relaxed: a stamp is only ever compared for equality, so all that
+  // matters is that no two calls return the same value.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 FlushCoverage::FlushCoverage(const BlockMap& blocks, int k)
     : blocks_(&blocks), k_(k), cap_(std::max(0, blocks.n_pages() - k)) {
   if (k <= 0) throw std::invalid_argument("FlushCoverage: k must be positive");
   last_.assign(static_cast<std::size_t>(blocks.n_pages()), kNeverRequested);
   sorted_last_.resize(static_cast<std::size_t>(blocks.n_blocks()));
-  for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+  stamps_.resize(static_cast<std::size_t>(blocks.n_blocks()));
+  for (BlockId b = 0; b < blocks.n_blocks(); ++b) {
     sorted_last_[static_cast<std::size_t>(b)].assign(
         blocks.pages_in(b).size(), kNeverRequested);
+    stamps_[static_cast<std::size_t>(b)] = fresh_stamp();
+  }
 }
 
 void FlushCoverage::advance(PageId p, Time t,
@@ -34,6 +45,7 @@ void FlushCoverage::advance(PageId p, Time t,
   // old value is guaranteed present
   list.erase(it);
   list.insert(std::upper_bound(list.begin(), list.end(), t), t);
+  stamps_[static_cast<std::size_t>(b)] = fresh_stamp();
   last_[static_cast<std::size_t>(p)] = t;
   now_ = t;
 }

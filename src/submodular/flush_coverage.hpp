@@ -14,8 +14,18 @@
 // FlushCoverage owns the dynamic last-request state (r(p, tau) for the
 // current tau); FlushSet is a set of flushes represented by per-block
 // maximum flush times with a cached g value, updated in O(1) per request.
+//
+// Stamps. FlushCoverage and FlushVars give each block a 64-bit stamp,
+// drawn from fresh_stamp() whenever that block's contents change (here:
+// its sorted last-request list). Every stamp is drawn once, so equal
+// stamps mean equal contents, across objects and their copies: a copy
+// keeps its source's stamps, and a later change to either draws a stamp
+// neither had. Stamps are only compared, never ordered or reported, so
+// caches (ThresholdSeparation's per-block state) can key on them and
+// skip comparing contents.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -26,6 +36,9 @@ namespace bac {
 
 class FlushSet;
 
+/// A value no earlier call returned, in this process, from any thread.
+[[nodiscard]] std::uint64_t fresh_stamp() noexcept;
+
 class FlushCoverage {
  public:
   /// `k` is the cache size; the cap of f_tau is n - k (zero if n <= k,
@@ -34,7 +47,7 @@ class FlushCoverage {
 
   /// Advance to time t with request p. Every FlushSet whose cached g must
   /// stay consistent has to be passed here (it is updated *before* the
-  /// last-request state changes).
+  /// last-request state changes). p's block gets a fresh stamp.
   void advance(PageId p, Time t, std::span<FlushSet* const> sets);
   void advance(PageId p, Time t) { advance(p, t, {}); }
 
@@ -67,6 +80,11 @@ class FlushCoverage {
     return sorted_last_[static_cast<std::size_t>(b)];
   }
 
+  /// Block b's stamp: equal stamps mean equal sorted_last(b).
+  [[nodiscard]] std::uint64_t stamp(BlockId b) const {
+    return stamps_[static_cast<std::size_t>(b)];
+  }
+
  private:
   friend class FlushSet;
   const BlockMap* blocks_;
@@ -75,6 +93,7 @@ class FlushCoverage {
   Time now_ = 0;
   std::vector<Time> last_;                       // r(p, now) per page
   std::vector<std::vector<Time>> sorted_last_;   // per block, ascending
+  std::vector<std::uint64_t> stamps_;            // per block
 };
 
 /// A set of flushes S (per-block max flush time) with cached g_tau(S).

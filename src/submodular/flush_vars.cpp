@@ -18,6 +18,12 @@ auto find_entry(const std::vector<FlushVars::Entry>& list, Time t) {
 }
 }  // namespace
 
+FlushVars::FlushVars(int n_blocks)
+    : per_block_(static_cast<std::size_t>(n_blocks)),
+      stamps_(static_cast<std::size_t>(n_blocks)) {
+  for (std::uint64_t& s : stamps_) s = fresh_stamp();
+}
+
 double FlushVars::get(BlockId b, Time t) const {
   const auto& list = per_block_[static_cast<std::size_t>(b)];
   const auto it = find_entry(list, t);
@@ -31,6 +37,7 @@ double FlushVars::increase(BlockId b, Time t, double delta) {
   auto it = find_entry(list, t);
   if (it == list.end() || it->t != t) it = list.insert(it, Entry{t, 0.0});
   it->phi += delta;
+  stamps_[static_cast<std::size_t>(b)] = fresh_stamp();
   return it->phi;
 }
 

@@ -7,8 +7,14 @@
 // maximum integral flush time have zero marginal forever and can be skipped
 // by constraint evaluations, but are retained so x-values and costs stay
 // exact.
+//
+// Each block carries a stamp (see flush_coverage.hpp): the constructor
+// gives every block a fresh one, and every increase() (so every raise_to()
+// that raises) gives the touched block a fresh one. Equal stamps mean
+// equal entries, across objects and copies.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/block_map.hpp"
@@ -24,8 +30,7 @@ class FlushVars {
     double phi = 0;
   };
 
-  explicit FlushVars(int n_blocks)
-      : per_block_(static_cast<std::size_t>(n_blocks)) {}
+  explicit FlushVars(int n_blocks);
 
   [[nodiscard]] double get(BlockId b, Time t) const;
 
@@ -37,6 +42,11 @@ class FlushVars {
 
   [[nodiscard]] const std::vector<Entry>& entries(BlockId b) const {
     return per_block_[static_cast<std::size_t>(b)];
+  }
+
+  /// Block b's stamp: equal stamps mean equal entries(b).
+  [[nodiscard]] std::uint64_t stamp(BlockId b) const {
+    return stamps_[static_cast<std::size_t>(b)];
   }
 
   /// Fractional eviction cost: sum over blocks of c_B * sum_{t >= 1} phi_B^t
@@ -52,6 +62,7 @@ class FlushVars {
 
  private:
   std::vector<std::vector<Entry>> per_block_;
+  std::vector<std::uint64_t> stamps_;
 };
 
 }  // namespace bac

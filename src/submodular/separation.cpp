@@ -50,24 +50,9 @@ double constraint_lhs(const FlushSet& sprime, const FlushVars& phi) {
   return lhs;
 }
 
-namespace {
-
-/// Evaluate the constraint for `sprime`; return Violation if violated.
-std::optional<Violation> check(const FlushSet& sprime, const FlushVars& phi,
-                               double tolerance) {
-  const double rhs =
-      static_cast<double>(sprime.coverage().cap() - sprime.f());
-  if (rhs <= 0) return std::nullopt;
-  const double lhs = constraint_lhs(sprime, phi);
-  if (lhs < rhs - tolerance) return Violation{sprime, lhs, rhs};
-  return std::nullopt;
-}
-
-}  // namespace
-
-void ThresholdSeparation::sync_dead(BlockId b,
+void ThresholdSeparation::sync_dead(Block& blk,
                                     std::span<const FlushVars::Entry> dead) {
-  auto& cached = dead_[static_cast<std::size_t>(b)];
+  auto& cached = blk.dead;
   std::size_t keep = cached.size();
   // Compared bit for bit, so the cache only keeps what phi holds now.
   const auto same = [](double x, const FlushVars::Entry& e) {
@@ -90,6 +75,87 @@ void ThresholdSeparation::sync_dead(BlockId b,
           std::upper_bound(dead_phi_.begin(), dead_phi_.end(), e.phi), e.phi);
     cached.push_back(e.phi);
   }
+}
+
+bool ThresholdSeparation::rebuild(Block& blk, BlockId b, const FlushVars& phi,
+                                  const FlushCoverage& cov, Time m) {
+  // Split the block's live entries into its dead prefix (synced into the
+  // multiset) and its active rest, whose count_below comes from one walk.
+  const auto& list = phi.entries(b);
+  const std::span<const Time> last = cov.sorted_last(b);
+  const auto base = static_cast<std::size_t>(
+      std::lower_bound(last.begin(), last.end(), m) - last.begin());
+  const auto live = first_live(list, m);
+  // Dead: no page's last request in [m, t), i.e. t <= last[base].
+  const auto first_active =
+      base == last.size()
+          ? list.end()
+          : std::upper_bound(live, list.end(), last[base],
+                             [](Time t, const FlushVars::Entry& e) {
+                               return t < e.t;
+                             });
+  blk.base = static_cast<int>(base);
+  blk.dead_lo = static_cast<int>(live - list.begin());
+  blk.dead_hi = static_cast<int>(first_active - list.begin());
+  sync_dead(blk, std::span(list).subspan(
+                     static_cast<std::size_t>(blk.dead_lo),
+                     static_cast<std::size_t>(first_active - live)));
+  blk.active.clear();
+  std::size_t below = base;
+  for (auto it = first_active; it != list.end(); ++it) {
+    while (below < last.size() && last[below] < it->t) ++below;
+    if (it->phi <= 0) continue;  // as constraint_lhs skips it
+    blk.active.push_back({it->phi, it->t, static_cast<int>(below)});
+  }
+
+  // Right-to-left maxima, in the order theta passes them.
+  maxima_.clear();
+  double run = 0;
+  for (int i = static_cast<int>(blk.active.size()) - 1; i >= 0; --i) {
+    const double v = blk.active[static_cast<std::size_t>(i)].phi;
+    if (v > run) {
+      maxima_.push_back({v, i});
+      run = v;
+    }
+  }
+  const auto same = [](const Maximum& x, const Maximum& y) {
+    return x.index == y.index && bits(x.phi) == bits(y.phi);
+  };
+  const bool changed = !std::equal(maxima_.begin(), maxima_.end(),
+                                   blk.maxima.begin(), blk.maxima.end(), same);
+  if (changed) blk.maxima.swap(maxima_);
+  blk.phi_stamp = phi.stamp(b);
+  blk.cov_stamp = cov.stamp(b);
+  blk.m = m;
+  return changed;
+}
+
+void ThresholdSeparation::build_net() {
+  active_phi_.clear();
+  for (const Block& blk : blocks_)
+    for (const Active& e : blk.active)
+      if (e.phi > 0) active_phi_.push_back(e.phi);  // not NaN
+
+  // Every distinct live phi, descending, or -- past 40 of them -- the
+  // largest, then repeatedly the largest <= last / 1.3, then the
+  // smallest.
+  if (!collect_distinct()) return;
+  bucket_active();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double smallest =
+      std::min(dead_phi_.empty() ? kInf : dead_phi_.front(), active_min_);
+  double last = std::max(dead_phi_.empty() ? 0.0 : dead_phi_.back(),
+                         octave_below_.back());
+  thresholds_.clear();
+  for (;;) {
+    thresholds_.push_back(last);
+    const double x = last / 1.3;
+    // A subnormal last can round back to itself; then the next point is
+    // the largest value < last.
+    last = predecessor(x < last ? x : std::nextafter(last, 0.0));
+    if (last <= 0) break;
+  }
+  if (thresholds_.back() != smallest) thresholds_.push_back(smallest);
 }
 
 void ThresholdSeparation::bucket_active() {
@@ -174,17 +240,28 @@ double ThresholdSeparation::predecessor(double x) const {
   return std::max(from_dead, from_active);
 }
 
+void ThresholdSeparation::sort_steps() {
+  steps_.clear();
+  for (std::size_t b = 0; b < blocks_.size(); ++b)
+    for (const Maximum& mx : blocks_[b].maxima)
+      steps_.push_back({mx.phi, mx.index, static_cast<BlockId>(b)});
+  // Equal phi are passed by the same theta, so their order is immaterial.
+  std::sort(steps_.begin(), steps_.end(),
+            [](const Step& x, const Step& y) { return x.phi > y.phi; });
+}
+
 double ThresholdSeparation::chosen_lhs(int cap, int g) const {
   // constraint_lhs's terms in its order (blocks, then time); dead entries
   // and entries at or before a block's chosen flush contribute nothing.
   double lhs = 0;
-  for (std::size_t b = 0; b < chosen_.size(); ++b) {
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const std::vector<Active>& active = blocks_[b].active;
     const int c = chosen_[b];
-    const int base =
-        c < 0 ? base_[b] : active_[static_cast<std::size_t>(c)].below;
-    const int end = begin_[b + 1];
-    for (int i = c < 0 ? begin_[b] : c + 1; i < end; ++i) {
-      const Active& e = active_[static_cast<std::size_t>(i)];
+    const int base = c < 0 ? blocks_[b].base
+                           : active[static_cast<std::size_t>(c)].below;
+    for (std::size_t i = c < 0 ? 0 : static_cast<std::size_t>(c) + 1;
+         i < active.size(); ++i) {
+      const Active& e = active[i];
       const int gm = e.below - base;
       if (gm <= 0) continue;
       lhs += static_cast<double>(std::min(gm, cap - g)) * e.phi;
@@ -200,72 +277,34 @@ std::optional<Violation> ThresholdSeparation::find_violated(
   // Every S' >= S has g(S') >= g(S), so rhs <= 0 for all of them too.
   if (S.g() >= cap) return std::nullopt;
   const auto n_blocks = static_cast<std::size_t>(cov.blocks().n_blocks());
-  if (dead_.size() != n_blocks) {
-    dead_.assign(n_blocks, {});
+  if (blocks_.size() != n_blocks) {  // storage only; the keys are stamps
+    blocks_.assign(n_blocks, {});
     dead_phi_.clear();
+    steps_.clear();  // every block's maxima are empty now
   }
 
-  // Split each block's live entries into its dead prefix (synced into the
-  // cache) and its active rest, whose count_below comes from one walk.
-  active_.clear();
-  active_phi_.clear();
-  begin_.assign(n_blocks + 1, 0);
-  base_.resize(n_blocks);
-  dead_lo_.resize(n_blocks);
-  dead_hi_.resize(n_blocks);
+  bool net_stale = false;
+  bool steps_stale = false;
   for (std::size_t b = 0; b < n_blocks; ++b) {
+    Block& blk = blocks_[b];
     const auto block = static_cast<BlockId>(b);
-    const auto& list = phi.entries(block);
-    const std::span<const Time> last = cov.sorted_last(block);
+    const std::uint64_t phi_stamp = phi.stamp(block);
     const Time m = S.max_flush(block);
-    const auto base = static_cast<std::size_t>(
-        std::lower_bound(last.begin(), last.end(), m) - last.begin());
-    const auto live = first_live(list, m);
-    // Dead: no page's last request in [m, t), i.e. t <= last[base].
-    const auto first_active =
-        base == last.size()
-            ? list.end()
-            : std::upper_bound(live, list.end(), last[base],
-                               [](Time t, const FlushVars::Entry& e) {
-                                 return t < e.t;
-                               });
-    base_[b] = static_cast<int>(base);
-    dead_lo_[b] = static_cast<int>(live - list.begin());
-    dead_hi_[b] = static_cast<int>(first_active - list.begin());
-    sync_dead(block, std::span(list).subspan(
-                         static_cast<std::size_t>(dead_lo_[b]),
-                         static_cast<std::size_t>(first_active - live)));
-    std::size_t below = base;
-    for (auto it = first_active; it != list.end(); ++it) {
-      while (below < last.size() && last[below] < it->t) ++below;
-      if (it->phi <= 0) continue;  // as constraint_lhs skips it
-      active_.push_back({it->phi, it->t, static_cast<int>(below)});
-      if (it->phi > 0) active_phi_.push_back(it->phi);  // not NaN
-    }
-    begin_[b + 1] = static_cast<int>(active_.size());
+    if (blk.phi_stamp != phi_stamp || blk.cov_stamp != cov.stamp(block) ||
+        blk.m != m)
+      steps_stale |= rebuild(blk, block, phi, cov, m);
+    net_stale |= blk.net_phi_stamp != phi_stamp || blk.net_m != m;
   }
-
-  // The net: every distinct live phi, descending, or -- past 40 of them --
-  // the largest, then repeatedly the largest <= last / 1.3, then the
-  // smallest.
-  if (collect_distinct()) {
-    bucket_active();
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double smallest = std::min(
-        dead_phi_.empty() ? kInf : dead_phi_.front(), active_min_);
-    double last = std::max(dead_phi_.empty() ? 0.0 : dead_phi_.back(),
-                           octave_below_.back());
-    thresholds_.clear();
-    for (;;) {
-      thresholds_.push_back(last);
-      const double x = last / 1.3;
-      // A subnormal last can round back to itself; then the next point is
-      // the largest value < last.
-      last = predecessor(x < last ? x : std::nextafter(last, 0.0));
-      if (last <= 0) break;
+  if (net_stale) {
+    build_net();
+    for (Block& blk : blocks_) {
+      blk.net_phi_stamp = blk.phi_stamp;
+      blk.net_m = blk.m;
     }
-    if (thresholds_.back() != smallest) thresholds_.push_back(smallest);
   }
+  // Before S is checked: that check may answer, and the next call
+  // rebuilds only the blocks whose keys change again.
+  if (steps_stale) sort_steps();
 
   // S itself first (theta = +infinity).
   chosen_.assign(n_blocks, -1);
@@ -276,30 +315,15 @@ std::optional<Violation> ThresholdSeparation::find_violated(
     if (l < rhs - tolerance_) return Violation{S, l, rhs};
   }
 
-  // Right-to-left maxima per block, in the order theta passes them.
-  steps_.clear();
-  for (std::size_t b = 0; b < n_blocks; ++b) {
-    double run = 0;
-    for (int i = begin_[b + 1] - 1; i >= begin_[b]; --i) {
-      const double v = active_[static_cast<std::size_t>(i)].phi;
-      if (v > run) {
-        steps_.push_back({v, i, static_cast<BlockId>(b)});
-        run = v;
-      }
-    }
-  }
-  std::sort(steps_.begin(), steps_.end(),
-            [](const Step& x, const Step& y) { return x.phi > y.phi; });
-
   std::size_t next = 0;
   for (const double theta : thresholds_) {
     if (next == steps_.size() || steps_[next].phi < theta) continue;
     for (; next < steps_.size() && steps_[next].phi >= theta; ++next) {
       const Step& st = steps_[next];
+      const Block& blk = blocks_[static_cast<std::size_t>(st.b)];
       int& c = chosen_[static_cast<std::size_t>(st.b)];
-      g += active_[static_cast<std::size_t>(st.index)].below -
-           (c < 0 ? base_[static_cast<std::size_t>(st.b)]
-                  : active_[static_cast<std::size_t>(c)].below);
+      g += blk.active[static_cast<std::size_t>(st.index)].below -
+           (c < 0 ? blk.base : blk.active[static_cast<std::size_t>(c)].below);
       c = st.index;
     }
     // g only grows as theta falls, so no later S' has rhs > 0 either.
@@ -316,14 +340,15 @@ FlushSet ThresholdSeparation::sprime(const FlushSet& S, const FlushVars& phi,
   // As the scan builds S'(theta): per block the latest live entry with
   // phi >= theta, which is a dead one when no active one is.
   FlushSet out = S;
-  for (std::size_t b = 0; b < chosen_.size(); ++b) {
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const Block& blk = blocks_[b];
     const auto block = static_cast<BlockId>(b);
     Time best_t = kNeverRequested;
     if (chosen_[b] >= 0) {
-      best_t = active_[static_cast<std::size_t>(chosen_[b])].t;
+      best_t = blk.active[static_cast<std::size_t>(chosen_[b])].t;
     } else {
       const auto& list = phi.entries(block);
-      for (int i = dead_hi_[b] - 1; i >= dead_lo_[b]; --i) {
+      for (int i = blk.dead_hi - 1; i >= blk.dead_lo; --i) {
         if (list[static_cast<std::size_t>(i)].phi >= theta) {
           best_t = list[static_cast<std::size_t>(i)].t;
           break;
@@ -434,55 +459,6 @@ std::optional<Violation> DpSeparation::find_violated(const FlushSet& S,
       worst = Violation{sprime, lhs, rhs};
     }
   }
-  return worst;
-}
-
-std::optional<Violation> ExhaustiveSeparation::find_violated(
-    const FlushSet& S, const FlushVars& phi) {
-  const FlushCoverage& cov = S.coverage();
-  const int n_blocks = cov.blocks().n_blocks();
-
-  // Per-block candidate max flush times: keep S's own, or raise to any
-  // entry time or alive time beyond it.
-  std::vector<std::vector<Time>> candidates(
-      static_cast<std::size_t>(n_blocks));
-  for (BlockId b = 0; b < n_blocks; ++b) {
-    auto& cand = candidates[static_cast<std::size_t>(b)];
-    const Time m = S.max_flush(b);
-    cand.push_back(m);
-    for (const FlushVars::Entry& e : phi.entries(b))
-      if (e.t > m && e.t <= cov.now()) cand.push_back(e.t);
-    // Alive times can include now + 1 (the just-requested page); flushes
-    // strictly in the future have zero marginal at the current tau and are
-    // not representable in a FlushSet, so skip them.
-    for (Time t : cov.alive_times(b))
-      if (t > m && t <= cov.now()) cand.push_back(t);
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
-  }
-
-  std::optional<Violation> worst;
-  std::vector<std::size_t> pick(static_cast<std::size_t>(n_blocks), 0);
-  std::function<void(int)> recurse = [&](int b) {
-    if (b == n_blocks) {
-      FlushSet sprime = S;
-      for (BlockId bb = 0; bb < n_blocks; ++bb) {
-        const Time t =
-            candidates[static_cast<std::size_t>(bb)]
-                      [pick[static_cast<std::size_t>(bb)]];
-        if (t > S.max_flush(bb)) sprime.add_flush(bb, t);
-      }
-      if (auto v = check(sprime, phi, tolerance_))
-        if (!worst || v->amount() > worst->amount()) worst = v;
-      return;
-    }
-    for (std::size_t i = 0;
-         i < candidates[static_cast<std::size_t>(b)].size(); ++i) {
-      pick[static_cast<std::size_t>(b)] = i;
-      recurse(b + 1);
-    }
-  };
-  recurse(0);
   return worst;
 }
 

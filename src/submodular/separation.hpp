@@ -8,8 +8,9 @@
 // the round-or-separate viewpoint of [GL20b], ThresholdSeparation searches
 // the family { S } and { S + all entries with phi >= theta } over a
 // geometric net of the live entries' phi values; DpSeparation is exact
-// and polynomial; ExhaustiveSeparation enumerates every relevant
-// per-block max-flush combination (exponential; tests only).
+// and polynomial. (verify::ExhaustiveSeparation, which enumerates every
+// relevant per-block max-flush combination, checks both on small
+// instances.)
 //
 // ThresholdSeparation's answer is a fixed function of (S, phi): the net
 // is every distinct live phi (phi > 0, time > S's max flush in the block),
@@ -34,23 +35,42 @@
 //     one merged walk over B's entries and sorted last requests; the LHS
 //     adds the same terms in the same order as constraint_lhs.
 //
+// What a call derives is kept across calls, keyed by stamps (see
+// flush_coverage.hpp) and m_B, never by addresses or by comparing
+// contents:
+//
+//   * Per block, its split (count_below(m_B), the dead range, the active
+//     entries with their count_below, the right-to-left maxima) depends
+//     only on B's entries, B's sorted last requests and m_B. It is
+//     rebuilt only when its key (phi's stamp for B, the coverage's stamp
+//     for B, m_B) differs from the one it was built from; a block whose
+//     key matches costs three compares. So Algorithm 2's call right after
+//     a request rebuilds only the requested block.
+//   * The net depends only on the multiset of live phi, so only on each
+//     block's (phi stamp, m_B): it is rebuilt only when one of those
+//     differs from the net's own record of what it was built from. A
+//     request changes neither.
+//   * The steps (every block's maxima, sorted by phi) are re-sorted only
+//     when some rebuilt block's maxima changed, and before S itself is
+//     checked, so an early answer never leaves them stale.
+//
 // Building the net sorts nothing. The dead entries' values stay in a
-// sorted multiset across calls, and the non-dead values are grouped by
-// octave (binary exponent) with one counting pass, keeping each
-// octave's max.
-// Whether there are more than 40 distinct values is a count that stops
-// at 41, and each point of a thinned net is a predecessor query: a
-// binary search of the multiset, and a scan of x's own octave or else
-// the max of the next lower non-empty one. The multiset is a cache, not
-// state: every call compares the phi of each block's dead range with
-// the values that block's share was built from and rebuilds the share
-// on any difference (only growth at the back is appended), so a reused
-// oracle (other phi, other FlushVars) returns exactly what the
-// stateless scan returns. The stateless scan is kept as
-// verify::ReferenceThresholdSeparation; tests and the
+// sorted multiset; a rebuilt block brings its share in line with its
+// dead range (growth at the back is appended, any other difference
+// rebuilds the share). The non-dead values are grouped by octave (binary
+// exponent) with one counting pass, keeping each octave's max. Whether
+// there are more than 40 distinct values is a count that stops at 41,
+// and each point of a thinned net is a predecessor query: a binary
+// search of the multiset, and a scan of x's own octave or else the max
+// of the next lower non-empty one.
+//
+// So a reused oracle (other phi, other coverages, other FlushVars)
+// returns exactly what the stateless scan returns. The stateless scan is
+// kept as verify::ReferenceThresholdSeparation; tests and the
 // policy_equivalence fuzz family diff the two bit for bit.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -99,15 +119,44 @@ class ThresholdSeparation final : public SeparationOracle {
     int below;  ///< count_below(b, t)
   };
   /// A right-to-left maximum of phi among one block's active entries.
+  struct Maximum {
+    double phi;
+    int index;  ///< into the block's active
+  };
+  /// Block b's Maximum, as the sorted steps hold it.
   struct Step {
     double phi;
-    int index;  ///< into active_
+    int index;  ///< into block b's active
     BlockId b;
   };
+  /// What one block derives from its entries, its sorted last requests
+  /// and m_b.
+  struct Block {
+    // The key it was built from; stamps start at 1, so 0 is never built.
+    std::uint64_t phi_stamp = 0;
+    std::uint64_t cov_stamp = 0;
+    Time m = 0;
+    // The net's record: the phi stamp and m_b it was last built from.
+    std::uint64_t net_phi_stamp = 0;
+    Time net_m = 0;
+    int base = 0;  ///< count_below(b, m_b)
+    // The dead entries are entries(b)[dead_lo, dead_hi); `dead` holds
+    // their phi in time order, and the ones > 0 are in dead_phi_.
+    int dead_lo = 0;
+    int dead_hi = 0;
+    std::vector<double> dead;
+    std::vector<Active> active;
+    std::vector<Maximum> maxima;  ///< right to left
+  };
 
-  /// Bring block b's share of dead_phi_ in line with `dead`, its current
+  /// Re-derive block b against m; returns whether its maxima changed.
+  bool rebuild(Block& blk, BlockId b, const FlushVars& phi,
+               const FlushCoverage& cov, Time m);
+  /// Bring blk's share of dead_phi_ in line with `dead`, its current
   /// dead entries.
-  void sync_dead(BlockId b, std::span<const FlushVars::Entry> dead);
+  void sync_dead(Block& blk, std::span<const FlushVars::Entry> dead);
+  /// The net over every block's live phi, into thresholds_.
+  void build_net();
   /// Group active_phi_ by octave into octave_phi_ (for predecessor).
   void bucket_active();
   /// The distinct net candidates, descending, into thresholds_, stopping
@@ -115,6 +164,8 @@ class ThresholdSeparation final : public SeparationOracle {
   bool collect_distinct();
   /// Largest net candidate <= x; 0 if none.
   [[nodiscard]] double predecessor(double x) const;
+  /// Every block's maxima into steps_, by descending phi.
+  void sort_steps();
   /// constraint_lhs of S plus each block's chosen_ entry, g(S') = g.
   [[nodiscard]] double chosen_lhs(int cap, int g) const;
   /// S'(theta) with the max flushes the stateless scan gives it.
@@ -122,21 +173,15 @@ class ThresholdSeparation final : public SeparationOracle {
                                 double theta) const;
 
   double tolerance_;
-  // Cache, validated on every call: per block the phi of the dead entries
-  // it was built from, in time order, and the ascending multiset of all
-  // those that are > 0. (The net needs only the values; S' is rebuilt
-  // from phi itself.)
-  std::vector<std::vector<double>> dead_;
+  std::vector<Block> blocks_;
+  /// Every block's dead phi that are > 0, ascending. (The net needs only
+  /// the values; S' is rebuilt from phi itself.)
   std::vector<double> dead_phi_;
-  // Per-call buffers, kept for their capacity. Block b's active entries
-  // are active_[begin_[b], begin_[b + 1]); base_[b] = count_below(b,
-  // m_b); its dead entries are entries(b)[dead_lo_[b], dead_hi_[b]).
-  std::vector<Active> active_;
-  std::vector<int> begin_;
-  std::vector<int> base_;
-  std::vector<int> dead_lo_;
-  std::vector<int> dead_hi_;
-  std::vector<int> chosen_;         ///< per block: index into active_ or -1
+  std::vector<double> thresholds_;  ///< the net, descending
+  std::vector<Step> steps_;         ///< descending phi
+  // Per-call buffers, kept for their capacity.
+  std::vector<int> chosen_;  ///< per block: index into its active or -1
+  std::vector<Maximum> maxima_;     ///< rebuild's new maxima
   std::vector<double> active_phi_;  ///< the active phi that are > 0
   // active_phi_ by octave, lowest first: octave lo_octave_ + i holds
   // octave_phi_[octave_begin_[i], octave_begin_[i + 1]), and
@@ -147,22 +192,6 @@ class ThresholdSeparation final : public SeparationOracle {
   std::vector<double> octave_below_;
   int lo_octave_ = 0;
   double active_min_ = 0;
-  std::vector<Step> steps_;         ///< descending phi
-  std::vector<double> thresholds_;  ///< the net, descending
-};
-
-/// Exhaustive search over per-block max-flush-time combinations drawn from
-/// entry times and alive times. Exponential in the number of blocks —
-/// only for validating the other oracles on small instances.
-class ExhaustiveSeparation final : public SeparationOracle {
- public:
-  explicit ExhaustiveSeparation(double tolerance = 1e-9)
-      : tolerance_(tolerance) {}
-  std::optional<Violation> find_violated(const FlushSet& S,
-                                         const FlushVars& phi) override;
-
- private:
-  double tolerance_;
 };
 
 /// *Exact* polynomial-time separation. Because the uncapped coverage g_tau

@@ -823,6 +823,58 @@ std::optional<bac::Violation> ReferenceThresholdSeparation::find_violated(
   return std::nullopt;
 }
 
+// --- the exhaustive separation oracle --------------------------------------
+// Exponential in the number of blocks; only tests call it.
+
+std::optional<bac::Violation> ExhaustiveSeparation::find_violated(
+    const FlushSet& S, const FlushVars& phi) {
+  const FlushCoverage& cov = S.coverage();
+  const int n_blocks = cov.blocks().n_blocks();
+
+  // Per-block candidate max flush times: keep S's own, or raise to any
+  // entry time or alive time beyond it.
+  std::vector<std::vector<Time>> candidates(
+      static_cast<std::size_t>(n_blocks));
+  for (BlockId b = 0; b < n_blocks; ++b) {
+    auto& cand = candidates[static_cast<std::size_t>(b)];
+    const Time m = S.max_flush(b);
+    cand.push_back(m);
+    for (const FlushVars::Entry& e : phi.entries(b))
+      if (e.t > m && e.t <= cov.now()) cand.push_back(e.t);
+    // Alive times can include now + 1 (the just-requested page); flushes
+    // strictly in the future have zero marginal at the current tau and are
+    // not representable in a FlushSet, so skip them.
+    for (Time t : cov.alive_times(b))
+      if (t > m && t <= cov.now()) cand.push_back(t);
+    std::sort(cand.begin(), cand.end());
+    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+  }
+
+  std::optional<bac::Violation> worst;
+  std::vector<std::size_t> pick(static_cast<std::size_t>(n_blocks), 0);
+  std::function<void(int)> recurse = [&](int b) {
+    if (b == n_blocks) {
+      FlushSet sprime = S;
+      for (BlockId bb = 0; bb < n_blocks; ++bb) {
+        const Time t =
+            candidates[static_cast<std::size_t>(bb)]
+                      [pick[static_cast<std::size_t>(bb)]];
+        if (t > S.max_flush(bb)) sprime.add_flush(bb, t);
+      }
+      if (auto v = check(sprime, phi, tolerance_))
+        if (!worst || v->amount() > worst->amount()) worst = v;
+      return;
+    }
+    for (std::size_t i = 0;
+         i < candidates[static_cast<std::size_t>(b)].size(); ++i) {
+      pick[static_cast<std::size_t>(b)] = i;
+      recurse(b + 1);
+    }
+  };
+  recurse(0);
+  return worst;
+}
+
 // --- the frozen fractional weighted paging ----------------------------------
 // FractionalWeightedPaging and ThresholdBicriteriaPolicy before the
 // incremental rewrite, verbatim (modulo the Reference names).

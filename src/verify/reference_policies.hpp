@@ -1,7 +1,8 @@
 // Frozen reference implementations: std::set-based twins of the
 // deterministic classical policies, for the policy_equivalence oracle
 // family; the stateless scan ThresholdSeparation replaced, for the same
-// family's Algorithm 2 check; the full-scan fractional
+// family's Algorithm 2 check; the exhaustive separation oracle the tests
+// check the other oracles against; the full-scan fractional
 // weighted paging with its threshold-rounding policy; and Algorithm 1
 // with its rescanning dual-load lists.
 //
@@ -69,6 +70,21 @@ std::vector<std::string> diff_policy_runs(const Instance& inst,
 class ReferenceThresholdSeparation final : public SeparationOracle {
  public:
   explicit ReferenceThresholdSeparation(double tolerance = 1e-9)
+      : tolerance_(tolerance) {}
+  std::optional<bac::Violation> find_violated(const FlushSet& S,
+                                              const FlushVars& phi) override;
+
+ private:
+  double tolerance_;
+};
+
+/// Exhaustive search over per-block max-flush-time combinations drawn from
+/// entry times and alive times. Exponential in the number of blocks —
+/// only for validating the other oracles on small instances.
+/// (bac::Violation is the separation result, not verify::Violation.)
+class ExhaustiveSeparation final : public SeparationOracle {
+ public:
+  explicit ExhaustiveSeparation(double tolerance = 1e-9)
       : tolerance_(tolerance) {}
   std::optional<bac::Violation> find_violated(const FlushSet& S,
                                               const FlushVars& phi) override;

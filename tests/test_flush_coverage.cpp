@@ -1,8 +1,12 @@
 // Tests for the flush-coverage function f_tau (Section 3.1), including the
 // paper's Figure 1 as a literal scenario, plus randomized submodularity /
-// monotonicity property checks (Claim 3.1).
+// monotonicity property checks (Claim 3.1), and the per-block stamps
+// (equal stamps mean equal sorted last requests, across objects and
+// copies).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/block_map.hpp"
@@ -185,6 +189,71 @@ TEST(FlushCoverageProperty, MonotoneAndSubmodularOnRandomInstances) {
           << "submodularity violated (trial " << trial << ")";
     }
   }
+}
+
+std::vector<std::uint64_t> stamps(const FlushCoverage& cov) {
+  std::vector<std::uint64_t> out;
+  for (BlockId b = 0; b < cov.blocks().n_blocks(); ++b)
+    out.push_back(cov.stamp(b));
+  return out;
+}
+
+TEST(FlushCoverageStamp, AdvanceStampsOnlyTheRequestedBlock) {
+  const BlockMap blocks = BlockMap::contiguous(9, 3);
+  FlushCoverage cov(blocks, 2);
+  std::vector<std::uint64_t> before = stamps(cov);
+  std::vector<std::uint64_t> history = before;  // every stamp seen so far
+  Xoshiro256pp rng(5);
+  for (Time t = 1; t <= 30; ++t) {
+    const auto p = static_cast<PageId>(rng.below(9));
+    cov.advance(p, t);
+    const std::vector<std::uint64_t> now = stamps(cov);
+    for (BlockId b = 0; b < 3; ++b) {
+      const auto i = static_cast<std::size_t>(b);
+      if (b == blocks.block_of(p))
+        EXPECT_EQ(std::count(history.begin(), history.end(), now[i]), 0)
+            << "t=" << t << ": a stamp came back";
+      else
+        EXPECT_EQ(now[i], before[i]) << "t=" << t << " block " << b;
+    }
+    history.insert(history.end(), now.begin(), now.end());
+    before = now;
+  }
+}
+
+TEST(FlushCoverageStamp, CopiesShareStampsUntilEitherAdvances) {
+  const BlockMap blocks = BlockMap::contiguous(6, 2);
+  FlushCoverage cov(blocks, 3);
+  cov.advance(0, 1);
+  cov.advance(3, 2);
+  FlushCoverage copy = cov;
+  EXPECT_EQ(stamps(copy), stamps(cov));
+  const std::uint64_t before = cov.stamp(0);
+  copy.advance(1, 3);
+  EXPECT_NE(copy.stamp(0), before);
+  EXPECT_EQ(cov.stamp(0), before) << "the source is untouched";
+  cov.advance(1, 3);  // the same request, on the source
+  EXPECT_NE(cov.stamp(0), before);
+  EXPECT_NE(cov.stamp(0), copy.stamp(0))
+      << "a stamp is drawn afresh, never derived from the history";
+  EXPECT_EQ(cov.stamp(1), copy.stamp(1));
+}
+
+TEST(FlushCoverageStamp, IndependentObjectsNeverShareAStamp) {
+  // Built and advanced identically, so only a process-wide draw tells
+  // them apart.
+  const BlockMap blocks = BlockMap::contiguous(8, 2);
+  FlushCoverage a(blocks, 2), b(blocks, 2);
+  for (FlushCoverage* cov : {&a, &b}) {
+    cov->advance(5, 1);
+    cov->advance(0, 2);
+    cov->advance(5, 3);
+  }
+  std::vector<std::uint64_t> all = stamps(a);
+  const std::vector<std::uint64_t> sb = stamps(b);
+  all.insert(all.end(), sb.begin(), sb.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
 }
 
 }  // namespace

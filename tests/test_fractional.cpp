@@ -59,7 +59,7 @@ TEST(Fractional, DpOracleRunIsExactlyFeasible) {
                                       uniform_trace(6, 25, rng));
   FractionalBlockAware alg(inst.blocks, inst.k,
                            std::make_unique<DpSeparation>());
-  ExhaustiveSeparation exhaustive;
+  verify::ExhaustiveSeparation exhaustive;
   for (Time t = 1; t <= inst.horizon(); ++t) {
     alg.step(t, inst.request_at(t));
     EXPECT_FALSE(

@@ -5,7 +5,8 @@
 // quick-check equivalence against the frozen reference twins, the
 // zero-allocation reset-reuse guarantee the sweep relies on, and the
 // allocation-free million-request streams of Algorithm 1, of Theorem
-// 4.1's two rounding modes, of the sharded ConcurrentCache and of the
+// 4.1's two rounding modes, of the zoo, block-aware and greedy-flush
+// registry policies, of the sharded ConcurrentCache and of the
 // synthetic and CSV decoders.
 #include <gtest/gtest.h>
 
@@ -464,6 +465,43 @@ TEST(ResetReuseTest, ThresholdPoliciesServeAMillionRequestsWithoutAllocating) {
     EXPECT_EQ(g_allocations.load(), before) << policy.name();
     EXPECT_LE(cache.size(), inst.k) << policy.name();
     EXPECT_GT(policy.fractional_block_fetch(), 0.0) << policy.name();
+  }
+}
+
+TEST(ResetReuseTest, RegistryPoliciesServeAMillionRequestsWithoutAllocating) {
+  // The classical and modern zoo, the block-aware baselines and greedy
+  // flush keep their state in storage sized by reset() or grown to a
+  // bound set by n and k. After a 2*10^4-request warm-up, each must serve
+  // a million blocklocal requests without allocating.
+  constexpr Time kWarmUp = 20'000;
+  constexpr Time kRequests = 1'000'000;
+  const BlockMap blocks = BlockMap::contiguous(512, 8);
+  const std::vector<PageId> requests = block_local_trace(
+      blocks, kWarmUp + kRequests, 0.75, 0.9, Xoshiro256pp(16));
+  const Instance inst{blocks, {}, 128};
+  for (const char* name :
+       {"lru", "fifo", "lfu", "marking", "greedy_dual", "s3fifo", "sieve",
+        "arc", "block_lru", "block_lru_prefetch", "block_s3fifo",
+        "block_sieve", "greedy_flush"}) {
+    CacheSet cache(inst.n_pages());
+    for (PageId q = 0; q < inst.n_pages(); ++q) cache.insert(q);
+    cache.clear();  // the member list keeps room for every page
+    CostMeter meter(inst.blocks);
+    CacheOps ops(inst.blocks, cache, meter, inst.k);
+    const std::unique_ptr<OnlinePolicy> policy = make_policy(name);
+    policy->reset(inst);
+    policy->seed(7);
+    const auto serve = [&](Time from, Time to) {
+      for (Time t = from; t <= to; ++t) {
+        meter.begin_step(t);
+        policy->on_request(t, requests[static_cast<std::size_t>(t - 1)], ops);
+      }
+    };
+    serve(1, kWarmUp);
+    const long long before = g_allocations.load();
+    serve(kWarmUp + 1, kWarmUp + kRequests);
+    EXPECT_EQ(g_allocations.load(), before) << name;
+    EXPECT_LE(cache.size(), inst.k) << name;
   }
 }
 

@@ -67,7 +67,7 @@ TEST(Separation, FractionalMassSatisfiesConstraint) {
   phi.raise_to(1, 6, 1.0);
   EXPECT_FALSE(oracle.find_violated(S, phi).has_value());
   // Cross-check with the exhaustive oracle.
-  ExhaustiveSeparation exhaustive;
+  verify::ExhaustiveSeparation exhaustive;
   EXPECT_FALSE(exhaustive.find_violated(S, phi).has_value());
 }
 
@@ -96,7 +96,7 @@ TEST(Separation, DpOracleIsExactAgainstExhaustive) {
       phi.increase(b, t, 0.25 * (1 + rng.below(3)));
     }
 
-    ExhaustiveSeparation exhaustive;
+    verify::ExhaustiveSeparation exhaustive;
     DpSeparation dp;
     ThresholdSeparation threshold;
     const auto ve = exhaustive.find_violated(S, phi);
@@ -429,6 +429,68 @@ TEST(Separation, ReusedOracleFollowsPhiChanges) {
     alg.step(t, trace[static_cast<std::size_t>(t - 1)]);
   EXPECT_GT(p.edited, 100) << "runs should build long dead prefixes";
   EXPECT_GT(p.moved, 20) << "the edits should change the answer";
+}
+
+TEST(Separation, ReusedOracleTellsCoveragesApart) {
+  // Two coverages that saw the same number of requests in every block:
+  // one request names another page of its block. One phi, and flush sets
+  // with equal max flushes on each, asked in alternation of one oracle
+  // that keeps its per-block state across all of them. Only the
+  // coverages' stamps tell the blocks apart; every answer must be the
+  // stateless twin's, bit for bit.
+  verify::ReferenceThresholdSeparation twin;
+  ThresholdSeparation reused;
+  Xoshiro256pp rng(99);
+  const int n = 32;
+  const Time T = 120;
+  int differ = 0;  ///< states where the twin tells the coverages apart
+  for (int trial = 0; trial < 200; ++trial) {
+    const BlockMap blocks = BlockMap::contiguous(n, 4);
+    FlushCoverage cov_a(blocks, 8), cov_b(blocks, 8);
+    const auto swapped = static_cast<Time>(1 + rng.below(T));
+    for (Time t = 1; t <= T; ++t) {
+      const auto p = static_cast<PageId>(rng.below(n));
+      cov_a.advance(p, t);
+      // A page of p's block other than p (blocks are 4 contiguous pages).
+      const auto other = static_cast<PageId>(
+          p / 4 * 4 + static_cast<PageId>((p % 4 + 1 + rng.below(3)) % 4));
+      cov_b.advance(t == swapped ? other : p, t);
+    }
+    FlushVars phi(blocks.n_blocks());
+    for (int i = 0; i < 150; ++i) {
+      const auto b = static_cast<BlockId>(rng.below(blocks.n_blocks()));
+      const auto t = static_cast<Time>(1 + rng.below(T));
+      phi.increase(b, t, 0.01 * static_cast<double>(1 + rng.below(3)) +
+                             1e-3 * rng.uniform());
+    }
+    FlushSet flushed_a(cov_a), flushed_b(cov_b);
+    for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+      if (rng.bernoulli(0.3)) {
+        const auto t = static_cast<Time>(rng.below(T + 1));
+        flushed_a.add_flush(b, t);
+        flushed_b.add_flush(b, t);
+      }
+    const std::pair<FlushSet, FlushSet> sets[] = {
+        {FlushSet::empty(cov_a), FlushSet::empty(cov_b)},
+        {FlushSet(cov_a), FlushSet(cov_b)},
+        {flushed_a, flushed_b}};
+    for (std::size_t i = 0; i < std::size(sets); ++i) {
+      const std::string where =
+          "trial " + std::to_string(trial) + " set " + std::to_string(i);
+      const auto want_a = twin.find_violated(sets[i].first, phi);
+      const auto want_b = twin.find_violated(sets[i].second, phi);
+      expect_same(reused.find_violated(sets[i].first, phi), want_a,
+                  where + " first coverage");
+      expect_same(reused.find_violated(sets[i].second, phi), want_b,
+                  where + " second coverage");
+      if (want_a.has_value() != want_b.has_value() ||
+          (want_a && (std::bit_cast<std::uint64_t>(want_a->lhs) !=
+                          std::bit_cast<std::uint64_t>(want_b->lhs) ||
+                      want_a->sprime.g() != want_b->sprime.g())))
+        ++differ;
+    }
+  }
+  EXPECT_GT(differ, 20) << "the swapped request should change answers";
 }
 
 TEST(Separation, LhsSkipsDominatedEntries) {

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <string>
 #include <unistd.h>
 
 #include "algs/policies/classical.hpp"
@@ -282,6 +284,22 @@ TEST(Sweep, UnknownPolicyOrWorkloadThrows) {
   config = small_config();
   config.workloads = {"definitely_not_a_workload"};
   EXPECT_THROW(driver::run_sweep(config, nullptr), std::invalid_argument);
+}
+
+TEST(Sweep, OfflinePolicyThrowsBeforeAnyCellRuns) {
+  // Every sweep source streams, so Belady could never run; the sweep must
+  // refuse it before lru's cells produce a record.
+  driver::SweepConfig config = small_config();
+  config.policies = {"lru", "belady"};
+  std::atomic<int> records{0};  // sinks run on pool threads
+  try {
+    driver::run_sweep(config, [&](const driver::SweepRecord&) { ++records; });
+    ADD_FAILURE() << "the sweep should refuse belady";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("belady"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(records, 0);
 }
 
 TEST(Sweep, InfeasibleKFailsLoudly) {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include "algs/zoo.hpp"
 #include "cli.hpp"
@@ -66,14 +67,18 @@ void usage(const char* argv0) {
 
 /// Streams the bench_main JSON schema cell by cell: header upfront,
 /// records appended under experiments[0] as they complete, aggregate
-/// written at close.
+/// written at close. The document is written to a temporary file beside
+/// `path` and renamed onto it only once complete, so a sweep that fails
+/// leaves no partial document (and any earlier file at `path` as it was).
 class JsonStream {
  public:
   JsonStream(const std::string& path, const SweepConfig& config,
              unsigned threads)
-      : os_(path), path_(path) {
+      : path_(path),
+        tmp_path_(path + ".tmp" + std::to_string(::getpid())) {
+    os_.open(tmp_path_);
     if (!os_)
-      throw std::runtime_error("bacsim: cannot open " + path +
+      throw std::runtime_error("bacsim: cannot open " + tmp_path_ +
                                " for writing");
     os_.precision(17);
     os_ << "{\n  \"bench\": \"bacsim\",\n  \"seed\": " << config.seed
@@ -132,15 +137,31 @@ class JsonStream {
     os_ << ", \"max_rss_mb\": ";
     bac::write_json_number(os_, max_rss_mb);
     os_ << "}\n}\n";
-    if (!os_.flush())
-      throw std::runtime_error("bacsim: short write to " + path_);
+    os_.close();
+    if (!os_)
+      throw std::runtime_error("bacsim: short write to " + tmp_path_);
+    if (std::rename(tmp_path_.c_str(), path_.c_str()) != 0)
+      throw std::runtime_error("bacsim: cannot rename " + tmp_path_ +
+                               " to " + path_ + ": " +
+                               std::strerror(errno));
+    committed_ = true;
   }
+
+  ~JsonStream() {
+    if (committed_) return;
+    os_.close();
+    std::remove(tmp_path_.c_str());
+  }
+  JsonStream(const JsonStream&) = delete;
+  JsonStream& operator=(const JsonStream&) = delete;
 
  private:
   std::ofstream os_ GUARDED_BY(mutex_);
   std::string path_;
+  std::string tmp_path_;
   mutable bac::Mutex mutex_;
   bool first_ GUARDED_BY(mutex_) = true;
+  bool committed_ GUARDED_BY(mutex_) = false;
 };
 
 double max_rss_mb() {
