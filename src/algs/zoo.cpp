@@ -13,34 +13,6 @@
 
 namespace bac {
 
-std::vector<std::unique_ptr<OnlinePolicy>> make_policy_zoo(
-    ZooSelection selection) {
-  std::vector<std::unique_ptr<OnlinePolicy>> zoo;
-  if (selection != ZooSelection::BlockAware) {
-    zoo.push_back(std::make_unique<LruPolicy>());
-    zoo.push_back(std::make_unique<FifoPolicy>());
-    zoo.push_back(std::make_unique<LfuPolicy>());
-    zoo.push_back(std::make_unique<MarkingPolicy>());
-    zoo.push_back(std::make_unique<GreedyDualPolicy>());
-    zoo.push_back(std::make_unique<BeladyPolicy>());
-    zoo.push_back(std::make_unique<S3FifoPolicy>());
-    zoo.push_back(std::make_unique<SievePolicy>());
-    zoo.push_back(std::make_unique<ArcPolicy>());
-  }
-  if (selection != ZooSelection::Classical) {
-    zoo.push_back(std::make_unique<BlockLruPolicy>(/*prefetch=*/false));
-    zoo.push_back(std::make_unique<BlockLruPolicy>(/*prefetch=*/true));
-    zoo.push_back(std::make_unique<BlockS3FifoPolicy>());
-    zoo.push_back(std::make_unique<BlockSievePolicy>());
-    zoo.push_back(std::make_unique<GreedyFlushPolicy>());
-    zoo.push_back(std::make_unique<DetOnlineBlockAware>());
-    zoo.push_back(std::make_unique<RandomizedBlockAware>());
-    zoo.push_back(std::make_unique<ThresholdBicriteriaPolicy>(
-        ThresholdBicriteriaPolicy::Mode::Fetching));
-  }
-  return zoo;
-}
-
 namespace {
 
 struct NamedFactory {
@@ -168,6 +140,12 @@ std::string nearest_name(const std::string& name) {
 }
 
 }  // namespace
+
+std::vector<std::unique_ptr<OnlinePolicy>> make_policy_zoo() {
+  std::vector<std::unique_ptr<OnlinePolicy>> zoo;
+  for (const NamedFactory& f : kRegistry) zoo.push_back(f.make());
+  return zoo;
+}
 
 std::vector<std::string> policy_names() {
   std::vector<std::string> names;

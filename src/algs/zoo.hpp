@@ -1,6 +1,6 @@
-// Factory for the full policy line-up used by head-to-head benchmarks,
-// plus the by-name registry the bacsim sweep driver resolves CLI policy
-// lists against.
+// The by-name policy registry the bacsim sweep driver resolves CLI policy
+// lists against, and the full line-up built from it for head-to-head
+// benchmarks.
 #pragma once
 
 #include <memory>
@@ -11,14 +11,9 @@
 
 namespace bac {
 
-enum class ZooSelection {
-  Classical,  ///< block-oblivious baselines only
-  BlockAware, ///< the paper's algorithms + block heuristics
-  All,
-};
-
-std::vector<std::unique_ptr<OnlinePolicy>> make_policy_zoo(
-    ZooSelection selection = ZooSelection::All);
+/// Every registry policy at its default, one each, in policy_names()
+/// order.
+std::vector<std::unique_ptr<OnlinePolicy>> make_policy_zoo();
 
 /// Registry names accepted by make_policy (stable CLI identifiers, unlike
 /// the display names policies report via name()).

@@ -1,6 +1,5 @@
 #include "verify/oracles.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -145,15 +144,12 @@ std::vector<Violation> check_cost_model(const GeneratedInstance& gi,
       report(out, "cost_model",
              who + std::to_string(rand->fallback_alterations()) +
                  " fallback alterations");
-    // threshold_fetch (Theorem 4.1): the rounding pays at most twice the
-    // fractional block-batched fetch cost of its half-size cache h. Only
-    // when h = max(1, floor(k/2)) holds: reset() raises h to beta when
-    // beta is larger, so 2h > k and the capacity guard evicts.
+    // threshold_fetch and threshold_evict (Theorem 4.1): the rounding
+    // pays at most twice the fractional block-batched fetch cost of its
+    // half-size cache h = max(1, floor(k/2)), on every instance.
     if (const auto* bicrit =
             dynamic_cast<const ThresholdBicriteriaPolicy*>(policy.get());
         bicrit != nullptr &&
-        bicrit->mode() == ThresholdBicriteriaPolicy::Mode::Fetching &&
-        inst.blocks.beta() <= std::max(1, inst.k / 2) &&
         !leq(r.fetch_cost, 2.0 * bicrit->fractional_block_fetch()))
       report(out, "cost_model",
              who + "batched fetch " + fmt(r.fetch_cost) +

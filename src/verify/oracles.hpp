@@ -19,7 +19,10 @@
 //                    fetched - evicted == final occupancy, misses <=
 //                    fetched pages, block events <= page moves, cost
 //                    bracketed by event counts x {min,max} block cost;
-//                    rand_online made no fallback alteration.
+//                    rand_online made no fallback alteration;
+//                    threshold_fetch and threshold_evict paid batched
+//                    fetch <= 2 x their fractional block fetch cost, on
+//                    every instance (Theorem 4.1).
 //   streaming        simulate() over the materialized instance equals
 //                    simulate() over the streaming twin, field by field.
 //   schedule_replay  record_schedule capture replays through

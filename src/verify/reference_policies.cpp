@@ -957,7 +957,6 @@ void ReferenceThresholdBicriteria::reset(const Instance& inst) {
   // which keeps references into it.
   half_.emplace(inst);
   half_->k = std::max(1, inst.k / 2);
-  if (half_->k < inst.blocks.beta()) half_->k = inst.blocks.beta();
   frac_.emplace(*half_);
   prev_x_.assign(static_cast<std::size_t>(inst.n_pages()), 1.0);
 }

@@ -126,10 +126,16 @@ class ReferenceFractionalWeightedPaging {
   [[nodiscard]] double cached_mass() const;
 };
 
-/// ThresholdBicriteriaPolicy before it scanned only the moved pages,
-/// verbatim over ReferenceFractionalWeightedPaging: both modes scan all n
-/// pages every step and copy the whole x into prev_x_. Not cloneable: its
-/// substrate points into its own half-size Instance copy.
+/// ThresholdBicriteriaPolicy before it scanned only the moved pages, over
+/// ReferenceFractionalWeightedPaging: both modes scan all n pages every
+/// step and copy the whole x into prev_x_. Its h line was re-specified
+/// when the beta > floor(k/2) case was decided (ROADMAP item 3(a)):
+/// h = max(1, floor(k/2)) on every instance, never raised to beta. The
+/// rest stays verbatim, Fetching's batch fetch, Eviction's block rescan
+/// and the capacity guard included, so the production policy's one code
+/// path must match both modes bit for bit.
+/// Not cloneable: its substrate points into its own half-size Instance
+/// copy.
 class ReferenceThresholdBicriteria final : public OnlinePolicy {
  public:
   using Mode = ThresholdBicriteriaPolicy::Mode;

@@ -3,19 +3,25 @@
 // policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "algs/det_online.hpp"
 #include "algs/dual_verifier.hpp"
 #include "algs/greedy_flush.hpp"
+#include "algs/policies/fractional_paging.hpp"
 #include "algs/threshold_bicriteria.hpp"
 #include "core/simulator.hpp"
+#include "core/step_kernel.hpp"
 #include "trace/generators.hpp"
+#include "verify/gen.hpp"
 #include "verify/reference_policies.hpp"
 
 namespace bac {
@@ -125,15 +131,33 @@ TEST(GreedyFlush, PrefersCheapBlocksUnderWeights) {
 
 TEST(ThresholdBicriteria, FetchModeFeasibleAndBounded) {
   Xoshiro256pp rng(206);
-  for (int k : {8, 16}) {
-    const Instance inst = make_instance(
-        4 * k, 4, k, zipf_trace(4 * k, 1000, 0.9, rng.substream(k)));
-    ThresholdBicriteriaPolicy alg(ThresholdBicriteriaPolicy::Mode::Fetching);
-    const RunResult r = simulate(inst, alg);  // audited: fits within k
-    EXPECT_EQ(r.violations, 0);
-    // Theorem 4.1 inheritance: cost <= 2 x fractional block fetch cost of
-    // the internal half-cache fractional solution.
-    EXPECT_LE(r.fetch_cost, 2.0 * alg.fractional_block_fetch() + 1e-6);
+  std::vector<std::pair<std::string, Instance>> instances;
+  for (int k : {8, 16})
+    instances.emplace_back(
+        "zipf k=" + std::to_string(k),
+        make_instance(4 * k, 4, k,
+                      zipf_trace(4 * k, 1000, 0.9, rng.substream(k))));
+  // Smoke-tier fuzz seeds with beta > floor(k/2): n = 8, beta = k = 7,
+  // dyadic costs, and n = 6, beta = k = 5, unit costs, both scans. A
+  // fractional cache raised to beta pages breaks the bound on both.
+  for (std::uint64_t seed : {369, 747}) {
+    verify::GeneratedInstance gi =
+        verify::random_instance(seed, {.tiny = true});
+    EXPECT_GT(gi.inst.blocks.beta(), std::max(1, gi.inst.k / 2))
+        << gi.descriptor;
+    instances.emplace_back(gi.descriptor, std::move(gi.inst));
+  }
+  using Mode = ThresholdBicriteriaPolicy::Mode;
+  for (Mode mode : {Mode::Fetching, Mode::Eviction}) {
+    for (const auto& [label, inst] : instances) {
+      ThresholdBicriteriaPolicy alg(mode);
+      const RunResult r = simulate(inst, alg);  // audited: fits within k
+      EXPECT_EQ(r.violations, 0) << alg.name() << " " << label;
+      // Theorem 4.1 inheritance: cost <= 2 x fractional block fetch cost
+      // of the internal half-cache fractional solution.
+      EXPECT_LE(r.fetch_cost, 2.0 * alg.fractional_block_fetch() + 1e-6)
+          << alg.name() << " " << label;
+    }
   }
 }
 
@@ -186,6 +210,11 @@ TEST(ThresholdBicriteria, BothModesMatchFrozenTwin) {
       {"weighted k=24", weighted_h12(600)},
       {"interleaved k=10",
        Instance{interleaved, uniform_trace(40, 800, rng.substream(3)), 10}},
+      // h = 2: the third request grows pages 3 and 1 to x = 1/2 exactly,
+      // and they stay cached (bacfuzz smoke seed 396).
+      {"x at 1/2 k=5",
+       Instance{BlockMap::contiguous_weighted(5, 5, {14.933722437916984}),
+                {3, 1, 2, 0, 3}, 5}},
   };
   using Mode = ThresholdBicriteriaPolicy::Mode;
   for (Mode mode : {Mode::Fetching, Mode::Eviction}) {
@@ -228,6 +257,77 @@ TEST(ThresholdBicriteria, SeededRunsArePinned) {
       EXPECT_EQ(g17(r.fetch_cost), pin.fetch) << alg.name() << " " << pin.label;
       EXPECT_EQ(g17(alg.fractional_block_fetch()), pin.fractional)
           << alg.name() << " " << pin.label;
+    }
+  }
+}
+
+TEST(ThresholdBicriteria, CachedSetIsTheHalfThreshold) {
+  // Theorem 4.1's procedure on every instance, beta > floor(k/2)
+  // included: beside a substrate whose cache is h = max(1, floor(k/2)),
+  // both modes keep cached exactly the pages with x <= 1/2 after every
+  // step, and they make the same moves.
+  enum CostKind { kUnit, kDyadic, kLogUniform };
+  const char* cost_names[] = {"unit", "dyadic", "log-uniform"};
+  const char* trace_names[] = {"zipf", "blocklocal", "scan"};
+  constexpr Time kT = 1500;
+  using Mode = ThresholdBicriteriaPolicy::Mode;
+  std::uint64_t trial = 0;
+  for (int beta : {1, 3, 8}) {
+    const int n = 8 * beta + 8;
+    const int n_blocks = (n + beta - 1) / beta;
+    for (int k : {1, beta, beta + 1, 2 * beta - 1, 2 * beta, n, n + 2}) {
+      if (k < beta) continue;
+      for (CostKind kind : {kUnit, kDyadic, kLogUniform}) {
+        for (int shape = 0; shape < 3; ++shape) {
+          Xoshiro256pp rng(400 + ++trial);
+          std::vector<Cost> costs(static_cast<std::size_t>(n_blocks), 1.0);
+          if (kind == kDyadic)
+            for (int b = 0; b < n_blocks; ++b)
+              costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
+          if (kind == kLogUniform)
+            costs = log_uniform_costs(n_blocks, 16.0, rng.substream(1));
+          const BlockMap blocks =
+              BlockMap::contiguous_weighted(n, beta, std::move(costs));
+          std::vector<PageId> req;
+          if (shape == 0) req = zipf_trace(n, kT, 0.9, rng.substream(2));
+          if (shape == 1)
+            req = block_local_trace(blocks, kT, 0.75, 0.9, rng.substream(2));
+          if (shape == 2) req = scan_trace(n, kT);
+          const Instance inst{blocks, std::move(req), k};
+          const std::string label =
+              "beta=" + std::to_string(beta) + " k=" + std::to_string(k) +
+              " " + cost_names[kind] + " " + trace_names[shape];
+
+          for (Mode mode : {Mode::Fetching, Mode::Eviction}) {
+            ThresholdBicriteriaPolicy alg(mode);
+            StepKernel kernel(inst, alg, 1);  // audited: fits within k
+            FractionalWeightedPaging frac(inst.blocks, std::max(1, k / 2));
+            Time off_steps = 0;
+            Time first_off = 0;
+            for (Time t = 1; t <= inst.horizon(); ++t) {
+              const PageId p = inst.request_at(t);
+              kernel.serve(p);
+              const std::vector<double>& x = frac.step(p);
+              for (PageId q = 0; q < n; ++q) {
+                if (kernel.cache().contains(q) !=
+                    (x[static_cast<std::size_t>(q)] <= 0.5)) {
+                  if (off_steps++ == 0) first_off = t;
+                  break;
+                }
+              }
+            }
+            EXPECT_EQ(off_steps, 0)
+                << alg.name() << " " << label
+                << ": cache differs from {x <= 1/2}, first at t="
+                << first_off;
+          }
+          ThresholdBicriteriaPolicy fetch(Mode::Fetching);
+          ThresholdBicriteriaPolicy evict(Mode::Eviction);
+          for (const std::string& d :
+               verify::diff_policy_runs(inst, fetch, evict, 1, label))
+            ADD_FAILURE() << "fetch vs evict: " << d;
+        }
+      }
     }
   }
 }
