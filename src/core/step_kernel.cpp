@@ -8,7 +8,8 @@ namespace bac {
 void StepKernel::refuse_time_wrap() const {
   throw std::runtime_error(
       "policy " + policy_->name() +
-      ": refusing request 2^31 (Time is 32-bit)");
+      ": refusing request 2^31 - 1 (Time is 32-bit, and policies compute "
+      "t + 1)");
 }
 
 void StepKernel::fail_audit(PageId p) const {

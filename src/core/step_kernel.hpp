@@ -7,7 +7,9 @@
 // request to the policy, and audits the result: the requested page must be
 // cached and the cache must hold at most k pages. A failed audit throws —
 // no caller repairs a broken policy. Time is 32-bit throughout the policy
-// layer, so the kernel refuses step 2^31 rather than wrap.
+// layer, and policies compute t + 1 (the alive time of a page requested
+// at t), so the kernel serves steps 1..2^31 - 2 and refuses step 2^31 - 1
+// rather than overflow.
 #pragma once
 
 #include <cstdint>
@@ -42,11 +44,11 @@ class StepKernel {
   StepKernel& operator=(const StepKernel&) = delete;
 
   /// Serve the request to page p as the next time step; true on a hit.
-  /// Throws std::runtime_error if t would pass 2^31-1 or the policy fails
-  /// the feasibility audit. p must be a page of the context.
+  /// Throws std::runtime_error, leaving the run as it was, if t would
+  /// reach 2^31 - 1; throws too if the policy fails the feasibility audit.
+  /// p must be a page of the context.
   bool serve(PageId p) {
-    if (t_ == std::numeric_limits<Time>::max()) [[unlikely]]
-      refuse_time_wrap();
+    if (t_ == kLastStep) [[unlikely]] refuse_time_wrap();
     ++t_;
     meter_.begin_step(t_);
     const bool hit = cache_.contains(p);
@@ -73,6 +75,9 @@ class StepKernel {
   /// The facade the policy mutates the cache through (simulate() routes
   /// schedule capture through it).
   [[nodiscard]] CacheOps& ops() noexcept { return ops_; }
+
+  /// The last step the kernel serves: t + 1 still fits in Time.
+  static constexpr Time kLastStep = std::numeric_limits<Time>::max() - 1;
 
  private:
   [[noreturn]] void refuse_time_wrap() const;

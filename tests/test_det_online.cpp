@@ -1,8 +1,9 @@
 // Tests for Algorithm 1 (deterministic k-competitive online, Theorem 3.3):
 // feasibility, dual feasibility, primal <= k * dual, dual <= OPT, the
 // expected advantage over block-oblivious baselines, bit-for-bit agreement
-// with the frozen rescanning version, exact pins, and clones that outlive
-// their source.
+// with the frozen rescanning version (also on hundreds of blocks and up to
+// the last step the kernel serves), exact pins, the exported counters, and
+// clones that outlive their source.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,8 @@
 #include "algs/det_online.hpp"
 #include "algs/opt.hpp"
 #include "core/simulator.hpp"
+#include "core/step_kernel.hpp"
+#include "obs/metrics.hpp"
 #include "trace/adversarial.hpp"
 #include "trace/generators.hpp"
 #include "verify/reference_policies.hpp"
@@ -162,6 +165,24 @@ std::string g17(double v) {
   return buf;
 }
 
+/// Every dual event (time, increment and state) bit for bit.
+void expect_same_events(const std::vector<DualEvent>& got,
+                        const std::vector<DualEvent>& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    if (got[i].tau != want[i].tau ||
+        bits(got[i].delta) != bits(want[i].delta) ||
+        got[i].max_flush != want[i].max_flush ||
+        got[i].last_request != want[i].last_request) {
+      ADD_FAILURE() << label << ": dual event " << i << " (tau " << got[i].tau
+                    << ", delta " << g17(got[i].delta) << ") != (tau "
+                    << want[i].tau << ", delta " << g17(want[i].delta) << ")";
+      return;
+    }
+  }
+}
+
 /// Run both through diff_policy_runs, then compare the certificates and
 /// every dual event (time, increment and state) bit for bit. Returns the
 /// twin after its run.
@@ -182,20 +203,7 @@ std::unique_ptr<verify::ReferenceDetOnline> expect_matches_twin(
       << " != " << g17(twin->max_load_ratio());
   EXPECT_EQ(bits(alg.primal_cost()), bits(twin->primal_cost())) << label;
   EXPECT_EQ(alg.flushes(), twin->flushes()) << label;
-  const auto& got = alg.event_log();
-  const auto& want = twin->event_log();
-  EXPECT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    if (got[i].tau != want[i].tau ||
-        bits(got[i].delta) != bits(want[i].delta) ||
-        got[i].max_flush != want[i].max_flush ||
-        got[i].last_request != want[i].last_request) {
-      ADD_FAILURE() << label << ": dual event " << i << " (tau " << got[i].tau
-                    << ", delta " << g17(got[i].delta) << ") != (tau "
-                    << want[i].tau << ", delta " << g17(want[i].delta) << ")";
-      break;
-    }
-  }
+  expect_same_events(alg.event_log(), twin->event_log(), label);
   return twin;
 }
 
@@ -258,6 +266,179 @@ TEST(DetOnline, MatchesFrozenTwinBitForBit) {
         expect_matches_twin(inst, "rounding seed " + std::to_string(seed));
     EXPECT_GT(twin->max_load_ratio(), 1.0) << "seed " << seed;
   }
+}
+
+/// Serve `inst` through `alg` and the twin side by side, each on its own
+/// kernel. After every step the two must agree on hit or miss, the
+/// counters, flushes and the bits of the dual objective and
+/// max_load_ratio(), and after every flush on the cached set. Only the
+/// last `window` steps log dual events, compared in full at the end: each
+/// event copies every page's last request, so a whole-run log of
+/// thousands of pages would take hundreds of MB.
+void expect_lockstep_with_twin(const Instance& inst, DetOnlineBlockAware& alg,
+                               const std::string& label, Time window) {
+  verify::ReferenceDetOnline twin;
+  StepKernel mine(inst, alg, 1);
+  StepKernel theirs(inst, twin, 1);
+  for (Time t = 1; t <= inst.horizon(); ++t) {
+    if (t == inst.horizon() - window + 1) {
+      alg.enable_event_log();
+      twin.enable_event_log();
+    }
+    const PageId p = inst.request_at(t);
+    const long long flushes = alg.flushes();
+    const bool hit = mine.serve(p);
+    if (hit != theirs.serve(p) || mine.counters() != theirs.counters() ||
+        alg.flushes() != twin.flushes() ||
+        bits(alg.dual_objective()) != bits(twin.dual_objective()) ||
+        bits(alg.max_load_ratio()) != bits(twin.max_load_ratio())) {
+      ADD_FAILURE() << label << ": diverged at t=" << t << ": flushes "
+                    << alg.flushes() << " vs " << twin.flushes() << ", dual "
+                    << g17(alg.dual_objective()) << " vs "
+                    << g17(twin.dual_objective()) << ", counters "
+                    << mine.counters() << " vs " << theirs.counters();
+      return;
+    }
+    if (alg.flushes() != flushes &&
+        !std::all_of(mine.cache().pages().begin(), mine.cache().pages().end(),
+                     [&](PageId q) { return theirs.cache().contains(q); })) {
+      ADD_FAILURE() << label << ": flushed another block at t=" << t;
+      return;
+    }
+  }
+  expect_same_events(alg.event_log(), twin.event_log(), label);
+}
+
+TEST(DetOnline, MatchesFrozenTwinOnManyBlocks) {
+  // Block counts past 256 that are not powers of two, so the slack tree
+  // has padded leaves, over 20k requests at k = n/8 and n/4: both
+  // raise-free overflows and raises occur, and ties between equal slacks
+  // must go to the lowest block id. Decimal costs (0.1, 0.3 and 0.7) make
+  // blocks share a cost while their loads round, so a raise can tie or
+  // reorder two slacks that differed before it.
+  enum CostKind { kUnit, kDyadic, kLogUniform, kDecimal };
+  const char* cost_names[] = {"unit", "dyadic", "log-uniform", "decimal"};
+  const double kDecimalCosts[] = {0.1, 0.3, 0.7};
+  const char* trace_names[] = {"zipf", "blocklocal", "uniform", "scan"};
+  struct Shape {
+    int beta;
+    int n_blocks;
+  };
+  long long overflows = 0;
+  long long raises = 0;
+  int trial = 0;
+  for (int s = 0; s < 2; ++s) {
+    const Shape shape = s == 0 ? Shape{4, 301} : Shape{8, 513};
+    const int n = shape.beta * shape.n_blocks;
+    for (CostKind kind : {kUnit, kDyadic, kLogUniform, kDecimal}) {
+      for (int half = 0; half < 2; ++half) {
+        // The traces rotate so each meets every shape, cost model and k.
+        const int trace = (s + kind + 2 * half) % 4;
+        const int k = half == 0 ? n / 8 : n / 4;
+        ++trial;
+        Xoshiro256pp rng(900 + static_cast<std::uint64_t>(trial));
+        std::vector<Cost> costs(static_cast<std::size_t>(shape.n_blocks), 1.0);
+        if (kind == kDyadic)
+          for (int b = 0; b < shape.n_blocks; ++b)
+            costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
+        if (kind == kLogUniform)
+          costs = log_uniform_costs(shape.n_blocks, 16.0, rng.substream(1));
+        if (kind == kDecimal)
+          for (int b = 0; b < shape.n_blocks; ++b)
+            costs[static_cast<std::size_t>(b)] = kDecimalCosts[b % 3];
+        const BlockMap blocks =
+            BlockMap::contiguous_weighted(n, shape.beta, std::move(costs));
+        const Time T = 20000;
+        std::vector<PageId> req;
+        if (trace == 0) req = zipf_trace(n, T, 0.9, rng.substream(2));
+        if (trace == 1)
+          req = block_local_trace(blocks, T, 0.75, 0.9, rng.substream(2));
+        if (trace == 2) req = uniform_trace(n, T, rng.substream(2));
+        if (trace == 3) req = scan_trace(n, T);
+        const Instance inst{blocks, std::move(req), k};
+        DetOnlineBlockAware alg;
+        expect_lockstep_with_twin(
+            inst, alg,
+            "beta=" + std::to_string(shape.beta) + " k=" + std::to_string(k) +
+                " " + cost_names[kind] + " " + trace_names[trace],
+            500);
+        overflows += alg.flushes();
+        raises += alg.raises();
+      }
+    }
+  }
+  EXPECT_GT(raises, 100) << "the grid must raise y";
+  EXPECT_GT(overflows - raises, 10000)
+      << "the grid must overflow without raising";
+}
+
+TEST(DetOnline, LastServedStepChoosesAsAtSmallTimes) {
+  // The kernel's last step is t = 2^31 - 2, whose append computes
+  // t + 1 = 2^31 - 1. The algorithm compares times only with each other
+  // and with the initial m_B = 0, so a trace served at times shifted to
+  // end there must make every choice it makes from t = 1.
+  Xoshiro256pp rng(60);
+  const BlockMap blocks = BlockMap::contiguous_weighted(
+      48, 4, log_uniform_costs(12, 8.0, rng.substream(1)));
+  const std::vector<PageId> req = zipf_trace(48, 400, 0.8, rng.substream(2));
+  struct Step {
+    std::vector<PageId> cache;
+    long long flushes;
+    long long raises;
+    std::uint64_t dual;
+    std::uint64_t ratio;
+    bool operator==(const Step&) const = default;
+  };
+  const auto run = [&](Time first, std::size_t steps) {
+    const Instance ctx{blocks, {}, 12};
+    CacheSet cache(ctx.n_pages());
+    CostMeter meter(ctx.blocks);
+    CacheOps ops(ctx.blocks, cache, meter, ctx.k);
+    DetOnlineBlockAware alg;
+    alg.reset(ctx);
+    std::vector<Step> out;
+    for (std::size_t i = 0; i < steps; ++i) {
+      const Time t = first + static_cast<Time>(i);
+      meter.begin_step(t);
+      alg.on_request(t, req[i], ops);
+      std::vector<PageId> pages = cache.pages();
+      std::sort(pages.begin(), pages.end());
+      out.push_back({std::move(pages), alg.flushes(), alg.raises(),
+                     bits(alg.dual_objective()), bits(alg.max_load_ratio())});
+    }
+    return out;
+  };
+  const std::vector<Step> low = run(1, req.size());
+  // End at the last overflow, so the shifted run's final request, at the
+  // kernel's last step, overflows.
+  std::size_t steps = low.size();
+  while (steps > 1 && low[steps - 1].flushes == low[steps - 2].flushes)
+    --steps;
+  ASSERT_GT(low[steps - 1].flushes, 50);
+  ASSERT_GT(low[steps - 1].raises, 0);
+  const std::vector<Step> high =
+      run(StepKernel::kLastStep - static_cast<Time>(steps) + 1, steps);
+  ASSERT_EQ(high.size(), steps);
+  for (std::size_t i = 0; i < steps; ++i)
+    ASSERT_EQ(high[i], low[i]) << "request " << i + 1 << " of " << steps;
+}
+
+TEST(DetOnline, ExportsFlushAndRaiseCounters) {
+  const BlockMap blocks = BlockMap::contiguous(256, 8);
+  const Instance inst{
+      blocks, block_local_trace(blocks, 20000, 0.75, 0.9, Xoshiro256pp(61)),
+      64};
+  DetOnlineBlockAware alg;
+  obs::MetricRegistry registry;
+  SimOptions options;
+  options.metrics = &registry;
+  simulate(inst, alg, options);
+  EXPECT_GT(alg.raises(), 0);
+  EXPECT_LT(alg.raises(), alg.flushes());
+  EXPECT_EQ(registry.counter("policy_block_flushes_total").value(),
+            static_cast<std::uint64_t>(alg.flushes()));
+  EXPECT_EQ(registry.counter("policy_dual_raises_total").value(),
+            static_cast<std::uint64_t>(alg.raises()));
 }
 
 TEST(DetOnline, SeededRunsArePinned) {

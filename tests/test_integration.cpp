@@ -1,7 +1,12 @@
 // Cross-module integration tests: the full algorithm line-up on shared
 // workloads, lower-bound stack coherence (dual <= LP <= OPT <= algorithm),
-// and end-to-end sanity of the experiment pipelines the benches run.
+// end-to-end sanity of the experiment pipelines the benches run, and the
+// step kernel's refusal at the end of 32-bit time.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "algs/policies/classical.hpp"
 #include "algs/det_online.hpp"
@@ -12,6 +17,7 @@
 #include "algs/rounding.hpp"
 #include "algs/zoo.hpp"
 #include "core/simulator.hpp"
+#include "core/step_kernel.hpp"
 #include "trace/adversarial.hpp"
 #include "trace/generators.hpp"
 
@@ -151,6 +157,32 @@ TEST(Integration, EvictionLowerBoundHelperPicksSources) {
   const auto lb_med = eviction_lower_bound(medium, /*exact_cutoff_pages=*/14);
   EXPECT_EQ(lb_med.source, EvictionLowerBound::Source::Lp);
   EXPECT_GT(lb_med.value, 0.0);
+}
+
+/// Keeps the one page it is asked for: the cheapest policy a kernel can
+/// step.
+class KeepPolicy final : public OnlinePolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "keep"; }
+  void reset(const Instance&) override {}
+  void on_request(Time, PageId p, CacheOps& cache) override { cache.fetch(p); }
+};
+
+TEST(Integration, KernelServesUpToTheLastStepThenRefuses) {
+  // Time stays 32-bit, and policies compute t + 1, so the kernel serves
+  // steps 1..2^31 - 2 and refuses the next one without advancing. About
+  // 2^31 steps: about 13 s in a Release build.
+  const Instance ctx{BlockMap::contiguous(1, 1), {}, 1};
+  KeepPolicy keep;
+  StepKernel kernel(ctx, keep, 1);
+  ASSERT_EQ(StepKernel::kLastStep, std::numeric_limits<Time>::max() - 1);
+  for (Time t = 1; t <= StepKernel::kLastStep; ++t) kernel.serve(0);
+  EXPECT_EQ(kernel.time(), StepKernel::kLastStep);
+  EXPECT_THROW(kernel.serve(0), std::runtime_error);
+  EXPECT_EQ(kernel.time(), StepKernel::kLastStep);
+  const CostCounters c = kernel.counters();
+  EXPECT_EQ(c.requests, StepKernel::kLastStep);
+  EXPECT_EQ(c.misses, 1);
 }
 
 }  // namespace

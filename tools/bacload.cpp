@@ -195,7 +195,7 @@ int run(int argc, char** argv) {
     } else if (arg == "--beta") {
       config.beta = static_cast<int>(numeric("--beta", 1u << 20));
     } else if (arg == "--T") {
-      config.T = static_cast<long long>(numeric("--T", 2147483647ull));
+      config.T = static_cast<long long>(numeric("--T", 2147483646ull));
     } else if (arg == "--seed") {
       config.seed = std::max(1ull, numeric("--seed", ~0ull));
     } else if (arg == "--shards") {

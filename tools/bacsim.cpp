@@ -201,7 +201,7 @@ int run(int argc, char** argv) {
     } else if (arg == "--T") {
       // Time is 32-bit in the policy layer; the simulator refuses longer
       // traces, so fail at the flag instead.
-      config.T = static_cast<long long>(numeric("--T", 2147483647ull));
+      config.T = static_cast<long long>(numeric("--T", 2147483646ull));
     } else if (arg == "--seed") {
       config.seed = std::max(1ull, numeric("--seed", ~0ull));
     } else if (arg == "--trials") {
