@@ -74,10 +74,6 @@ class IntrusiveOrderList {
   [[nodiscard]] std::int32_t prev(std::int32_t id) const noexcept {
     return prev_[static_cast<std::size_t>(id)];
   }
-  /// Ids the list was reset() for (capacity of the id space, not size()).
-  [[nodiscard]] int id_limit() const noexcept {
-    return static_cast<int>(prev_.size());
-  }
 
   /// Append id as most-recent. Precondition: !contains(id).
   void push_back(std::int32_t id) {
@@ -198,9 +194,6 @@ class LazyMinHeap {
   /// Entries currently stored, including stale ones (introspection/tests).
   [[nodiscard]] std::size_t entry_count() const noexcept {
     return entries_.size();
-  }
-  [[nodiscard]] std::size_t entry_capacity() const noexcept {
-    return entries_.capacity();
   }
 
   /// Drop every stale entry and restore the heap property. O(entries).

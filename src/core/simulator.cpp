@@ -34,10 +34,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
 
   RunResult result;
   const long long hint = source.horizon_hint();
-  if (options.record_steps && hint > 0) {
-    result.step_eviction_cost.reserve(static_cast<std::size_t>(hint));
-    result.step_fetch_cost.reserve(static_cast<std::size_t>(hint));
-  }
   if (options.record_schedule && hint > 0)
     result.schedule.steps.reserve(static_cast<std::size_t>(hint));
 
@@ -61,8 +57,8 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
   // The stream is consumed in batches; both lanes serve each request
   // through the same kernel step. The costs-only lane (every Monte-Carlo
   // trial and throughput bench) pays for none of the recording branches.
-  const bool fast_lane = !options.record_steps && !options.record_schedule &&
-                         !options.record_sketch && mrc == nullptr;
+  const bool fast_lane =
+      !options.record_schedule && !options.record_sketch && mrc == nullptr;
   Cost prev_evict = 0, prev_fetch = 0;
   PageId batch[kSimBatch];
   for (;;) {
@@ -85,11 +81,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
         if (mrc) mrc->add(p);
         kernel.serve(p);
 
-        if (options.record_steps) {
-          result.step_eviction_cost.push_back(meter.eviction_cost() -
-                                              prev_evict);
-          result.step_fetch_cost.push_back(meter.fetch_cost() - prev_fetch);
-        }
         if (options.record_sketch) {
           const Cost step_cost = (meter.eviction_cost() - prev_evict) +
                                  (meter.fetch_cost() - prev_fetch);

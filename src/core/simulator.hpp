@@ -32,7 +32,6 @@ namespace bac {
 
 struct SimOptions {
   std::uint64_t seed = 1;        ///< forwarded to OnlinePolicy::seed
-  bool record_steps = false;     ///< keep per-step cost series
   bool record_schedule = false;  ///< capture the policy's actions
   bool record_sketch = true;     ///< per-step cost histogram (O(1) memory)
   /// Cache sizes to evaluate the single-pass LRU miss-ratio curve at;
@@ -73,8 +72,6 @@ struct RunResult : CostCounters {
   double step_cost_max = 0;
   /// (k, LRU miss ratio) per requested mrc_ks entry.
   std::vector<std::pair<int, double>> miss_curve;
-  std::vector<Cost> step_eviction_cost;  // filled when record_steps
-  std::vector<Cost> step_fetch_cost;
   Schedule schedule;  ///< the policy's actions, when record_schedule
 };
 

@@ -270,12 +270,6 @@ std::vector<std::string> read_source_lines(const std::string& path) {
   return lines;
 }
 
-std::vector<Finding> lint_file(const std::string& path,
-                               const std::vector<Rule>& rules,
-                               const std::vector<AllowEntry>& allowlist) {
-  return lint_lines(path, read_source_lines(path), rules, allowlist);
-}
-
 std::vector<std::string> list_source_files(const std::string& root) {
   namespace fs = std::filesystem;
   const fs::path base(root);

@@ -115,11 +115,6 @@ std::vector<Finding> lint_lines(const std::string& path,
                                 const std::vector<Rule>& rules,
                                 const std::vector<AllowEntry>& allowlist);
 
-/// Read and lint one file. Throws std::runtime_error when unreadable.
-std::vector<Finding> lint_file(const std::string& path,
-                               const std::vector<Rule>& rules,
-                               const std::vector<AllowEntry>& allowlist);
-
 /// Recursively collect .hpp/.cpp/.h/.cc files under `root`, sorted so
 /// scans are deterministic. The lint fixture corpus (any directory named
 /// `lint_fixtures`) is skipped: fixtures exist to violate rules. A

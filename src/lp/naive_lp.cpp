@@ -1,7 +1,6 @@
 #include "lp/naive_lp.hpp"
 
 #include <stdexcept>
-#include <string>
 
 namespace bac {
 
@@ -55,16 +54,14 @@ LpProblem build_naive_lp(const Instance& inst, CostModel model) {
     const PageId requested = inst.request_at(t);
     for (PageId p = 0; p < n; ++p) {
       if (p == requested) continue;  // fixed to 0
-      vars.x_idx[vars.xpos(t, p)] =
-          lp.add_var(0.0, "x_t" + std::to_string(t) + "_p" + std::to_string(p));
+      vars.x_idx[vars.xpos(t, p)] = lp.add_var(0.0);
     }
   }
   // Create phi variables with cost coefficients.
   for (Time t = 1; t <= T; ++t)
     for (BlockId b = 0; b < n_blocks; ++b)
       vars.phi_idx[vars.phipos(t, b, n_blocks)] =
-          lp.add_var(inst.blocks.cost(b),
-                     "phi_t" + std::to_string(t) + "_b" + std::to_string(b));
+          lp.add_var(inst.blocks.cost(b));
 
   const double sigma = (model == CostModel::Eviction) ? 1.0 : -1.0;
 

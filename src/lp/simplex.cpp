@@ -7,15 +7,8 @@
 
 namespace bac {
 
-int LpProblem::add_var(double obj, std::string name) {
+int LpProblem::add_var(double obj) {
   obj_.push_back(obj);
-  if (name.empty()) {
-    // Spelled as insert() rather than "x" + to_string(): GCC 12's -O3
-    // inliner flags the operator+ form with a bogus -Wrestrict (PR105329).
-    name = std::to_string(obj_.size() - 1);
-    name.insert(name.begin(), 'x');
-  }
-  names_.push_back(std::move(name));
   return static_cast<int>(obj_.size()) - 1;
 }
 

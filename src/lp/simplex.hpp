@@ -12,7 +12,7 @@
 // fine for the few-thousand-row models used here.
 #pragma once
 
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace bac {
@@ -24,7 +24,7 @@ enum class LpStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 class LpProblem {
  public:
   /// Add a variable with objective coefficient `obj`; returns its index.
-  int add_var(double obj, std::string name = "");
+  int add_var(double obj);
 
   /// Add constraint sum_j coeff_j * x_{idx_j} (rel) rhs.
   void add_constraint(std::vector<std::pair<int, double>> terms, Relation rel,
@@ -52,13 +52,9 @@ class LpProblem {
     return obj_;
   }
   [[nodiscard]] const std::vector<Row>& rows() const noexcept { return rows_; }
-  [[nodiscard]] const std::string& var_name(int i) const {
-    return names_[static_cast<std::size_t>(i)];
-  }
 
  private:
   std::vector<double> obj_;
-  std::vector<std::string> names_;
   std::vector<Row> rows_;
 };
 

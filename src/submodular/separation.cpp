@@ -50,59 +50,27 @@ double constraint_lhs(const FlushSet& sprime, const FlushVars& phi) {
   return lhs;
 }
 
-void ThresholdSeparation::sync_dead(Block& blk,
-                                    std::span<const FlushVars::Entry> dead) {
-  auto& cached = blk.dead;
-  std::size_t keep = cached.size();
-  // Compared bit for bit, so the cache only keeps what phi holds now.
-  const auto same = [](double x, const FlushVars::Entry& e) {
-    return std::bit_cast<std::uint64_t>(x) ==
-           std::bit_cast<std::uint64_t>(e.phi);
-  };
-  if (keep > dead.size() ||
-      !std::equal(cached.begin(), cached.end(), dead.begin(), same)) {
-    // Anything but growth at the back: drop the block's share, re-add.
-    for (const double v : cached)
-      if (v > 0)
-        dead_phi_.erase(
-            std::lower_bound(dead_phi_.begin(), dead_phi_.end(), v));
-    cached.clear();
-    keep = 0;
-  }
-  for (const FlushVars::Entry& e : dead.subspan(keep)) {
-    if (e.phi > 0)
-      dead_phi_.insert(
-          std::upper_bound(dead_phi_.begin(), dead_phi_.end(), e.phi), e.phi);
-    cached.push_back(e.phi);
-  }
-}
-
 bool ThresholdSeparation::rebuild(Block& blk, BlockId b, const FlushVars& phi,
                                   const FlushCoverage& cov, Time m) {
-  // Split the block's live entries into its dead prefix (synced into the
-  // multiset) and its active rest, whose count_below comes from one walk.
+  // The block's non-dead entries, whose count_below comes from one walk.
   const auto& list = phi.entries(b);
   const std::span<const Time> last = cov.sorted_last(b);
   const auto base = static_cast<std::size_t>(
       std::lower_bound(last.begin(), last.end(), m) - last.begin());
-  const auto live = first_live(list, m);
-  // Dead: no page's last request in [m, t), i.e. t <= last[base].
-  const auto first_active =
+  // Dead: t <= m, or no page's last request in [m, t), i.e. t <= last[base]
+  // (which is >= m).
+  const auto first =
       base == last.size()
           ? list.end()
-          : std::upper_bound(live, list.end(), last[base],
+          : std::upper_bound(list.begin(), list.end(), last[base],
                              [](Time t, const FlushVars::Entry& e) {
                                return t < e.t;
                              });
   blk.base = static_cast<int>(base);
-  blk.dead_lo = static_cast<int>(live - list.begin());
-  blk.dead_hi = static_cast<int>(first_active - list.begin());
-  sync_dead(blk, std::span(list).subspan(
-                     static_cast<std::size_t>(blk.dead_lo),
-                     static_cast<std::size_t>(first_active - live)));
+  blk.first = static_cast<int>(first - list.begin());
   blk.active.clear();
   std::size_t below = base;
-  for (auto it = first_active; it != list.end(); ++it) {
+  for (auto it = first; it != list.end(); ++it) {
     while (below < last.size() && last[below] < it->t) ++below;
     if (it->phi <= 0) continue;  // as constraint_lhs skips it
     blk.active.push_back({it->phi, it->t, static_cast<int>(below)});
@@ -136,16 +104,12 @@ void ThresholdSeparation::build_net() {
     for (const Active& e : blk.active)
       if (e.phi > 0) active_phi_.push_back(e.phi);  // not NaN
 
-  // Every distinct live phi, descending, or -- past 40 of them -- the
+  // Every distinct non-dead phi, descending, or -- past 40 of them -- the
   // largest, then repeatedly the largest <= last / 1.3, then the
   // smallest.
   if (!collect_distinct()) return;
   bucket_active();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const double smallest =
-      std::min(dead_phi_.empty() ? kInf : dead_phi_.front(), active_min_);
-  double last = std::max(dead_phi_.empty() ? 0.0 : dead_phi_.back(),
-                         octave_below_.back());
+  double last = octave_below_.back();
   thresholds_.clear();
   for (;;) {
     thresholds_.push_back(last);
@@ -155,17 +119,11 @@ void ThresholdSeparation::build_net() {
     last = predecessor(x < last ? x : std::nextafter(last, 0.0));
     if (last <= 0) break;
   }
-  if (thresholds_.back() != smallest) thresholds_.push_back(smallest);
+  if (thresholds_.back() != active_min_) thresholds_.push_back(active_min_);
 }
 
 void ThresholdSeparation::bucket_active() {
   octave_phi_.resize(active_phi_.size());
-  if (active_phi_.empty()) {
-    active_min_ = std::numeric_limits<double>::infinity();
-    octave_begin_.assign(1, 0);
-    octave_below_.assign(1, 0.0);
-    return;
-  }
   std::uint64_t lo = bits(active_phi_.front());
   std::uint64_t hi = lo;
   for (const double v : active_phi_) {
@@ -198,46 +156,31 @@ void ThresholdSeparation::bucket_active() {
 }
 
 bool ThresholdSeparation::collect_distinct() {
+  // Inserts each value into the descending thresholds_ unless it is there
+  // already, stopping once that makes 41 values.
   thresholds_.clear();
-  // Inserts v into the descending thresholds_ unless it is there already;
-  // true once that makes 41 values.
-  const auto add = [this](double v) {
+  for (const double v : active_phi_) {
     const auto it = std::lower_bound(thresholds_.begin(), thresholds_.end(),
                                      v, std::greater<>());
     if (it == thresholds_.end() || *it != v) thresholds_.insert(it, v);
-    return thresholds_.size() > 40;
-  };
-  for (const double v : active_phi_)
-    if (add(v)) return true;
-  // dead_phi_'s distinct values from the top, one binary search each.
-  for (auto it = dead_phi_.end(); it != dead_phi_.begin();) {
-    const double v = *--it;
-    if (add(v)) return true;
-    it = std::lower_bound(dead_phi_.begin(), it, v);
+    if (thresholds_.size() > 40) return true;
   }
   return false;
 }
 
 double ThresholdSeparation::predecessor(double x) const {
-  // dead_phi_ ascends; every candidate is > 0.
-  const auto d = std::upper_bound(dead_phi_.begin(), dead_phi_.end(), x);
-  const double from_dead = d == dead_phi_.begin() ? 0.0 : *(d - 1);
   // Lower octaves hold only values < x, higher ones only values > x.
   const int i = octave(x) - lo_octave_;
   const int n = static_cast<int>(octave_below_.size()) - 1;
-  double from_active = 0;
-  if (i >= n) {
-    from_active = octave_below_.back();
-  } else if (i >= 0) {
-    const auto o = static_cast<std::size_t>(i);
-    std::uint64_t best = 0;
-    for (int j = octave_begin_[o]; j < octave_begin_[o + 1]; ++j) {
-      const std::uint64_t v = bits(octave_phi_[static_cast<std::size_t>(j)]);
-      best = std::max(best, v <= bits(x) ? v : 0);
-    }
-    from_active = best > 0 ? std::bit_cast<double>(best) : octave_below_[o];
+  if (i >= n) return octave_below_.back();
+  if (i < 0) return 0;
+  const auto o = static_cast<std::size_t>(i);
+  std::uint64_t best = 0;
+  for (int j = octave_begin_[o]; j < octave_begin_[o + 1]; ++j) {
+    const std::uint64_t v = bits(octave_phi_[static_cast<std::size_t>(j)]);
+    best = std::max(best, v <= bits(x) ? v : 0);
   }
-  return std::max(from_dead, from_active);
+  return best > 0 ? std::bit_cast<double>(best) : octave_below_[o];
 }
 
 void ThresholdSeparation::sort_steps() {
@@ -279,7 +222,6 @@ std::optional<Violation> ThresholdSeparation::find_violated(
   const auto n_blocks = static_cast<std::size_t>(cov.blocks().n_blocks());
   if (blocks_.size() != n_blocks) {  // storage only; the keys are stamps
     blocks_.assign(n_blocks, {});
-    dead_phi_.clear();
     steps_.clear();  // every block's maxima are empty now
   }
 
@@ -293,13 +235,13 @@ std::optional<Violation> ThresholdSeparation::find_violated(
     if (blk.phi_stamp != phi_stamp || blk.cov_stamp != cov.stamp(block) ||
         blk.m != m)
       steps_stale |= rebuild(blk, block, phi, cov, m);
-    net_stale |= blk.net_phi_stamp != phi_stamp || blk.net_m != m;
+    net_stale |= blk.net_phi_stamp != phi_stamp || blk.net_first != blk.first;
   }
   if (net_stale) {
     build_net();
     for (Block& blk : blocks_) {
       blk.net_phi_stamp = blk.phi_stamp;
-      blk.net_m = blk.m;
+      blk.net_first = blk.first;
     }
   }
   // Before S is checked: that check may answer, and the next call
@@ -330,33 +272,17 @@ std::optional<Violation> ThresholdSeparation::find_violated(
     if (g >= cap) return std::nullopt;
     const double rhs = static_cast<double>(cap - g);
     const double l = chosen_lhs(cap, g);
-    if (l < rhs - tolerance_) return Violation{sprime(S, phi, theta), l, rhs};
+    if (l < rhs - tolerance_) return Violation{sprime(S), l, rhs};
   }
   return std::nullopt;
 }
 
-FlushSet ThresholdSeparation::sprime(const FlushSet& S, const FlushVars& phi,
-                                     double theta) const {
-  // As the scan builds S'(theta): per block the latest live entry with
-  // phi >= theta, which is a dead one when no active one is.
+FlushSet ThresholdSeparation::sprime(const FlushSet& S) const {
   FlushSet out = S;
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const Block& blk = blocks_[b];
-    const auto block = static_cast<BlockId>(b);
-    Time best_t = kNeverRequested;
-    if (chosen_[b] >= 0) {
-      best_t = blk.active[static_cast<std::size_t>(chosen_[b])].t;
-    } else {
-      const auto& list = phi.entries(block);
-      for (int i = blk.dead_hi - 1; i >= blk.dead_lo; --i) {
-        if (list[static_cast<std::size_t>(i)].phi >= theta) {
-          best_t = list[static_cast<std::size_t>(i)].t;
-          break;
-        }
-      }
-    }
-    if (best_t != kNeverRequested) out.add_flush(block, best_t);
-  }
+  for (std::size_t b = 0; b < blocks_.size(); ++b)
+    if (const int c = chosen_[b]; c >= 0)
+      out.add_flush(static_cast<BlockId>(b),
+                    blocks_[b].active[static_cast<std::size_t>(c)].t);
   return out;
 }
 

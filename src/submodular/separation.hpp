@@ -6,31 +6,31 @@
 // paper's fractional algorithm only ever needs constraints for S' >= S
 // where S is the set of integrally-chosen flushes (Claim 3.10). Following
 // the round-or-separate viewpoint of [GL20b], ThresholdSeparation searches
-// the family { S } and { S + all entries with phi >= theta } over a
-// geometric net of the live entries' phi values; DpSeparation is exact
+// the family { S } and { S + all non-dead entries with phi >= theta } over
+// a geometric net of the non-dead entries' phi values; DpSeparation is exact
 // and polynomial. (verify::ExhaustiveSeparation, which enumerates every
 // relevant per-block max-flush combination, checks both on small
 // instances.)
 //
-// ThresholdSeparation's answer is a fixed function of (S, phi): the net
-// is every distinct live phi (phi > 0, time > S's max flush in the block),
-// thinned to ratio-1.3 steps once there are more than 40, and the first
-// theta whose S'(theta) -- S plus, per block, the latest live entry with
+// ThresholdSeparation's answer is a fixed function of (S, phi). An entry
+// (B, t) of phi is dead when its g-marginal w.r.t. S is 0: t <= m_B, or
+// no page of B has its last request r(p) in [m_B, t), m_B = S's max
+// flush in B. The net is every distinct non-dead phi > 0, thinned to
+// ratio-1.3 steps once there are more than 40, and the first theta
+// whose S'(theta) -- S plus, per block, the latest non-dead entry with
 // phi >= theta -- is violated wins. Three exact facts make it cheap:
 //
-//   * Dead entries. A live entry (B, t) has g-marginal #{p in B : r(p) in
-//     [m_B, t)}, m_B = S's max flush in B. That count grows with t, so the
-//     entries where it is 0 form a time-prefix of B's live entries. They
-//     add nothing to constraint_lhs(S') for any S' >= S, so Algorithm 2
-//     never grows them again and their phi is frozen; and as requests
-//     only move r(p) past t and S only raises m_B, they stay dead.
-//   * Equivalent S'. Picking a dead entry as B's latest phi >= theta is
-//     the same as adding no flush for B: g(S') and every LHS term match.
-//     So S'(theta) changes only when theta passes a right-to-left maximum
-//     of phi among B's non-dead entries; a theta that passes none gives
-//     the S' just checked and is skipped. The Violation's max_flush
-//     values (which may name dead entries) are rebuilt only for the S'
-//     returned.
+//   * Dead entries are a time-prefix. A live entry's g-marginal #{p in
+//     B : r(p) in [m_B, t)} grows with t, so B's dead entries are the
+//     ones before its first non-dead entry. They add nothing to
+//     constraint_lhs(S') for any S' >= S, so Algorithm 2 never grows
+//     them again; as requests only move r(p) past t and S only raises
+//     m_B, they stay dead. Picking one for S' would change neither g(S')
+//     nor any LHS term, so S' picks non-dead entries only and the net
+//     thins over their values alone.
+//   * Equivalent S'. S'(theta) changes only when theta passes a
+//     right-to-left maximum of phi among B's non-dead entries; a theta
+//     that passes none gives the S' just checked and is skipped.
 //   * Marginals by walking. Each non-dead entry's count_below comes from
 //     one merged walk over B's entries and sorted last requests; the LHS
 //     adds the same terms in the same order as constraint_lhs.
@@ -39,30 +39,30 @@
 // flush_coverage.hpp) and m_B, never by addresses or by comparing
 // contents:
 //
-//   * Per block, its split (count_below(m_B), the dead range, the active
-//     entries with their count_below, the right-to-left maxima) depends
-//     only on B's entries, B's sorted last requests and m_B. It is
-//     rebuilt only when its key (phi's stamp for B, the coverage's stamp
-//     for B, m_B) differs from the one it was built from; a block whose
-//     key matches costs three compares. So Algorithm 2's call right after
-//     a request rebuilds only the requested block.
-//   * The net depends only on the multiset of live phi, so only on each
-//     block's (phi stamp, m_B): it is rebuilt only when one of those
-//     differs from the net's own record of what it was built from. A
-//     request changes neither.
+//   * Per block, its split (count_below(m_B), the index of its first
+//     non-dead entry, the non-dead entries with their count_below, the
+//     right-to-left maxima) depends only on B's entries, B's sorted last
+//     requests and m_B. It is rebuilt only when its key (phi's stamp for
+//     B, the coverage's stamp for B, m_B) differs from the one it was
+//     built from; a block whose key matches costs three compares. So
+//     Algorithm 2's call right after a request rebuilds only the
+//     requested block.
+//   * The net depends only on the multiset of non-dead phi, so only on
+//     each block's (phi stamp, index of its first non-dead entry): it is
+//     rebuilt only when one of those differs from the net's own record
+//     of what it was built from. A request changes neither unless it
+//     kills an entry (the page's old r(p) leaves [m_B, t)).
 //   * The steps (every block's maxima, sorted by phi) are re-sorted only
 //     when some rebuilt block's maxima changed, and before S itself is
 //     checked, so an early answer never leaves them stale.
 //
-// Building the net sorts nothing. The dead entries' values stay in a
-// sorted multiset; a rebuilt block brings its share in line with its
-// dead range (growth at the back is appended, any other difference
-// rebuilds the share). The non-dead values are grouped by octave (binary
-// exponent) with one counting pass, keeping each octave's max. Whether
-// there are more than 40 distinct values is a count that stops at 41,
-// and each point of a thinned net is a predecessor query: a binary
-// search of the multiset, and a scan of x's own octave or else the max
-// of the next lower non-empty one.
+// No dead value is kept anywhere, so the oracle's state is O(non-dead
+// entries + blocks) however long the trace. Building the net sorts
+// nothing: the non-dead values are grouped by octave (binary exponent)
+// with one counting pass, keeping each octave's max. Whether there are
+// more than 40 distinct values is a count that stops at 41, and each
+// point of a thinned net is a predecessor query: a scan of x's own
+// octave, or else the max of the next lower non-empty one.
 //
 // So a reused oracle (other phi, other coverages, other FlushVars)
 // returns exactly what the stateless scan returns. The stateless scan is
@@ -72,7 +72,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "submodular/flush_coverage.hpp"
@@ -112,7 +111,7 @@ class ThresholdSeparation final : public SeparationOracle {
                                          const FlushVars& phi) override;
 
  private:
-  /// A live entry with positive phi and positive g-marginal w.r.t. S.
+  /// A non-dead entry (positive g-marginal w.r.t. S) with positive phi.
   struct Active {
     double phi;
     Time t;
@@ -136,15 +135,11 @@ class ThresholdSeparation final : public SeparationOracle {
     std::uint64_t phi_stamp = 0;
     std::uint64_t cov_stamp = 0;
     Time m = 0;
-    // The net's record: the phi stamp and m_b it was last built from.
+    // The net's record: the phi stamp and first it was last built from.
     std::uint64_t net_phi_stamp = 0;
-    Time net_m = 0;
-    int base = 0;  ///< count_below(b, m_b)
-    // The dead entries are entries(b)[dead_lo, dead_hi); `dead` holds
-    // their phi in time order, and the ones > 0 are in dead_phi_.
-    int dead_lo = 0;
-    int dead_hi = 0;
-    std::vector<double> dead;
+    int net_first = 0;
+    int base = 0;   ///< count_below(b, m_b)
+    int first = 0;  ///< index into entries(b) of the first non-dead entry
     std::vector<Active> active;
     std::vector<Maximum> maxima;  ///< right to left
   };
@@ -152,12 +147,10 @@ class ThresholdSeparation final : public SeparationOracle {
   /// Re-derive block b against m; returns whether its maxima changed.
   bool rebuild(Block& blk, BlockId b, const FlushVars& phi,
                const FlushCoverage& cov, Time m);
-  /// Bring blk's share of dead_phi_ in line with `dead`, its current
-  /// dead entries.
-  void sync_dead(Block& blk, std::span<const FlushVars::Entry> dead);
-  /// The net over every block's live phi, into thresholds_.
+  /// The net over every block's non-dead phi, into thresholds_.
   void build_net();
-  /// Group active_phi_ by octave into octave_phi_ (for predecessor).
+  /// Group active_phi_ (not empty) by octave into octave_phi_ (for
+  /// predecessor).
   void bucket_active();
   /// The distinct net candidates, descending, into thresholds_, stopping
   /// at 41 of them; returns whether there are more than 40.
@@ -168,15 +161,11 @@ class ThresholdSeparation final : public SeparationOracle {
   void sort_steps();
   /// constraint_lhs of S plus each block's chosen_ entry, g(S') = g.
   [[nodiscard]] double chosen_lhs(int cap, int g) const;
-  /// S'(theta) with the max flushes the stateless scan gives it.
-  [[nodiscard]] FlushSet sprime(const FlushSet& S, const FlushVars& phi,
-                                double theta) const;
+  /// S plus each block's chosen_ entry: the S'(theta) just scored.
+  [[nodiscard]] FlushSet sprime(const FlushSet& S) const;
 
   double tolerance_;
   std::vector<Block> blocks_;
-  /// Every block's dead phi that are > 0, ascending. (The net needs only
-  /// the values; S' is rebuilt from phi itself.)
-  std::vector<double> dead_phi_;
   std::vector<double> thresholds_;  ///< the net, descending
   std::vector<Step> steps_;         ///< descending phi
   // Per-call buffers, kept for their capacity.

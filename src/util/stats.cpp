@@ -27,11 +27,6 @@ double StreamingStats::variance() const noexcept {
 
 double StreamingStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double StreamingStats::ci95_halfwidth() const noexcept {
-  if (count_ < 2) return 0.0;
-  return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 void StreamingStats::merge(const StreamingStats& other) noexcept {
   // Both empty-side guards matter for min/max: an empty accumulator's
   // min_/max_ fields are unset (the accessors report NaN), so they must

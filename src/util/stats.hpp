@@ -28,8 +28,6 @@ class StreamingStats {
   [[nodiscard]] double max() const noexcept {
     return count_ ? max_ : std::numeric_limits<double>::quiet_NaN();
   }
-  /// Half-width of an approximate 95% confidence interval for the mean.
-  [[nodiscard]] double ci95_halfwidth() const noexcept;
 
   void merge(const StreamingStats& other) noexcept;
 

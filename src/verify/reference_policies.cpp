@@ -774,15 +774,17 @@ std::optional<bac::Violation> check(const FlushSet& sprime,
 
 std::optional<bac::Violation> ReferenceThresholdSeparation::find_violated(
     const FlushSet& S, const FlushVars& phi) {
-  // Candidate thresholds: phi values of live entries, bucketed to at most
-  // ~2 per power of two (a geometric net) so a call costs
-  // O(buckets * live entries) rather than O(live entries^2).
+  // Candidate thresholds: phi values of non-dead live entries (positive
+  // g-marginal w.r.t. S), bucketed to at most ~2 per power of two (a
+  // geometric net) so a call costs O(buckets * live entries) rather than
+  // O(live entries^2).
   const FlushCoverage& cov = S.coverage();
   std::vector<double> thresholds;
   for (BlockId b = 0; b < cov.blocks().n_blocks(); ++b) {
     const auto& list = phi.entries(b);
     for (auto it = first_live(list, S.max_flush(b)); it != list.end(); ++it)
-      if (it->phi > 0) thresholds.push_back(it->phi);
+      if (it->phi > 0 && S.g_marginal(b, it->t) > 0)
+        thresholds.push_back(it->phi);
   }
   std::sort(thresholds.begin(), thresholds.end(), std::greater<>());
   thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
@@ -815,7 +817,8 @@ std::optional<bac::Violation> ReferenceThresholdSeparation::find_violated(
       Time best_t = kNeverRequested;
       const auto& list = phi.entries(b);
       for (auto it = first_live(list, m); it != list.end(); ++it)
-        if (it->phi >= theta) best_t = std::max(best_t, it->t);
+        if (it->phi >= theta && S.g_marginal(b, it->t) > 0)
+          best_t = std::max(best_t, it->t);
       if (best_t != kNeverRequested) sprime.add_flush(b, best_t);
     }
     if (auto v = check(sprime, phi, tolerance_)) return v;
@@ -979,13 +982,19 @@ void ReferenceThresholdBicriteria::on_request(Time /*t*/, PageId p,
   } else {
     // Eviction variant: crossing above 1/2 flushes the block's crossed
     // pages in one batch; fetching is free, so fetch only the request.
-    for (PageId q = 0; q < blocks.n_pages(); ++q) {
+    // The crossed blocks are marked first and their pages evicted in
+    // ascending page order, the Fetching variant's order, so that the
+    // meter adds their classic costs in the same order also when blocks
+    // are not contiguous.
+    std::vector<char> crossed(static_cast<std::size_t>(blocks.n_blocks()), 0);
+    for (PageId q = 0; q < blocks.n_pages(); ++q)
       if (x[static_cast<std::size_t>(q)] > 0.5 &&
-          prev_x_[static_cast<std::size_t>(q)] <= 0.5 && cache.contains(q)) {
-        for (PageId r : blocks.pages_in(blocks.block_of(q)))
-          if (x[static_cast<std::size_t>(r)] > 0.5) cache.evict(r);
-      }
-    }
+          prev_x_[static_cast<std::size_t>(q)] <= 0.5 && cache.contains(q))
+        crossed[static_cast<std::size_t>(blocks.block_of(q))] = 1;
+    for (PageId q = 0; q < blocks.n_pages(); ++q)
+      if (x[static_cast<std::size_t>(q)] > 0.5 &&
+          crossed[static_cast<std::size_t>(blocks.block_of(q))])
+        cache.evict(q);
     if (!cache.contains(p)) cache.fetch(p);
   }
 

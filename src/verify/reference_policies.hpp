@@ -60,9 +60,11 @@ std::vector<std::string> diff_policy_runs(const Instance& inst,
                                           std::uint64_t seed,
                                           const std::string& label);
 
-/// ThresholdSeparation as it was before its cached rewrite, verbatim: on
-/// every call it sorts the phi of every live entry, nets them to at most
-/// ~48 thresholds and rebuilds and scores S' anew for each threshold.
+/// ThresholdSeparation as it was before its cached rewrite, verbatim but
+/// for one re-specification: its net and its S' picks take only non-dead
+/// entries (g-marginal > 0 w.r.t. S). On every call it sorts the phi of
+/// every non-dead live entry, nets them to at most ~48 thresholds and
+/// rebuilds and scores S' anew for each threshold.
 /// The production oracle must return the same Violation bit for bit
 /// (lhs, rhs, g and every max_flush); tests and policy_equivalence diff
 /// them.
@@ -133,7 +135,10 @@ class ReferenceFractionalWeightedPaging {
 /// h = max(1, floor(k/2)) on every instance, never raised to beta. The
 /// rest stays verbatim, Fetching's batch fetch, Eviction's block rescan
 /// and the capacity guard included, so the production policy's one code
-/// path must match both modes bit for bit.
+/// path must match both modes bit for bit. Eviction evicts its crossed
+/// blocks' pages in ascending page order, as Fetching and the policy do,
+/// so that the meter sums classic eviction costs in one order also on
+/// non-contiguous blocks.
 /// Not cloneable: its substrate points into its own half-size Instance
 /// copy.
 class ReferenceThresholdBicriteria final : public OnlinePolicy {

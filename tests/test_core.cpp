@@ -198,29 +198,6 @@ TEST(SimulatorTest, SchedulePolicyMatchesEvaluate) {
   EXPECT_EQ(r.counters(), ref.counters());
 }
 
-TEST(SimulatorTest, StepRecordingSumsToTotal) {
-  const Instance inst = tiny_instance();
-  Schedule s;
-  s.steps.resize(5);
-  s.steps[0].fetches = {0};
-  s.steps[1].fetches = {1};
-  s.steps[2].evictions = {0};
-  s.steps[2].fetches = {2};
-  s.steps[3].evictions = {1};
-  s.steps[3].fetches = {3};
-  s.steps[4].evictions = {2};
-  s.steps[4].fetches = {0};
-  SchedulePolicy policy(s);
-  SimOptions opt;
-  opt.record_steps = true;
-  const RunResult r = simulate(inst, policy, opt);
-  Cost evict = 0, fetch = 0;
-  for (Cost c : r.step_eviction_cost) evict += c;
-  for (Cost c : r.step_fetch_cost) fetch += c;
-  EXPECT_DOUBLE_EQ(evict, r.eviction_cost);
-  EXPECT_DOUBLE_EQ(fetch, r.fetch_cost);
-}
-
 TEST(ScheduleTest, ReplayReportsFullAccountingAndFinalState) {
   const Instance inst = tiny_instance();  // requests 0 1 2 3 0, k=2
   Schedule s;

@@ -12,6 +12,7 @@
 #include "algs/policies/classical.hpp"
 #include "core/mrc.hpp"
 #include "core/request_source.hpp"
+#include "core/schedule.hpp"
 #include "core/simulator.hpp"
 #include "trace/generators.hpp"
 #include "util/stats.hpp"
@@ -245,13 +246,29 @@ TEST(StreamingSimulate, SketchTracksStepCosts) {
   const Instance inst = make_instance(32, 4, 8, scan_trace(32, 1500));
   LruPolicy lru;
   SimOptions options;
-  options.record_steps = true;
+  options.record_schedule = true;
   const RunResult r = simulate(inst, lru, options);
+  // Nothing netted out of the capture, so it holds every action.
+  ASSERT_EQ(r.capture_cancellations, 0);
 
+  // A step's exact cost: each distinct block it evicts from, plus each
+  // distinct block it fetches into.
+  const auto blocks_cost = [&](const std::vector<PageId>& pages) {
+    std::vector<BlockId> seen;
+    double cost = 0;
+    for (const PageId p : pages) {
+      const BlockId b = inst.blocks.block_of(p);
+      if (std::find(seen.begin(), seen.end(), b) != seen.end()) continue;
+      seen.push_back(b);
+      cost += inst.blocks.cost(b);
+    }
+    return cost;
+  };
   std::vector<double> step_totals;
   double exact_max = 0;
-  for (std::size_t i = 0; i < r.step_eviction_cost.size(); ++i) {
-    const double total = r.step_eviction_cost[i] + r.step_fetch_cost[i];
+  for (const Schedule::Step& step : r.schedule.steps) {
+    const double total =
+        blocks_cost(step.evictions) + blocks_cost(step.fetches);
     step_totals.push_back(total);
     exact_max = std::max(exact_max, total);
   }

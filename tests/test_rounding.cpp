@@ -156,12 +156,12 @@ TEST(Rounding, SeededRunsArePinned) {
   const Instance weighted = make_weighted_instance(
       48, 3, 6, zipf_trace(48, 800, 0.9, rng.substream(1)), std::move(costs));
   const Pin pins[] = {
-      {"blocklocal", blocklocal, 0, 2, "289", "193.53312090799142",
-       "655.83255655638322", "48.423079761226894", 0},
-      {"weighted zipf", weighted, 0, 3, "2792.9035749937602",
-       "1952.1468924815972", "5100.0775047250172", "646.11307223589358", 0},
-      {"blocklocal, gamma 1", blocklocal, 1.0, 3, "191",
-       "193.53312090799142", "655.83255655638322", "48.423079761226894", 7},
+      {"blocklocal", blocklocal, 0, 2, "291", "206.12947423079376",
+       "676.74391386223601", "51.612053654708518", 0},
+      {"weighted zipf", weighted, 0, 3, "2789.6675618446848",
+       "2009.1099112490772", "5199.5769438862553", "661.9771331307976", 0},
+      {"blocklocal, gamma 1", blocklocal, 1.0, 3, "199",
+       "206.12947423079376", "676.74391386223601", "51.612053654708518", 3},
   };
   for (const Pin& pin : pins) {
     RandomizedBlockAware::Options options;

@@ -202,15 +202,15 @@ TEST(Separation, ThresholdMatchesReferenceOnRandomStates) {
   EXPECT_GT(netted, 20) << "states should exercise the netted thresholds";
 }
 
-/// S plus, per block, the latest live entry with phi >= theta (as the
-/// twin builds its S'(theta)).
+/// S plus, per block, the latest non-dead entry with phi >= theta (as
+/// the twin builds its S'(theta)).
 FlushSet sprime_at(const FlushSet& S, const FlushVars& phi, double theta) {
   FlushSet out = S;
   const int n_blocks = S.coverage().blocks().n_blocks();
   for (BlockId b = 0; b < n_blocks; ++b) {
     Time best = kNeverRequested;
     for (const FlushVars::Entry& e : phi.entries(b))
-      if (e.t > S.max_flush(b) && e.phi >= theta) best = e.t;
+      if (S.g_marginal(b, e.t) > 0 && e.phi >= theta) best = e.t;
     if (best != kNeverRequested) out.add_flush(b, best);
   }
   return out;
@@ -223,9 +223,11 @@ TEST(Separation, ThresholdNetEdgeCasesMatchReference) {
   // exactly the next value; subnormals, where last / 1.3 rounds back to
   // last, beside the smallest normals and values near 2^30, so the net
   // walks down through empty octaves; every value in one octave; and
-  // over 40 values with at most 40 distinct (the early exit). Each value
-  // lands on one to three entries, so equal values fall on dead and on
-  // active entries. Each state is asked, against S = empty, the initial S
+  // over 40 values with at most 40 distinct (the early exit). Only
+  // non-dead values enter the net, so each value lands on two to four
+  // entries: enough that most states still net (or exit early) on
+  // non-dead values alone, and equal values fall on dead and on active
+  // entries. Each state is asked, against S = empty, the initial S
   // and S with random extra flushes, of a fresh oracle, of one reused
   // across every state, and of fresh oracles whose tolerance sits just
   // below the slack of some S'(theta), negative slacks included: with
@@ -252,14 +254,14 @@ TEST(Separation, ThresholdNetEdgeCasesMatchReference) {
   }
   std::vector<double> one_octave;
   for (int j = 0; j < 60; ++j) one_octave.push_back(scale * (0.5 + j / 128.0));
-  std::vector<double> few;  // 36 distinct
-  for (int j = 0; j < 36; ++j) few.push_back(1000.0 * (1 + j));
+  std::vector<double> few;  // 40 distinct
+  for (int j = 0; j < 40; ++j) few.push_back(1000.0 * (1 + j));
 
   struct Family {
     const char* name;
     const std::vector<double>* values;
-    int netted = 0;    ///< states with over 40 distinct live phi
-    int early = 0;     ///< over 40 live phi, at most 40 distinct
+    int netted = 0;    ///< states with over 40 distinct non-dead phi
+    int early = 0;     ///< over 40 non-dead phi, at most 40 distinct
     int split = 0;     ///< a value on both a dead and an active entry
     int from_net = 0;  ///< answers at some S' other than S
   };
@@ -286,7 +288,7 @@ TEST(Separation, ThresholdNetEdgeCasesMatchReference) {
       FlushVars phi(blocks.n_blocks());
       std::size_t used = 0;
       for (const double v : *fam.values) {
-        for (int c = 1 + static_cast<int>(rng.below(3)); c > 0; --c) {
+        for (int c = 2 + static_cast<int>(rng.below(3)); c > 0; --c) {
           std::swap(slots[used],
                     slots[used + rng.below(slots.size() - used)]);
           phi.raise_to(slots[used].first, slots[used].second, v);
@@ -299,18 +301,16 @@ TEST(Separation, ThresholdNetEdgeCasesMatchReference) {
           flushed.add_flush(b, static_cast<Time>(rng.below(T + 1)));
       const FlushSet sets[] = {FlushSet::empty(cov), FlushSet(cov), flushed};
       for (const FlushSet& S : sets) {
-        std::vector<double> live, dead, active;
+        std::vector<double> dead, active;
         for (BlockId b = 0; b < blocks.n_blocks(); ++b)
-          for (const FlushVars::Entry& e : phi.entries(b)) {
-            if (e.t <= S.max_flush(b)) continue;
-            live.push_back(e.phi);
-            (S.g_marginal(b, e.t) == 0 ? dead : active).push_back(e.phi);
-          }
-        std::sort(live.begin(), live.end());
-        const std::size_t count = live.size();
-        live.erase(std::unique(live.begin(), live.end()), live.end());
-        if (live.size() > 40) ++fam.netted;
-        if (count > 40 && live.size() <= 40) ++fam.early;
+          for (const FlushVars::Entry& e : phi.entries(b))
+            if (e.t > S.max_flush(b))
+              (S.g_marginal(b, e.t) == 0 ? dead : active).push_back(e.phi);
+        std::vector<double> net = active;  // the net's values, distinct
+        std::sort(net.begin(), net.end());
+        net.erase(std::unique(net.begin(), net.end()), net.end());
+        if (net.size() > 40) ++fam.netted;
+        if (active.size() > 40 && net.size() <= 40) ++fam.early;
         std::sort(dead.begin(), dead.end());
         if (std::any_of(active.begin(), active.end(), [&](double v) {
               return std::binary_search(dead.begin(), dead.end(), v);
@@ -326,8 +326,8 @@ TEST(Separation, ThresholdNetEdgeCasesMatchReference) {
         expect_same(reused.find_violated(S, phi), want, where + " reused");
         if (want && want->sprime.g() != S.g()) ++fam.from_net;
         const int cap = cov.cap();
-        for (std::size_t i = 0; i < live.size(); i += 2) {
-          const FlushSet sp = sprime_at(S, phi, live[i]);
+        for (std::size_t i = 0; i < net.size(); i += 2) {
+          const FlushSet sp = sprime_at(S, phi, net[i]);
           if (sp.f() >= cap) continue;
           const double slack =
               static_cast<double>(cap - sp.f()) - constraint_lhs(sp, phi);
@@ -378,9 +378,15 @@ class ReuseProbe final : public SeparationOracle {
     if (dead.size() < 2 || dead.front() - 1 <= S.max_flush(dead_b))
       return want;
     ++edited;
+    double top = 0;  // above every phi
+    for (BlockId b = 0; b < n_blocks; ++b)
+      for (const FlushVars::Entry& e : phi.entries(b))
+        top = std::max(top, 2 * e.phi + 1);
     // Other FlushVars objects each time, then back to the run's own.
+    // Dead entries are in no net and no S', so no edit of them may move
+    // the answer.
     FlushVars raised = phi;  // a dead entry raised above every phi
-    raised.raise_to(dead_b, dead[1], 1.5);
+    raised.raise_to(dead_b, dead[1], top);
     const auto want_raised = twin_.find_violated(S, raised);
     expect_same(reused_.find_violated(S, raised), want_raised,
                 at + " dead entry raised");
@@ -390,13 +396,26 @@ class ReuseProbe final : public SeparationOracle {
     expect_same(reused_.find_violated(S, inserted), want_inserted,
                 at + " entry inserted before it");
     if (differ(want, want_raised) || differ(want_raised, want_inserted))
-      ++moved;
+      ++dead_moved;
+    // The first non-dead entry of the block, raised above every phi: a
+    // new net value and S' pick.
+    for (const FlushVars::Entry& e : phi.entries(dead_b)) {
+      if (S.g_marginal(dead_b, e.t) == 0) continue;
+      FlushVars alive = phi;
+      alive.raise_to(dead_b, e.t, top);
+      const auto want_alive = twin_.find_violated(S, alive);
+      expect_same(reused_.find_violated(S, alive), want_alive,
+                  at + " first non-dead entry raised");
+      if (differ(want, want_alive)) ++moved;
+      break;
+    }
     return want;
   }
 
   int calls = 0;
   int edited = 0;
-  int moved = 0;  ///< edits that changed the twin's answer
+  int dead_moved = 0;  ///< dead edits that changed the twin's answer
+  int moved = 0;       ///< non-dead edits that changed it
 
  private:
   static bool differ(const std::optional<Violation>& x,
@@ -416,9 +435,11 @@ class ReuseProbe final : public SeparationOracle {
 
 TEST(Separation, ReusedOracleFollowsPhiChanges) {
   // Every state Algorithm 2 asks about on a blocklocal trace, plus two
-  // edits per state inside a dead prefix, through one oracle object that
-  // keeps its cache across all of them: each answer must be the
-  // stateless twin's, bit for bit.
+  // edits per state inside a dead prefix and one raising the same
+  // block's first non-dead entry, through one oracle object that keeps
+  // its cache across all of them: each answer must be the stateless
+  // twin's, bit for bit. The dead edits must move no answer; the other
+  // must move some.
   const BlockMap blocks = BlockMap::contiguous(64, 4);
   const auto trace =
       block_local_trace(blocks, 400, 0.75, 0.9, Xoshiro256pp(17));
@@ -428,7 +449,8 @@ TEST(Separation, ReusedOracleFollowsPhiChanges) {
   for (Time t = 1; t <= static_cast<Time>(trace.size()); ++t)
     alg.step(t, trace[static_cast<std::size_t>(t - 1)]);
   EXPECT_GT(p.edited, 100) << "runs should build long dead prefixes";
-  EXPECT_GT(p.moved, 20) << "the edits should change the answer";
+  EXPECT_EQ(p.dead_moved, 0) << "dead entries should not move the answer";
+  EXPECT_GT(p.moved, 20) << "non-dead edits should change the answer";
 }
 
 TEST(Separation, ReusedOracleTellsCoveragesApart) {

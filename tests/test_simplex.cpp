@@ -12,8 +12,8 @@ TEST(Simplex, SolvesTextbookLp) {
   // min -3x - 5y  s.t.  x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0.
   // Optimum at (2, 6), objective -36.
   LpProblem lp;
-  const int x = lp.add_var(-3.0, "x");
-  const int y = lp.add_var(-5.0, "y");
+  const int x = lp.add_var(-3.0);
+  const int y = lp.add_var(-5.0);
   lp.add_constraint({{x, 1.0}}, Relation::LessEq, 4.0);
   lp.add_constraint({{y, 2.0}}, Relation::LessEq, 12.0);
   lp.add_constraint({{x, 3.0}, {y, 2.0}}, Relation::LessEq, 18.0);
@@ -29,8 +29,8 @@ TEST(Simplex, HandlesGreaterEqAndEquality) {
   // b = a - 1, a + b >= 4 -> a >= 2.5; objective 2a + 3(a-1) = 5a - 3,
   // minimized at a = 2.5: 9.5.
   LpProblem lp;
-  const int a = lp.add_var(2.0, "a");
-  const int b = lp.add_var(3.0, "b");
+  const int a = lp.add_var(2.0);
+  const int b = lp.add_var(3.0);
   lp.add_constraint({{a, 1.0}, {b, 1.0}}, Relation::GreaterEq, 4.0);
   lp.add_constraint({{a, 1.0}, {b, -1.0}}, Relation::Equal, 1.0);
   const LpSolution sol = solve_simplex(lp);

@@ -186,6 +186,24 @@ TEST(PolicyEquivalence, FlatIndexPoliciesMatchSetReferencesOnFuzzInstances) {
   }
 }
 
+TEST(PolicyEquivalence, ThresholdEvictTwinSumsClassicCostInPageOrder) {
+  // Full-tier seeds with skewed (non-contiguous) blocks and log-uniform
+  // costs, where the threshold_evict twin once evicted block by block in
+  // pages_in order: the same pages left in each step, but the meter added
+  // their classic costs in another order than the policy's ascending
+  // page order, so classic_eviction_cost differed in its last bits.
+  verify::OracleOptions options;
+  const std::uint64_t seeds[] = {679, 3459};
+  for (const std::uint64_t seed : seeds) {
+    const verify::GeneratedInstance gi = verify::random_instance(seed);
+    options.seed = seed;
+    for (const verify::Violation& v :
+         verify::check_family("policy_equivalence", gi, options))
+      ADD_FAILURE() << "seed " << seed << ": " << v.detail << " ("
+                    << gi.descriptor << ")";
+  }
+}
+
 TEST(PolicyEquivalence, ReferenceTwinsCoverEveryRewrittenPolicy) {
   const auto twins = verify::reference_policy_twins();
   std::vector<std::string> names;

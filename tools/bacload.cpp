@@ -30,6 +30,7 @@
 
 #include "algs/zoo.hpp"
 #include "cli.hpp"
+#include "core/step_kernel.hpp"
 #include "driver/sweep.hpp"
 #include "server/concurrent_cache.hpp"
 #include "server/dispatch.hpp"
@@ -195,7 +196,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--beta") {
       config.beta = static_cast<int>(numeric("--beta", 1u << 20));
     } else if (arg == "--T") {
-      config.T = static_cast<long long>(numeric("--T", 2147483646ull));
+      config.T = static_cast<long long>(
+          numeric("--T", bac::StepKernel::kLastStep));
     } else if (arg == "--seed") {
       config.seed = std::max(1ull, numeric("--seed", ~0ull));
     } else if (arg == "--shards") {

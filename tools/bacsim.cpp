@@ -31,6 +31,7 @@
 
 #include "algs/zoo.hpp"
 #include "cli.hpp"
+#include "core/step_kernel.hpp"
 #include "driver/sweep.hpp"
 #include "util/json.hpp"
 #include "util/thread_annotations.hpp"
@@ -201,7 +202,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--T") {
       // Time is 32-bit in the policy layer; the simulator refuses longer
       // traces, so fail at the flag instead.
-      config.T = static_cast<long long>(numeric("--T", 2147483646ull));
+      config.T = static_cast<long long>(
+          numeric("--T", bac::StepKernel::kLastStep));
     } else if (arg == "--seed") {
       config.seed = std::max(1ull, numeric("--seed", ~0ull));
     } else if (arg == "--trials") {
