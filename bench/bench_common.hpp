@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "driver/sweep.hpp"
 #include "trace/generators.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -122,26 +123,15 @@ inline const char* load_name(Load l) {
   return "?";
 }
 
+/// bacsim's synthetic workload `load_name(l)` (driver/sweep.hpp), drained.
 inline Instance build_load(Load l, int n, int beta, int k, Time T,
                            std::uint64_t seed) {
-  Xoshiro256pp rng(seed);
-  switch (l) {
-    case Load::Zipf:
-      return make_instance(n, beta, k, zipf_trace(n, T, 0.9, rng));
-    case Load::BlockLocal: {
-      BlockMap blocks = BlockMap::contiguous(n, beta);
-      auto req = block_local_trace(blocks, T, 0.75, 0.9, rng);
-      return Instance{std::move(blocks), std::move(req), k};
-    }
-    case Load::Scan:
-      return make_instance(n, beta, k, scan_trace(n, T));
-    case Load::Phased:
-      return make_instance(n, beta, k,
-                           phased_trace(n, T, T / 10, k + beta, rng));
-    case Load::Uniform:
-      return make_instance(n, beta, k, uniform_trace(n, T, rng));
-  }
-  throw std::logic_error("build_load");
+  driver::SweepConfig config;
+  config.n = n;
+  config.beta = beta;
+  config.T = T;
+  config.seed = seed;
+  return materialize(*driver::make_workload_source(load_name(l), config, k));
 }
 
 // --- reporting --------------------------------------------------------------

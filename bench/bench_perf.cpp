@@ -322,8 +322,9 @@ void decode_sources() {
   };
 
   const std::uint64_t seed = bench::seed_of(13);
-  const auto zipf =
-      SyntheticSource::zipf(kPages, kBeta, kCache, kRequests, 0.9, seed);
+  const auto zipf = SyntheticSource::zipf(
+      Instance{BlockMap::contiguous(kPages, kBeta), {}, kCache}, kRequests,
+      0.9, Xoshiro256pp(seed));
   run_case(table, "decode/zipf/" + std::to_string(kPages), zipf->context(),
            kRequests, [&] {
              zipf->rewind();

@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
       (std::filesystem::temp_directory_path() / "replay_demo.bact").string();
   {
     // Stream the workload straight to disk; O(n) memory, any T.
-    auto workload = SyntheticSource::zipf(n, beta, k, T, 0.9, /*seed=*/42);
+    auto workload =
+        SyntheticSource::zipf(Instance{BlockMap::contiguous(n, beta), {}, k},
+                              T, 0.9, Xoshiro256pp(/*seed=*/42));
     std::ofstream out(path, std::ios::binary);
     BactWriter writer(out, workload->context().blocks, k, T);
     PageId p;

@@ -50,7 +50,6 @@ void DetOnlineBlockAware::reset(const Instance& inst) {
   flushes_ = 0;
   raises_ = 0;
   max_load_ratio_ = 0;
-  events_.clear();
 }
 
 void DetOnlineBlockAware::on_request(Time t, PageId p, CacheOps& cache) {
@@ -127,15 +126,6 @@ void DetOnlineBlockAware::overflow(Time t, PageId p, CacheOps& cache) {
   if (delta == kInf)
     throw std::logic_error("DetOnline: no flush candidate at overflow");
   if (delta < 0) delta = 0;  // tight already (floating-point guard)
-
-  if (log_events_) {
-    DualEvent ev;
-    ev.tau = t;
-    ev.delta = delta;
-    ev.max_flush = max_flush_;
-    ev.last_request = last_;
-    events_.push_back(std::move(ev));
-  }
 
   // Raise y by delta: every entry gains delta of dual load; the dual
   // objective gains delta * 1. At delta = 0 nothing moves (see header).

@@ -77,7 +77,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "algs/dual_verifier.hpp"
 #include "core/policy.hpp"
 
 namespace bac {
@@ -108,14 +107,6 @@ class DetOnlineBlockAware final : public OnlinePolicy {
   /// (must stay <= 1 + epsilon for dual feasibility).
   [[nodiscard]] double max_load_ratio() const noexcept {
     return max_load_ratio_;
-  }
-
-  /// Record every dual increase with full state snapshots, enabling an
-  /// exhaustive off-line audit via audit_dual_feasibility. O(n) extra work
-  /// per overflow — tests and small experiments only.
-  void enable_event_log() { log_events_ = true; }
-  [[nodiscard]] const std::vector<DualEvent>& event_log() const noexcept {
-    return events_;
   }
 
  private:
@@ -177,8 +168,6 @@ class DetOnlineBlockAware final : public OnlinePolicy {
   long long flushes_ = 0;
   long long raises_ = 0;
   double max_load_ratio_ = 0;
-  bool log_events_ = false;
-  std::vector<DualEvent> events_;
 };
 
 }  // namespace bac

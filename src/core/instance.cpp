@@ -13,37 +13,4 @@ void Instance::validate() const {
       throw std::invalid_argument("Instance: request to invalid page");
 }
 
-RequestIndex::RequestIndex(const Instance& inst) {
-  const auto T = static_cast<std::size_t>(inst.horizon());
-  const auto n = static_cast<std::size_t>(inst.n_pages());
-  prev.assign(T, 0);
-  next.assign(T, static_cast<Time>(T) + 1);
-
-  std::vector<Time> seen(n, 0);
-  for (std::size_t i = 0; i < T; ++i) {
-    const auto p = static_cast<std::size_t>(inst.requests[i]);
-    prev[i] = seen[p];
-    seen[p] = static_cast<Time>(i) + 1;
-  }
-  std::vector<Time> upcoming(n, static_cast<Time>(T) + 1);
-  for (std::size_t i = T; i-- > 0;) {
-    const auto p = static_cast<std::size_t>(inst.requests[i]);
-    next[i] = upcoming[p];
-    upcoming[p] = static_cast<Time>(i) + 1;
-  }
-}
-
-std::vector<Time> RequestIndex::materialize_r(const Instance& inst) {
-  const auto T = static_cast<std::size_t>(inst.horizon());
-  const auto n = static_cast<std::size_t>(inst.n_pages());
-  // row t (0..T) holds r(p, t); row 0 is all kNeverRequested.
-  std::vector<Time> r((T + 1) * n, kNeverRequested);
-  for (std::size_t t = 1; t <= T; ++t) {
-    for (std::size_t p = 0; p < n; ++p) r[t * n + p] = r[(t - 1) * n + p];
-    r[t * n + static_cast<std::size_t>(inst.requests[t - 1])] =
-        static_cast<Time>(t);
-  }
-  return r;
-}
-
 }  // namespace bac

@@ -1,5 +1,5 @@
 // A block-aware caching instance: block structure, request sequence, and
-// cache size, plus precomputed request indices shared by the algorithms.
+// cache size.
 #pragma once
 
 #include <vector>
@@ -24,40 +24,6 @@ struct Instance {
 
   /// Throws std::invalid_argument on malformed data (bad page ids, k <= 0).
   void validate() const;
-};
-
-/// Offline request indices. prev[i] is the previous time (1-based) page
-/// requests[i] was requested (0 if never before); next[i] is the next time
-/// it will be requested (horizon+1 if never again). Used by offline
-/// algorithms (Belady, exact OPT) and by tests.
-struct RequestIndex {
-  explicit RequestIndex(const Instance& inst);
-
-  std::vector<Time> prev;  ///< per request position (0-based), 1-based times
-  std::vector<Time> next;
-  /// last_request_before[t*n + p] is r(p, t) as defined in the paper
-  /// (kNeverRequested if none) — materialized only by `materialize_r`.
-  [[nodiscard]] static std::vector<Time> materialize_r(const Instance& inst);
-};
-
-/// Incremental tracker of r(p, t), advanced one request at a time.
-/// Online algorithms use this to evaluate aliveness and f_tau marginals.
-class LastRequestTracker {
- public:
-  explicit LastRequestTracker(int n_pages)
-      : last_(static_cast<std::size_t>(n_pages), kNeverRequested) {}
-
-  /// Record that page p is requested at time t (t strictly increasing).
-  void on_request(PageId p, Time t) { last_[static_cast<std::size_t>(p)] = t; }
-
-  /// r(p, tau) for the current tau (time of the last on_request call).
-  [[nodiscard]] Time last(PageId p) const {
-    return last_[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] const std::vector<Time>& all() const noexcept { return last_; }
-
- private:
-  std::vector<Time> last_;
 };
 
 }  // namespace bac

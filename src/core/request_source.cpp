@@ -5,73 +5,66 @@
 
 namespace bac {
 
-namespace {
-Instance make_header(int n_pages, int block_size, int k) {
-  Instance header{BlockMap::contiguous(n_pages, block_size), {}, k};
-  header.validate();
-  return header;
-}
-}  // namespace
-
-SyntheticSource::SyntheticSource(Kind kind, int n_pages, int block_size,
-                                 int k, long long T, std::uint64_t seed)
+SyntheticSource::SyntheticSource(Kind kind, const Instance& header,
+                                 long long T, Xoshiro256pp rng)
     : kind_(kind),
-      header_(make_header(n_pages, block_size, k)),
+      header_{header.blocks, {}, header.k},
       T_(T),
-      seed_(seed),
-      rng_(seed) {
+      start_(rng),
+      rng_(rng) {
+  header_.validate();
+  if (header_.n_pages() == 0)
+    throw std::invalid_argument("SyntheticSource: no pages to request");
   if (T < 0) throw std::invalid_argument("SyntheticSource: negative horizon");
 }
 
 std::unique_ptr<SyntheticSource> SyntheticSource::uniform(
-    int n_pages, int block_size, int k, long long T, std::uint64_t seed) {
+    const Instance& header, long long T, Xoshiro256pp rng) {
   auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Uniform, n_pages, block_size, k, T, seed));
+      new SyntheticSource(Kind::Uniform, header, T, rng));
   src->reset_state();
   return src;
 }
 
-std::unique_ptr<SyntheticSource> SyntheticSource::zipf(int n_pages,
-                                                       int block_size, int k,
+std::unique_ptr<SyntheticSource> SyntheticSource::zipf(const Instance& header,
                                                        long long T,
                                                        double alpha,
-                                                       std::uint64_t seed) {
+                                                       Xoshiro256pp rng) {
   auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Zipf, n_pages, block_size, k, T, seed));
-  src->sampler_ = ZipfSampler(n_pages, alpha);
+      new SyntheticSource(Kind::Zipf, header, T, rng));
+  src->sampler_ = ZipfSampler(src->header_.n_pages(), alpha);
   src->reset_state();
   return src;
 }
 
-std::unique_ptr<SyntheticSource> SyntheticSource::scan(int n_pages,
-                                                       int block_size, int k,
+std::unique_ptr<SyntheticSource> SyntheticSource::scan(const Instance& header,
                                                        long long T) {
   auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Scan, n_pages, block_size, k, T, 0));
+      new SyntheticSource(Kind::Scan, header, T, Xoshiro256pp(0)));
   src->reset_state();
   return src;
 }
 
 std::unique_ptr<SyntheticSource> SyntheticSource::phased(
-    int n_pages, int block_size, int k, long long T, long long phase_len,
-    int ws_size, std::uint64_t seed) {
+    const Instance& header, long long T, long long phase_len, int ws_size,
+    Xoshiro256pp rng) {
   if (phase_len <= 0)
     throw std::invalid_argument("SyntheticSource: phase_len must be positive");
   if (ws_size <= 0)
     throw std::invalid_argument("SyntheticSource: ws_size must be positive");
   auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::Phased, n_pages, block_size, k, T, seed));
+      new SyntheticSource(Kind::Phased, header, T, rng));
   src->phase_len_ = phase_len;
-  src->ws_size_ = std::min(ws_size, n_pages);
+  src->ws_size_ = std::min(ws_size, src->header_.n_pages());
   src->reset_state();
   return src;
 }
 
 std::unique_ptr<SyntheticSource> SyntheticSource::block_local(
-    int n_pages, int block_size, int k, long long T, double stay, double alpha,
-    std::uint64_t seed) {
+    const Instance& header, long long T, double stay, double alpha,
+    Xoshiro256pp rng) {
   auto src = std::unique_ptr<SyntheticSource>(
-      new SyntheticSource(Kind::BlockLocal, n_pages, block_size, k, T, seed));
+      new SyntheticSource(Kind::BlockLocal, header, T, rng));
   src->stay_ = stay;
   src->sampler_ = ZipfSampler(src->header_.blocks.n_blocks(), alpha);
   src->reset_state();
@@ -80,7 +73,7 @@ std::unique_ptr<SyntheticSource> SyntheticSource::block_local(
 
 void SyntheticSource::reset_state() {
   t_ = 0;
-  rng_ = Xoshiro256pp(seed_);
+  rng_ = start_;
   switch (kind_) {
     case Kind::Uniform:
     case Kind::Zipf:
@@ -95,7 +88,7 @@ void SyntheticSource::reset_state() {
       break;
     }
     case Kind::BlockLocal:
-      // block_local_trace draws the starting block before its loop.
+      // The starting block is drawn before the first request.
       current_block_ = sampler_.draw(rng_);
       break;
   }
@@ -125,7 +118,7 @@ int SyntheticSource::next_batch(PageId* out, int cap) {
     case Kind::Phased:
       for (int i = 0; i < m; ++i) {
         if ((t_ + i) % phase_len_ == 0) {
-          // Fresh working set via partial Fisher-Yates, like phased_trace.
+          // Fresh working set via partial Fisher-Yates.
           for (int j = 0; j < ws_size_; ++j) {
             const auto r = static_cast<std::size_t>(rng_.range(j, n - 1));
             std::swap(universe_[static_cast<std::size_t>(j)], universe_[r]);
@@ -150,5 +143,18 @@ int SyntheticSource::next_batch(PageId* out, int cap) {
 }
 
 void SyntheticSource::rewind() { reset_state(); }
+
+Instance materialize(RequestSource& source) {
+  const Instance& context = source.context();
+  Instance out{context.blocks, {}, context.k};
+  const long long hint = source.horizon_hint();
+  if (hint > 0) out.requests.reserve(static_cast<std::size_t>(hint));
+  constexpr int kBatch = 512;
+  PageId batch[kBatch];
+  while (const int m = source.next_batch(batch, kBatch))
+    out.requests.insert(out.requests.end(), batch, batch + m);
+  out.validate();
+  return out;
+}
 
 }  // namespace bac

@@ -5,7 +5,8 @@
 // request vector in memory — the enabler for replaying multi-hundred-
 // million-request production traces. The materialized Instance becomes
 // just one adapter (InstanceSource); synthetic generators, the v1 text
-// format, the .bact binary format, and CSV key traces provide the others.
+// format, the .bact binary format, and CSV key traces provide the others,
+// and materialize() turns any of them back into an Instance.
 //
 // Contract:
 //   - context() is valid for the source's lifetime and carries the block
@@ -110,42 +111,47 @@ class InstanceSource final : public RequestSource {
   std::size_t pos_ = 0;
 };
 
-/// Streaming adapter over the synthetic workload generators: produces
-/// exactly the sequence the corresponding trace/generators.hpp function
-/// materializes (same RNG, same per-step draws), but one request at a
-/// time with O(n_pages) state. Zipf and blocklocal draw pages (blocks)
-/// through the same ZipfSampler the generators use (util/zipf_sampler.hpp:
-/// the cumulative table plus a checked guide table, ~2 cache lines per
-/// draw instead of a binary search), built once per source. rewind()
-/// restores the seed state only, so every replay is identical and
-/// costs no table rebuild.
+/// The five synthetic request processes (uniform, zipf, scan, phased,
+/// block-local), drawn one request at a time with O(n_pages) state. This
+/// is the only place a synthetic request is drawn: the trace/generators.hpp
+/// vectors, the sweep's synthetic workloads and the fuzz instances all
+/// drain one of these. Each factory takes the header to report (blocks and
+/// k; only block_local draws from the blocks, the others from pages
+/// [0, n_pages)) and the generator's starting state, which rewind()
+/// restores, so every replay is identical and costs no table rebuild.
+/// Zipf and blocklocal draw pages (blocks) through a ZipfSampler
+/// (util/zipf_sampler.hpp) built once per source. Every factory throws
+/// std::invalid_argument on a negative horizon, an empty universe or a
+/// header that fails Instance::validate().
 class SyntheticSource final : public RequestSource {
  public:
-  /// Mirrors uniform_trace(n_pages, T, rng) over contiguous blocks.
-  static std::unique_ptr<SyntheticSource> uniform(int n_pages, int block_size,
-                                                  int k, long long T,
-                                                  std::uint64_t seed);
-  /// Mirrors zipf_trace(n_pages, T, alpha, rng).
-  static std::unique_ptr<SyntheticSource> zipf(int n_pages, int block_size,
-                                               int k, long long T,
-                                               double alpha,
-                                               std::uint64_t seed);
-  /// Mirrors scan_trace(n_pages, T).
-  static std::unique_ptr<SyntheticSource> scan(int n_pages, int block_size,
-                                               int k, long long T);
-  /// Mirrors phased_trace(n_pages, T, phase_len, ws_size, rng).
-  static std::unique_ptr<SyntheticSource> phased(int n_pages, int block_size,
-                                                 int k, long long T,
+  /// Pages drawn uniformly from [0, n_pages).
+  static std::unique_ptr<SyntheticSource> uniform(const Instance& header,
+                                                  long long T,
+                                                  Xoshiro256pp rng);
+  /// Zipf(alpha) over pages 0..n-1, page 0 the most popular.
+  static std::unique_ptr<SyntheticSource> zipf(const Instance& header,
+                                               long long T, double alpha,
+                                               Xoshiro256pp rng);
+  /// The cyclic scan 0, 1, ..., n-1, 0, 1, ...; draws nothing.
+  static std::unique_ptr<SyntheticSource> scan(const Instance& header,
+                                               long long T);
+  /// Phases of `phase_len` requests, each uniform over a fresh working
+  /// set of `ws_size` pages (clamped to n_pages) drawn by a partial
+  /// Fisher-Yates shuffle. Throws std::invalid_argument when phase_len or
+  /// ws_size is non-positive.
+  static std::unique_ptr<SyntheticSource> phased(const Instance& header,
+                                                 long long T,
                                                  long long phase_len,
                                                  int ws_size,
-                                                 std::uint64_t seed);
-  /// Mirrors block_local_trace(blocks, T, stay, alpha, rng) over
-  /// contiguous blocks.
-  static std::unique_ptr<SyntheticSource> block_local(int n_pages,
-                                                      int block_size, int k,
+                                                 Xoshiro256pp rng);
+  /// With probability `stay` the next request stays in the current block,
+  /// otherwise a new block is drawn Zipf(alpha) over the header's block
+  /// ids; the page is uniform within the block.
+  static std::unique_ptr<SyntheticSource> block_local(const Instance& header,
                                                       long long T, double stay,
                                                       double alpha,
-                                                      std::uint64_t seed);
+                                                      Xoshiro256pp rng);
 
   [[nodiscard]] const Instance& context() const override { return header_; }
   [[nodiscard]] long long horizon_hint() const override { return T_; }
@@ -158,14 +164,14 @@ class SyntheticSource final : public RequestSource {
  private:
   enum class Kind { Uniform, Zipf, Scan, Phased, BlockLocal };
 
-  SyntheticSource(Kind kind, int n_pages, int block_size, int k, long long T,
-                  std::uint64_t seed);
+  SyntheticSource(Kind kind, const Instance& header, long long T,
+                  Xoshiro256pp rng);
 
   Kind kind_;
   Instance header_;  ///< blocks + k, empty requests
   long long T_;
   long long t_ = 0;  ///< requests yielded so far
-  std::uint64_t seed_;
+  Xoshiro256pp start_;  ///< the generator state rewind() restores
   Xoshiro256pp rng_;
 
   // Zipf / BlockLocal: popularity over pages / blocks.
@@ -181,5 +187,11 @@ class SyntheticSource final : public RequestSource {
 
   void reset_state();
 };
+
+/// The source's blocks and k plus the rest of its stream, validated: the
+/// one way a stream becomes a materialized Instance. It starts from the
+/// blocks and k only, so draining an InstanceSource yields each request
+/// once.
+Instance materialize(RequestSource& source);
 
 }  // namespace bac

@@ -1,7 +1,8 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+
+#include "core/cache_set.hpp"
 
 namespace bac {
 
@@ -47,17 +48,6 @@ ReplayResult replay_schedule(const Instance& inst, const Schedule& sched) {
   out.final_cache = cache.pages();
   std::sort(out.final_cache.begin(), out.final_cache.end());
   return out;
-}
-
-void SchedulePolicy::reset(const Instance& inst) {
-  if (sched_.horizon() != inst.horizon())
-    throw std::invalid_argument("SchedulePolicy: horizon mismatch");
-}
-
-void SchedulePolicy::on_request(Time t, PageId /*p*/, CacheOps& cache) {
-  const auto& step = sched_.steps[static_cast<std::size_t>(t - 1)];
-  for (PageId q : step.evictions) cache.evict(q);
-  for (PageId q : step.fetches) cache.fetch(q);
 }
 
 }  // namespace bac

@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "core/cost_meter.hpp"
 #include "core/instance.hpp"
-#include "core/policy.hpp"
 #include "core/types.hpp"
 
 namespace bac {
@@ -47,21 +47,5 @@ struct ReplayResult : CostCounters {
 /// Replay `sched` on `inst` (evictions before fetches within each step).
 /// A horizon mismatch is reported as infeasible with zero counters.
 ReplayResult replay_schedule(const Instance& inst, const Schedule& sched);
-
-/// Adapter: replay a schedule as an OnlinePolicy (for the simulator and
-/// for head-to-head tables that mix online and offline algorithms).
-class SchedulePolicy final : public OnlinePolicy {
- public:
-  explicit SchedulePolicy(Schedule sched, std::string name = "Schedule")
-      : sched_(std::move(sched)), name_(std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override { return name_; }
-  void reset(const Instance& inst) override;
-  void on_request(Time t, PageId p, CacheOps& cache) override;
-
- private:
-  Schedule sched_;
-  std::string name_;
-};
 
 }  // namespace bac

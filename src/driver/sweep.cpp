@@ -76,23 +76,24 @@ class KOverride final : public RequestSource {
   Instance header_;
 };
 
-/// Zipf is only well-defined over a spec beginning with "zipf"; keep the
+/// The synthetic workload table, over contiguous unit-cost blocks of
+/// --beta pages and the cell's k, every generator seeded by --seed. Zipf
+/// is only well-defined over a spec beginning with "zipf"; keep the
 /// dispatch table in one place for specs and error messages.
 std::unique_ptr<RequestSource> make_synthetic(const std::string& spec,
                                               const SweepConfig& c, int k) {
-  const int n = c.n;
-  const int beta = c.beta;
+  const Instance header{BlockMap::contiguous(c.n, c.beta), {}, k};
   const long long T = c.T;
+  const Xoshiro256pp rng(c.seed);
   if (spec.rfind("zipf", 0) == 0)
-    return SyntheticSource::zipf(n, beta, k, T, zipf_alpha(spec), c.seed);
-  if (spec == "uniform")
-    return SyntheticSource::uniform(n, beta, k, T, c.seed);
-  if (spec == "scan") return SyntheticSource::scan(n, beta, k, T);
+    return SyntheticSource::zipf(header, T, zipf_alpha(spec), rng);
+  if (spec == "uniform") return SyntheticSource::uniform(header, T, rng);
+  if (spec == "scan") return SyntheticSource::scan(header, T);
   if (spec == "blocklocal")
-    return SyntheticSource::block_local(n, beta, k, T, 0.75, 0.9, c.seed);
+    return SyntheticSource::block_local(header, T, 0.75, 0.9, rng);
   if (spec == "phased")
-    return SyntheticSource::phased(n, beta, k, T, std::max<long long>(1, T / 10),
-                                   k + beta, c.seed);
+    return SyntheticSource::phased(header, T, std::max<long long>(1, T / 10),
+                                   k + c.beta, rng);
   throw std::invalid_argument(
       "sweep: unknown workload '" + spec +
       "' (expected zipf[a], uniform, scan, blocklocal, phased, or a "

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "lint/token.hpp"
-#include "util/json.hpp"
 
 namespace bac::lint {
 
@@ -78,8 +77,8 @@ const std::vector<Rule>& rule_table() {
        "GUARDED_BY on the members it protects"},
       {"hot-path-unordered-map",
        "std::unordered_* in hot-path policy/eviction/server code is "
-       "banned: node-allocating hash maps are the ROADMAP item 6 "
-       "migration target, not something to add more of",
+       "banned: a node-allocating hash map allocates on insert and "
+       "chases a pointer on every probe of the per-request path",
        R"(std::unordered_(?:map|set|multimap|multiset)\b)",
        {"algs/policies/", "core/", "server/"},
        kLintHome,
@@ -298,43 +297,6 @@ int count_violations(const std::vector<Finding>& findings) {
   for (const Finding& f : findings)
     if (!f.allowed) ++n;
   return n;
-}
-
-void write_json_report(std::ostream& os, const std::vector<Rule>& rules,
-                       const std::vector<Finding>& findings,
-                       long long files_scanned) {
-  os << "{\n  \"bench\": \"baclint\",\n  \"rules\": [\n";
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    os << "    {\"name\": ";
-    write_json_string(os, rules[i].name);
-    os << ", \"summary\": ";
-    write_json_string(os, rules[i].summary);
-    os << ", \"hint\": ";
-    write_json_string(os, rules[i].hint);
-    os << "}" << (i + 1 < rules.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n  \"files_scanned\": " << files_scanned
-     << ",\n  \"findings\": [\n";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    os << "    {\"rule\": ";
-    write_json_string(os, f.rule);
-    os << ", \"path\": ";
-    write_json_string(os, f.path);
-    os << ", \"line\": " << f.line << ", \"text\": ";
-    write_json_string(os, f.text);
-    os << ", \"allowed\": " << (f.allowed ? "true" : "false");
-    if (f.allowed) {
-      os << ", \"reason\": ";
-      write_json_string(os, f.allow_reason);
-    }
-    os << "}" << (i + 1 < findings.size() ? "," : "") << "\n";
-  }
-  const int violations = count_violations(findings);
-  os << "  ],\n  \"aggregate\": {\"rules\": " << rules.size()
-     << ", \"findings\": " << findings.size()
-     << ", \"violations\": " << violations << ", \"allowed\": "
-     << (static_cast<long long>(findings.size()) - violations) << "}\n}\n";
 }
 
 }  // namespace bac::lint

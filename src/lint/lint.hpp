@@ -5,9 +5,10 @@
 // util/rng.hpp so runs are reproducible from one root seed; all mutexes
 // are the annotated bac::Mutex so the clang-tsa preset can prove lock
 // discipline; hot-path policy/eviction code stays off node-allocating
-// hash maps (ROADMAP item 6); cost values are never compared with raw
-// float equality outside the bit-exactness-by-contract verify layer; and
-// golden/bench serialization keeps round-trip `%.17g` precision. baclint
+// hash maps (an allocation per insert, a pointer chase per probe); cost
+// values are never compared with raw float equality outside the
+// bit-exactness-by-contract verify layer; and golden/bench
+// serialization keeps round-trip `%.17g` precision. baclint
 // enforces exactly those — cheap enough to run as a `lint`-labeled ctest
 // on every build.
 //
@@ -37,7 +38,6 @@
 // SARIF reports show what is being waived and why.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -124,11 +124,5 @@ std::vector<std::string> list_source_files(const std::string& root);
 
 /// Number of findings that are NOT allowed (the CLI's exit criterion).
 int count_violations(const std::vector<Finding>& findings);
-
-/// Machine-readable report (rule table, findings, counts) in the bench
-/// JSON house style; `files_scanned` is informational.
-void write_json_report(std::ostream& os, const std::vector<Rule>& rules,
-                       const std::vector<Finding>& findings,
-                       long long files_scanned);
 
 }  // namespace bac::lint

@@ -205,7 +205,6 @@ FileModel build_file_model(std::string path, std::vector<std::string> lines) {
   m.path = std::move(path);
   m.lines = std::move(lines);
   m.tokens = tokenize(m.lines);
-  m.stripped = stripped_lines(m.lines, m.tokens);
   m.scope_of_tok.assign(m.tokens.size(), 0);
 
   Scope file;

@@ -86,7 +86,6 @@ struct ContainerVar {
 struct FileModel {
   std::string path;
   std::vector<std::string> lines;
-  std::vector<std::string> stripped;  ///< comment-free view for regex rules
   std::vector<Token> tokens;
   std::vector<Scope> scopes;          ///< [0] is the File scope
   std::vector<int> scope_of_tok;      ///< innermost scope per token index

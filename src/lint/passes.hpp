@@ -12,6 +12,7 @@
 // per-pass include/exclude path gating), the same JSON/SARIF writers.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -58,8 +59,8 @@ std::vector<Finding> run_passes(const std::vector<FileModel>& corpus,
                                 const std::vector<AllowEntry>& allowlist);
 
 /// Full v2 JSON report: the rule table, the pass table, and findings
-/// from both, in the bench JSON house style. The rules-only overload in
-/// lint.hpp stays for v1 compatibility.
+/// from both, in the bench JSON house style; `files_scanned` is
+/// informational.
 void write_json_report(std::ostream& os, const std::vector<Rule>& rules,
                        const std::vector<Pass>& passes,
                        const std::vector<Finding>& findings,

@@ -41,11 +41,6 @@ void TraceWriter::emit(std::string_view type, std::string_view name) {
   emit(e);
 }
 
-void TraceWriter::flush() {
-  MutexLock lock(mutex_);
-  os_.flush();
-}
-
 Span::Span(TraceWriter* writer, std::string_view name) : writer_(writer) {
   if (!writer_) return;
   t0_ms_ = writer_->elapsed_ms();

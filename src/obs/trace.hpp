@@ -67,7 +67,6 @@ class TraceWriter {
 
   /// Milliseconds since the writer was created (steady clock).
   [[nodiscard]] double elapsed_ms() const { return clock_.millis(); }
-  void flush();
 
  private:
   Stopwatch clock_;

@@ -169,13 +169,7 @@ void save_bact(const Instance& inst, const std::string& path) {
 
 Instance load_bact(const std::string& path) {
   BactSource src(path);
-  Instance inst = src.context();  // blocks + k
-  const long long hint = src.horizon_hint();
-  if (hint > 0) inst.requests.reserve(static_cast<std::size_t>(hint));
-  PageId p;
-  while (src.next(p)) inst.requests.push_back(p);
-  inst.validate();
-  return inst;
+  return materialize(src);
 }
 
 BactSource::BactSource(const std::string& path)

@@ -399,12 +399,7 @@ Instance load_csv_trace(const std::string& path, const CsvOptions& options) {
   auto map = std::make_shared<const CsvMapping>(
       build_csv_mapping(path, options));
   CsvSource src(path, map, options);
-  Instance inst = src.context();
-  inst.requests.reserve(static_cast<std::size_t>(map->rows));
-  PageId p;
-  while (src.next(p)) inst.requests.push_back(p);
-  inst.validate();
-  return inst;
+  return materialize(src);
 }
 
 }  // namespace bac

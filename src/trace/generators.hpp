@@ -6,6 +6,11 @@
 // phased working sets) plus the standard Zipf/uniform mixes used across
 // the benchmark suite. All randomness is explicit (Xoshiro256pp by value)
 // so traces are reproducible from seeds.
+//
+// Each *_trace function materializes the matching SyntheticSource
+// (core/request_source.hpp), so a trace and a stream from the same seed
+// are the same requests. Each throws std::invalid_argument when n_pages
+// <= 0 or T < 0.
 #pragma once
 
 #include <vector>
@@ -29,8 +34,8 @@ std::vector<PageId> scan_trace(int n_pages, Time T);
 
 /// Phased working sets: the trace runs in phases of `phase_len` steps; each
 /// phase draws uniformly from a random working set of `ws_size` pages
-/// (clamped to n_pages). Throws std::invalid_argument when phase_len or
-/// ws_size is non-positive.
+/// (clamped to n_pages). Also throws std::invalid_argument when phase_len
+/// or ws_size is non-positive.
 std::vector<PageId> phased_trace(int n_pages, Time T, Time phase_len,
                                  int ws_size, Xoshiro256pp rng);
 

@@ -25,11 +25,6 @@ Table& Table::add(double value, int digits) {
 
 Table& Table::add(long long value) { return add(std::to_string(value)); }
 
-Table& Table::add_row(std::initializer_list<std::string> values) {
-  rows_.emplace_back(values);
-  return *this;
-}
-
 void Table::print(std::ostream& os, const std::string& title) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -25,9 +24,6 @@ class Table {
   Table& add(long long value);
   Table& add(int value) { return add(static_cast<long long>(value)); }
   Table& add(std::size_t value) { return add(static_cast<long long>(value)); }
-
-  /// Convenience: add a full row at once.
-  Table& add_row(std::initializer_list<std::string> values);
 
   [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
   [[nodiscard]] const std::vector<std::string>& headers() const noexcept {

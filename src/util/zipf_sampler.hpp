@@ -1,5 +1,6 @@
-// Exact inverse-CDF sampling of zipf-distributed indices, shared by the
-// synthetic generators (trace/generators.hpp) and SyntheticSource.
+// Exact inverse-CDF sampling of zipf-distributed indices: the page draws
+// of SyntheticSource's zipf workload and the block draws of its
+// block-local one (core/request_source.hpp).
 //
 // The table holds the weights 1/(i+1)^alpha summed in index order, and a
 // draw u = uniform() * total maps to the first index whose cumulative

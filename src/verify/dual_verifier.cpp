@@ -1,8 +1,8 @@
-#include "algs/dual_verifier.hpp"
+#include "verify/dual_verifier.hpp"
 
 #include <algorithm>
 
-namespace bac {
+namespace bac::verify {
 
 DualAudit audit_dual_feasibility(const Instance& inst,
                                  const std::vector<DualEvent>& events) {
@@ -42,4 +42,4 @@ DualAudit audit_dual_feasibility(const Instance& inst,
   return audit;
 }
 
-}  // namespace bac
+}  // namespace bac::verify

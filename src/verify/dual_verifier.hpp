@@ -1,11 +1,14 @@
-// Brute-force dual-feasibility verification for Algorithm 1.
+// Brute-force dual-feasibility verification for Algorithm 1, over the
+// event log of the frozen twin verify::ReferenceDetOnline. The twin tests
+// hold DetOnlineBlockAware to the twin's flushes and dual objective, bit
+// for bit after every step.
 //
 // The k-competitiveness proof (Lemma 3.4) hinges on *every* dual
 // constraint sum_u f_u((B,t)|S_u) * y_u <= c_B holding — including
 // constraints at flush times the algorithm never tracked. The algorithm
 // keeps loads only for the current alive times of each block's cached
 // pages and argues every other time is dominated; this verifier re-derives
-// every load from a complete event log and checks the constraints
+// every load from the complete event log and checks the constraints
 // exhaustively, so the domination argument is machine-checked on every
 // test instance.
 // (This harness caught a real bookkeeping bug during development: the
@@ -16,7 +19,7 @@
 
 #include "core/instance.hpp"
 
-namespace bac {
+namespace bac::verify {
 
 /// One dual increase event: y_{S}^{tau} += delta, with the state needed to
 /// recompute any constraint coefficient f_tau((B,t)|S).
@@ -43,4 +46,4 @@ struct DualAudit {
 DualAudit audit_dual_feasibility(const Instance& inst,
                                  const std::vector<DualEvent>& events);
 
-}  // namespace bac
+}  // namespace bac::verify

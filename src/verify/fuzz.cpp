@@ -73,7 +73,11 @@ std::vector<Violation> replay_instance(const Instance& inst,
   GeneratedInstance gi;
   gi.inst = inst;
   gi.descriptor = "replayed instance";
-  return check_instance(gi, families, options);
+  std::vector<std::string> run =
+      families.empty() ? oracle_family_names() : families;
+  std::erase(run, "streaming");
+  if (run.empty()) return {};
+  return check_instance(gi, run, options);
 }
 
 FuzzReport run_fuzz(const FuzzConfig& config) {

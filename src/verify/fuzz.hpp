@@ -63,7 +63,8 @@ struct FuzzReport {
 FuzzReport run_fuzz(const FuzzConfig& config);
 
 /// Re-check a previously saved repro instance against the families
-/// (empty = all). Used by `bacfuzz --replay`.
+/// (empty = all). A saved instance has no generator, hence no streaming
+/// twin, so the streaming family is skipped. Used by `bacfuzz --replay`.
 std::vector<Violation> replay_instance(const Instance& inst,
                                        const std::vector<std::string>& families,
                                        const OracleOptions& options);

@@ -125,54 +125,59 @@ GeneratedInstance random_instance(std::uint64_t seed,
             rng.below(static_cast<std::uint64_t>(max_T)));
   }
 
-  // --- request stream.
+  // --- request stream: one source factory over the instance's own
+  // header, drained for the instance and kept as its streaming twin.
   const std::uint64_t trace_seed = splitmix64(seed += 0x9e3779b97f4a7c15ULL);
   const int kind = static_cast<int>(rng.below(5));
-  std::vector<PageId> requests;
+  const Instance header{std::move(blocks), {}, k};
+  const Xoshiro256pp trace_rng(trace_seed);
+  std::function<std::unique_ptr<RequestSource>()> twin;
   std::string trace_kind;
-  double alpha = 0, stay = 0;
-  long long phase_len = 0;
-  int ws_size = 0;
+  double alpha = 0;
   switch (kind) {
     case 0:
       trace_kind = "uniform";
-      requests = uniform_trace(n, static_cast<Time>(T),
-                               Xoshiro256pp(trace_seed));
+      twin = [header, T, trace_rng] {
+        return SyntheticSource::uniform(header, T, trace_rng);
+      };
       break;
-    case 1: {
+    case 1:
       trace_kind = "zipf";
       alpha = 0.3 * static_cast<double>(rng.below(5));  // 0, .3, .6, .9, 1.2
-      requests = zipf_trace(n, static_cast<Time>(T), alpha,
-                            Xoshiro256pp(trace_seed));
+      twin = [header, T, alpha, trace_rng] {
+        return SyntheticSource::zipf(header, T, alpha, trace_rng);
+      };
       break;
-    }
     case 2:
       trace_kind = "scan";
-      requests = scan_trace(n, static_cast<Time>(T));
+      twin = [header, T] { return SyntheticSource::scan(header, T); };
       break;
     case 3: {
       trace_kind = "phased";
-      phase_len = 1 + static_cast<long long>(rng.below(
+      const long long phase_len = 1 + static_cast<long long>(rng.below(
           static_cast<std::uint64_t>(std::max<long long>(1, T / 2)) + 1));
-      ws_size = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-      requests = phased_trace(n, static_cast<Time>(T),
-                              static_cast<Time>(phase_len), ws_size,
-                              Xoshiro256pp(trace_seed));
+      const int ws_size =
+          1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      twin = [header, T, phase_len, ws_size, trace_rng] {
+        return SyntheticSource::phased(header, T, phase_len, ws_size,
+                                       trace_rng);
+      };
       break;
     }
     default: {
       trace_kind = "blocklocal";
-      stay = 0.5 + 0.1 * static_cast<double>(rng.below(5));
+      const double stay = 0.5 + 0.1 * static_cast<double>(rng.below(5));
       alpha = 0.3 * static_cast<double>(rng.below(4));
-      requests = block_local_trace(blocks, static_cast<Time>(T), stay, alpha,
-                                   Xoshiro256pp(trace_seed));
+      twin = [header, T, stay, alpha, trace_rng] {
+        return SyntheticSource::block_local(header, T, stay, alpha, trace_rng);
+      };
       break;
     }
   }
 
   GeneratedInstance out;
-  out.inst = Instance{std::move(blocks), std::move(requests), k};
-  out.inst.validate();
+  out.inst = materialize(*twin());
+  out.streaming_twin = std::move(twin);
 
   out.descriptor = "n=" + std::to_string(n) + " m=" + std::to_string(m) +
                    " beta=" + std::to_string(beta) +
@@ -184,44 +189,6 @@ GeneratedInstance random_instance(std::uint64_t seed,
                         : "") +
                    " seed=" + std::to_string(fuzz_seed);
 
-  // Streaming twin: only contiguous block maps (SyntheticSource builds its
-  // own contiguous header) with all-equal costs mirror a synthetic stream.
-  const bool unit_costs = cost_kind == "unit";
-  if (contiguous_uniform && unit_costs) {
-    const int bs = block_size;
-    switch (kind) {
-      case 0:
-        out.streaming_twin = [n, bs, k, T, trace_seed] {
-          return std::unique_ptr<RequestSource>(
-              SyntheticSource::uniform(n, bs, k, T, trace_seed));
-        };
-        break;
-      case 1:
-        out.streaming_twin = [n, bs, k, T, alpha, trace_seed] {
-          return std::unique_ptr<RequestSource>(
-              SyntheticSource::zipf(n, bs, k, T, alpha, trace_seed));
-        };
-        break;
-      case 2:
-        out.streaming_twin = [n, bs, k, T] {
-          return std::unique_ptr<RequestSource>(
-              SyntheticSource::scan(n, bs, k, T));
-        };
-        break;
-      case 3:
-        out.streaming_twin = [n, bs, k, T, phase_len, ws_size, trace_seed] {
-          return std::unique_ptr<RequestSource>(SyntheticSource::phased(
-              n, bs, k, T, phase_len, ws_size, trace_seed));
-        };
-        break;
-      default:
-        out.streaming_twin = [n, bs, k, T, stay, alpha, trace_seed] {
-          return std::unique_ptr<RequestSource>(SyntheticSource::block_local(
-              n, bs, k, T, stay, alpha, trace_seed));
-        };
-        break;
-    }
-  }
   return out;
 }
 

@@ -4,15 +4,15 @@
 // instance: a block structure (singleton / uniform / skewed / single-block
 // shapes), per-block costs (unit, exact-dyadic weighted, or log-uniform),
 // a cache size (including the k = beta and k > n edges), and a request
-// stream drawn from the full generator line-up (uniform, zipf, scan,
-// phased, block-local) — plus deliberately thin edges such as T < k and
-// T = 0 that one-at-a-time tests historically missed (the phased_trace
-// division by zero survived three PRs).
+// stream from one of the five SyntheticSource processes (uniform, zipf,
+// scan, phased, block-local), plus deliberately thin edges such as T < k
+// and T = 0 that one-at-a-time tests historically missed (the phased
+// generator's division by zero survived three PRs).
 //
-// When the generated shape has a streaming twin (contiguous blocks and a
-// SyntheticSource-backed trace kind), the GeneratedInstance carries a
-// factory reproducing the exact same stream, which the
-// streaming≡materialized oracle replays against the materialized run.
+// The requests are a drain of a SyntheticSource built over the instance's
+// own header, and the GeneratedInstance keeps that source's factory as its
+// streaming twin, which the streaming≡materialized oracle replays against
+// the materialized run. Every shape and cost model has one.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +35,10 @@ struct GenOptions {
 struct GeneratedInstance {
   Instance inst;
   std::string descriptor;  ///< human-readable recipe, lands in repro artifacts
-  /// Reproduces the request stream as a streaming source (same generator,
-  /// same seed, bit-for-bit); null when the shape has no streaming twin
-  /// (non-contiguous blocks, weighted costs, or a twinless trace kind).
+  /// A fresh SyntheticSource over `inst`'s blocks and k whose stream is
+  /// `inst.requests`: `inst` is its drain. random_instance always sets it;
+  /// an instance built any other way (a replayed .bact, a shrunk
+  /// candidate) has none and must not run the streaming family.
   std::function<std::unique_ptr<RequestSource>()> streaming_twin;
 };
 

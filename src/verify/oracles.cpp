@@ -270,7 +270,6 @@ std::vector<Violation> check_cost_sandwich(const GeneratedInstance& gi,
 std::vector<Violation> check_streaming(const GeneratedInstance& gi,
                                        const OracleOptions& options) {
   std::vector<Violation> out;
-  if (!gi.streaming_twin) return out;
   const Instance& inst = gi.inst;
   for (const auto& policy : policy_set(options)) {
     if (policy->requires_future()) continue;  // streams carry no future

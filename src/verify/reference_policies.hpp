@@ -27,13 +27,13 @@
 #include <utility>
 #include <vector>
 
-#include "algs/dual_verifier.hpp"
 #include "algs/fractional.hpp"
 #include "algs/threshold_bicriteria.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
 #include "submodular/flush_coverage.hpp"
 #include "submodular/separation.hpp"
+#include "verify/dual_verifier.hpp"
 
 namespace bac::verify {
 
@@ -131,8 +131,8 @@ class ReferenceFractionalWeightedPaging {
 /// ThresholdBicriteriaPolicy before it scanned only the moved pages, over
 /// ReferenceFractionalWeightedPaging: both modes scan all n pages every
 /// step and copy the whole x into prev_x_. Its h line was re-specified
-/// when the beta > floor(k/2) case was decided (ROADMAP item 3(a)):
-/// h = max(1, floor(k/2)) on every instance, never raised to beta. The
+/// when the beta > floor(k/2) case was decided, so that one rounding path
+/// serves every instance: h = max(1, floor(k/2)), never raised to beta. The
 /// rest stays verbatim, Fetching's batch fetch, Eviction's block rescan
 /// and the capacity guard included, so the production policy's one code
 /// path must match both modes bit for bit. Eviction evicts its crossed
@@ -168,8 +168,9 @@ class ReferenceThresholdBicriteria final : public OnlinePolicy {
 /// cached page, verbatim: each block's list grows by one entry per request
 /// until the block is flushed, and every overflow walks every entry of
 /// every block twice, two count_below binary searches each. The production
-/// class must match its costs, schedule, dual_objective, max_load_ratio,
-/// flushes and event log bit for bit. Not cloneable: a copy's flush set
+/// class must match its costs, schedule, dual_objective, max_load_ratio and
+/// flushes bit for bit. Its event log feeds audit_dual_feasibility, which
+/// so checks Lemma 3.4 for both classes. Not cloneable: a copy's flush set
 /// would point at the source's coverage.
 class ReferenceDetOnline final : public OnlinePolicy {
  public:

@@ -333,7 +333,7 @@ TEST(BacLint, JsonReportCarriesRulesFindingsAndAggregate) {
       lint_lines("src/server/x.cpp", lines, default_rules(), {});
   ASSERT_EQ(findings.size(), 2u);
   std::ostringstream os;
-  write_json_report(os, default_rules(), findings, 1);
+  write_json_report(os, default_rules(), {}, findings, 1);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"bench\": \"baclint\""), std::string::npos);
   EXPECT_NE(json.find("\"files_scanned\": 1"), std::string::npos);

@@ -30,35 +30,6 @@ TEST(Instance, ValidateCatchesErrors) {
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 }
 
-TEST(RequestIndexTest, PrevNextAreConsistent) {
-  const Instance inst{BlockMap::contiguous(3, 1), {0, 1, 0, 2, 1, 0}, 2};
-  const RequestIndex idx(inst);
-  // prev: first occurrences have prev 0.
-  EXPECT_EQ(idx.prev[0], 0);
-  EXPECT_EQ(idx.prev[1], 0);
-  EXPECT_EQ(idx.prev[2], 1);  // page 0 requested at time 1
-  EXPECT_EQ(idx.prev[4], 2);  // page 1 requested at time 2
-  EXPECT_EQ(idx.prev[5], 3);  // page 0 requested at time 3
-  // next: last occurrences have next T+1 = 7.
-  EXPECT_EQ(idx.next[0], 3);
-  EXPECT_EQ(idx.next[3], 7);
-  EXPECT_EQ(idx.next[5], 7);
-}
-
-TEST(RequestIndexTest, MaterializedRMatchesDefinition) {
-  const Instance inst{BlockMap::contiguous(3, 1), {0, 1, 0}, 2};
-  const auto r = RequestIndex::materialize_r(inst);
-  const auto n = static_cast<std::size_t>(inst.n_pages());
-  // r(p, 0) = never for all p.
-  for (std::size_t p = 0; p < n; ++p) EXPECT_EQ(r[0 * n + p], kNeverRequested);
-  EXPECT_EQ(r[1 * n + 0], 1);
-  EXPECT_EQ(r[1 * n + 1], kNeverRequested);
-  EXPECT_EQ(r[2 * n + 1], 2);
-  EXPECT_EQ(r[3 * n + 0], 3);
-  EXPECT_EQ(r[3 * n + 1], 2);
-  EXPECT_EQ(r[3 * n + 2], kNeverRequested);
-}
-
 TEST(CacheSetTest, InsertEraseContains) {
   CacheSet c(5);
   EXPECT_FALSE(c.contains(3));
@@ -178,24 +149,6 @@ TEST(SimulatorTest, ThrowsOnCapacityViolation) {
   const Instance inst = tiny_instance();
   Hoarder p;
   EXPECT_THROW(simulate(inst, p), std::runtime_error);
-}
-
-TEST(SimulatorTest, SchedulePolicyMatchesEvaluate) {
-  const Instance inst = tiny_instance();
-  Schedule s;
-  s.steps.resize(5);
-  s.steps[0].fetches = {0};
-  s.steps[1].fetches = {1};
-  s.steps[2].evictions = {0, 1};
-  s.steps[2].fetches = {2};
-  s.steps[3].fetches = {3};
-  s.steps[4].evictions = {2, 3};
-  s.steps[4].fetches = {0};
-  const ReplayResult ref = replay_schedule(inst, s);
-  SchedulePolicy policy(s);
-  const RunResult r = simulate(inst, policy);
-  // Replay counts requests, hits and misses the way a live run does.
-  EXPECT_EQ(r.counters(), ref.counters());
 }
 
 TEST(ScheduleTest, ReplayReportsFullAccountingAndFinalState) {

@@ -165,33 +165,12 @@ std::string g17(double v) {
   return buf;
 }
 
-/// Every dual event (time, increment and state) bit for bit.
-void expect_same_events(const std::vector<DualEvent>& got,
-                        const std::vector<DualEvent>& want,
-                        const std::string& label) {
-  EXPECT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
-    if (got[i].tau != want[i].tau ||
-        bits(got[i].delta) != bits(want[i].delta) ||
-        got[i].max_flush != want[i].max_flush ||
-        got[i].last_request != want[i].last_request) {
-      ADD_FAILURE() << label << ": dual event " << i << " (tau " << got[i].tau
-                    << ", delta " << g17(got[i].delta) << ") != (tau "
-                    << want[i].tau << ", delta " << g17(want[i].delta) << ")";
-      return;
-    }
-  }
-}
-
-/// Run both through diff_policy_runs, then compare the certificates and
-/// every dual event (time, increment and state) bit for bit. Returns the
-/// twin after its run.
+/// Run both through diff_policy_runs, then compare the certificates bit
+/// for bit. Returns the twin after its run.
 std::unique_ptr<verify::ReferenceDetOnline> expect_matches_twin(
     const Instance& inst, const std::string& label) {
   DetOnlineBlockAware alg;
   auto twin = std::make_unique<verify::ReferenceDetOnline>();
-  alg.enable_event_log();
-  twin->enable_event_log();
   for (const std::string& d :
        verify::diff_policy_runs(inst, alg, *twin, 1, label))
     ADD_FAILURE() << d;
@@ -203,7 +182,6 @@ std::unique_ptr<verify::ReferenceDetOnline> expect_matches_twin(
       << " != " << g17(twin->max_load_ratio());
   EXPECT_EQ(bits(alg.primal_cost()), bits(twin->primal_cost())) << label;
   EXPECT_EQ(alg.flushes(), twin->flushes()) << label;
-  expect_same_events(alg.event_log(), twin->event_log(), label);
   return twin;
 }
 
@@ -271,20 +249,13 @@ TEST(DetOnline, MatchesFrozenTwinBitForBit) {
 /// Serve `inst` through `alg` and the twin side by side, each on its own
 /// kernel. After every step the two must agree on hit or miss, the
 /// counters, flushes and the bits of the dual objective and
-/// max_load_ratio(), and after every flush on the cached set. Only the
-/// last `window` steps log dual events, compared in full at the end: each
-/// event copies every page's last request, so a whole-run log of
-/// thousands of pages would take hundreds of MB.
+/// max_load_ratio(), and after every flush on the cached set.
 void expect_lockstep_with_twin(const Instance& inst, DetOnlineBlockAware& alg,
-                               const std::string& label, Time window) {
+                               const std::string& label) {
   verify::ReferenceDetOnline twin;
   StepKernel mine(inst, alg, 1);
   StepKernel theirs(inst, twin, 1);
   for (Time t = 1; t <= inst.horizon(); ++t) {
-    if (t == inst.horizon() - window + 1) {
-      alg.enable_event_log();
-      twin.enable_event_log();
-    }
     const PageId p = inst.request_at(t);
     const long long flushes = alg.flushes();
     const bool hit = mine.serve(p);
@@ -306,7 +277,6 @@ void expect_lockstep_with_twin(const Instance& inst, DetOnlineBlockAware& alg,
       return;
     }
   }
-  expect_same_events(alg.event_log(), twin.event_log(), label);
 }
 
 TEST(DetOnline, MatchesFrozenTwinOnManyBlocks) {
@@ -360,8 +330,7 @@ TEST(DetOnline, MatchesFrozenTwinOnManyBlocks) {
         expect_lockstep_with_twin(
             inst, alg,
             "beta=" + std::to_string(shape.beta) + " k=" + std::to_string(k) +
-                " " + cost_names[kind] + " " + trace_names[trace],
-            500);
+                " " + cost_names[kind] + " " + trace_names[trace]);
         overflows += alg.flushes();
         raises += alg.raises();
       }

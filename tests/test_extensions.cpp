@@ -14,28 +14,32 @@
 #include <vector>
 
 #include "algs/det_online.hpp"
-#include "algs/dual_verifier.hpp"
 #include "algs/greedy_flush.hpp"
 #include "algs/policies/fractional_paging.hpp"
 #include "algs/threshold_bicriteria.hpp"
 #include "core/simulator.hpp"
 #include "core/step_kernel.hpp"
 #include "trace/generators.hpp"
+#include "verify/dual_verifier.hpp"
 #include "verify/gen.hpp"
 #include "verify/reference_policies.hpp"
 
 namespace bac {
 namespace {
 
+// The audit reads the event log of Algorithm 1's frozen twin, which
+// tests/test_det_online.cpp holds to DetOnlineBlockAware's flushes and
+// dual objective bit for bit.
 TEST(DualVerifier, AuditsAlgorithm1OnRandomInstances) {
   Xoshiro256pp rng(201);
   for (int trial = 0; trial < 6; ++trial) {
     const Instance inst = make_instance(
         12, 3, 4, zipf_trace(12, 150, 0.9, rng.substream(trial)));
-    DetOnlineBlockAware alg;
+    verify::ReferenceDetOnline alg;
     alg.enable_event_log();
     simulate(inst, alg);
-    const DualAudit audit = audit_dual_feasibility(inst, alg.event_log());
+    const verify::DualAudit audit =
+        verify::audit_dual_feasibility(inst, alg.event_log());
     EXPECT_TRUE(audit.feasible(1e-9))
         << "constraint (" << audit.worst_block << "," << audit.worst_time
         << ") ratio " << audit.max_load_ratio << " (trial " << trial << ")";
@@ -51,26 +55,27 @@ TEST(DualVerifier, AuditsWeightedInstances) {
     auto costs = log_uniform_costs(4, 8.0, rng.substream(100 + trial));
     Instance inst = make_weighted_instance(
         8, 2, 4, uniform_trace(8, 30, rng.substream(trial)), std::move(costs));
-    DetOnlineBlockAware alg;
+    verify::ReferenceDetOnline alg;
     alg.enable_event_log();
     simulate(inst, alg);
-    const DualAudit audit = audit_dual_feasibility(inst, alg.event_log());
+    const verify::DualAudit audit =
+        verify::audit_dual_feasibility(inst, alg.event_log());
     EXPECT_TRUE(audit.feasible(1e-9)) << "trial " << trial;
   }
 }
 
 TEST(DualVerifier, DetectsFabricatedInfeasibility) {
-  // Feed a corrupted log (doubled deltas) and expect the audit to flag it.
+  // Feed a corrupted log (tripled deltas) and expect the audit to flag it.
   Xoshiro256pp rng(202);
   const Instance inst = make_instance(10, 2, 4,
                                       uniform_trace(10, 60, rng));
-  DetOnlineBlockAware alg;
+  verify::ReferenceDetOnline alg;
   alg.enable_event_log();
   simulate(inst, alg);
   auto events = alg.event_log();
   ASSERT_FALSE(events.empty());
   for (auto& ev : events) ev.delta *= 3.0;
-  const DualAudit audit = audit_dual_feasibility(inst, events);
+  const verify::DualAudit audit = verify::audit_dual_feasibility(inst, events);
   EXPECT_FALSE(audit.feasible(1e-9));
 }
 

@@ -85,6 +85,25 @@ TEST(Generators, UniformRejectsEmptyUniverse) {
   EXPECT_THROW(uniform_trace(0, 10, Xoshiro256pp(1)), std::invalid_argument);
 }
 
+TEST(Generators, ScanRejectsEmptyUniverse) {
+  // Regression: scan_trace(0, T) computed t % 0, an integer division by
+  // zero that killed the process with SIGFPE.
+  EXPECT_THROW(scan_trace(0, 5), std::invalid_argument);
+}
+
+TEST(Generators, EveryTraceRejectsNegativeHorizon) {
+  // Regression: T = -1 used to surface as std::length_error from sizing
+  // the output vector.
+  const Xoshiro256pp rng(1);
+  EXPECT_THROW(uniform_trace(8, -1, rng), std::invalid_argument);
+  EXPECT_THROW(zipf_trace(8, -1, 0.9, rng), std::invalid_argument);
+  EXPECT_THROW(scan_trace(8, -1), std::invalid_argument);
+  EXPECT_THROW(phased_trace(8, -1, 4, 2, rng), std::invalid_argument);
+  EXPECT_THROW(block_local_trace(BlockMap::contiguous(8, 2), -1, 0.75, 0.9,
+                                 rng),
+               std::invalid_argument);
+}
+
 TEST(Generators, BlockLocalMostlyStays) {
   const BlockMap blocks = BlockMap::contiguous(64, 8);
   const auto t = block_local_trace(blocks, 10'000, 0.9, 0.8, Xoshiro256pp(1));

@@ -557,11 +557,13 @@ TEST(ResetReuseTest, DecodersServeAMillionRequestsWithoutAllocating) {
     EXPECT_GT(checksum, 0) << label;
   };
 
-  const auto zipf =
-      SyntheticSource::zipf(1 << 14, 8, 1 << 11, kBatch + kRequests, 0.9, 1);
+  const auto zipf = SyntheticSource::zipf(
+      Instance{BlockMap::contiguous(1 << 14, 8), {}, 1 << 11},
+      kBatch + kRequests, 0.9, Xoshiro256pp(1));
   served_without_allocating(*zipf, "zipf");
   const auto blocklocal = SyntheticSource::block_local(
-      4096, 8, 1024, kBatch + kRequests, 0.75, 0.9, 2);
+      Instance{BlockMap::contiguous(4096, 8), {}, 1024}, kBatch + kRequests,
+      0.75, 0.9, Xoshiro256pp(2));
   served_without_allocating(*blocklocal, "blocklocal");
 
   const std::string path =

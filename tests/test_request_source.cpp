@@ -1,8 +1,9 @@
-// Streaming request sources: generator adapters must reproduce the
-// materialized generator vectors exactly, the streaming simulate() core
-// must match the Instance path bit for bit, and the online aggregates
-// (step-cost histogram, miss-ratio curve) must agree with exact
-// recomputations.
+// Streaming request sources: the trace/generators.hpp vectors are drains
+// of SyntheticSource, and a page-level stream must not depend on the
+// blocks of the header it reports; materialize() drains any source once;
+// the streaming simulate() core must match the Instance path bit for bit,
+// and the online aggregates (step-cost histogram, miss-ratio curve) must
+// agree with exact recomputations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,41 +28,61 @@ std::vector<PageId> drain(RequestSource& src) {
   return out;
 }
 
+/// n pages in contiguous unit-cost blocks of `block_size`, cache size k.
+Instance header(int n, int block_size, int k) {
+  return Instance{BlockMap::contiguous(n, block_size), {}, k};
+}
+
 TEST(SyntheticSource, MatchesUniformGenerator) {
   const std::uint64_t seed = 42;
   const auto expect = uniform_trace(32, 500, Xoshiro256pp(seed));
-  auto src = SyntheticSource::uniform(32, 4, 8, 500, seed);
+  auto src =
+      SyntheticSource::uniform(header(32, 4, 8), 500, Xoshiro256pp(seed));
   EXPECT_EQ(drain(*src), expect);
 }
 
 TEST(SyntheticSource, MatchesZipfGenerator) {
   const std::uint64_t seed = 7;
   const auto expect = zipf_trace(64, 800, 0.9, Xoshiro256pp(seed));
-  auto src = SyntheticSource::zipf(64, 8, 16, 800, 0.9, seed);
+  auto src =
+      SyntheticSource::zipf(header(64, 8, 16), 800, 0.9, Xoshiro256pp(seed));
   EXPECT_EQ(drain(*src), expect);
 }
 
 TEST(SyntheticSource, MatchesScanGenerator) {
   const auto expect = scan_trace(10, 95);
-  auto src = SyntheticSource::scan(10, 2, 4, 95);
+  auto src = SyntheticSource::scan(header(10, 2, 4), 95);
   EXPECT_EQ(drain(*src), expect);
 }
 
 TEST(SyntheticSource, MatchesPhasedGenerator) {
   const std::uint64_t seed = 99;
   const auto expect = phased_trace(40, 600, 60, 12, Xoshiro256pp(seed));
-  auto src = SyntheticSource::phased(40, 4, 12, 600, 60, 12, seed);
+  auto src = SyntheticSource::phased(header(40, 4, 12), 600, 60, 12,
+                                     Xoshiro256pp(seed));
   EXPECT_EQ(drain(*src), expect);
 }
 
 TEST(SyntheticSource, PhasedRejectsBadShape) {
-  // Mirrors the phased_trace guards: both halves of the streaming pair
-  // must reject the shapes whose materialized twin would throw.
-  EXPECT_THROW(SyntheticSource::phased(40, 4, 12, 600, 0, 12, 1),
+  // A non-positive phase length would reach t % phase_len, an integer
+  // division by zero, and an empty working set would be indexed.
+  const Xoshiro256pp rng(1);
+  EXPECT_THROW(SyntheticSource::phased(header(40, 4, 12), 600, 0, 12, rng),
                std::invalid_argument);
-  EXPECT_THROW(SyntheticSource::phased(40, 4, 12, 600, 60, 0, 1),
+  EXPECT_THROW(SyntheticSource::phased(header(40, 4, 12), 600, 60, 0, rng),
                std::invalid_argument);
-  EXPECT_THROW(SyntheticSource::phased(40, 4, 12, 600, 60, -3, 1),
+  EXPECT_THROW(SyntheticSource::phased(header(40, 4, 12), 600, 60, -3, rng),
+               std::invalid_argument);
+}
+
+TEST(SyntheticSource, RejectsAHeaderWithoutPages) {
+  // A block map may hold no pages, which Instance::validate() accepts.
+  // With no page to request, scan would reach t % 0 and uniform would
+  // fail only at its first draw.
+  const Instance empty{BlockMap({}, {1.0}), {}, 1};
+  ASSERT_NO_THROW(empty.validate());
+  EXPECT_THROW(SyntheticSource::scan(empty, 5), std::invalid_argument);
+  EXPECT_THROW(SyntheticSource::uniform(empty, 5, Xoshiro256pp(1)),
                std::invalid_argument);
 }
 
@@ -70,12 +91,14 @@ TEST(SyntheticSource, MatchesBlockLocalGenerator) {
   const BlockMap blocks = BlockMap::contiguous(48, 6);
   const auto expect = block_local_trace(blocks, 700, 0.75, 0.9,
                                         Xoshiro256pp(seed));
-  auto src = SyntheticSource::block_local(48, 6, 12, 700, 0.75, 0.9, seed);
+  auto src = SyntheticSource::block_local(header(48, 6, 12), 700, 0.75, 0.9,
+                                          Xoshiro256pp(seed));
   EXPECT_EQ(drain(*src), expect);
 }
 
 TEST(SyntheticSource, RewindReplaysIdentically) {
-  auto src = SyntheticSource::zipf(32, 4, 8, 300, 1.1, 13);
+  auto src =
+      SyntheticSource::zipf(header(32, 4, 8), 300, 1.1, Xoshiro256pp(13));
   const auto first = drain(*src);
   src->rewind();
   const auto second = drain(*src);
@@ -91,6 +114,46 @@ TEST(InstanceSource, StreamsAndRewinds) {
   EXPECT_EQ(drain(src), inst.requests);
   src.rewind();
   EXPECT_EQ(drain(src), inst.requests);
+}
+
+TEST(Materialize, DrainsAnInstanceSourceOnce) {
+  const Instance inst = make_instance(8, 2, 4, {0, 3, 5, 3, 7});
+  InstanceSource src(inst);
+  const Instance out = materialize(src);
+  EXPECT_EQ(out.requests, inst.requests);
+  EXPECT_EQ(out.k, inst.k);
+  EXPECT_TRUE(out.blocks.shares_structure(inst.blocks));
+  // Only the rest of the stream: a drained source adds nothing.
+  EXPECT_TRUE(materialize(src).requests.empty());
+}
+
+/// A stream of unknown length: forwards next() alone, so it keeps the
+/// base class's next_batch() and a horizon_hint() of -1.
+class OpenEndedSource final : public RequestSource {
+ public:
+  explicit OpenEndedSource(RequestSource& inner) : inner_(inner) {}
+  [[nodiscard]] const Instance& context() const override {
+    return inner_.context();
+  }
+  bool next(PageId& p) override { return inner_.next(p); }
+  void rewind() override { inner_.rewind(); }
+
+ private:
+  RequestSource& inner_;
+};
+
+TEST(Materialize, DrainsAStreamOfUnknownLength) {
+  // 1,300 requests: two full 512-request batches and a partial one.
+  const auto synthetic =
+      SyntheticSource::zipf(header(64, 8, 16), 1300, 0.9, Xoshiro256pp(3));
+  const std::vector<PageId> expect = drain(*synthetic);
+  synthetic->rewind();
+  OpenEndedSource src(*synthetic);
+  ASSERT_EQ(src.horizon_hint(), -1);
+  const Instance out = materialize(src);
+  EXPECT_EQ(out.requests, expect);
+  EXPECT_EQ(out.requests.size(), 1300u);
+  EXPECT_EQ(out.k, 16);
 }
 
 /// Drain via next_batch with an awkward cap so batch boundaries land
@@ -154,11 +217,12 @@ TEST(SyntheticSource, ZipfAndBlockLocalStreamsArePinned) {
                  : block_local_trace(BlockMap::contiguous(pin.n, 8), kT, 0.75,
                                      0.9, Xoshiro256pp(pin.seed));
     EXPECT_EQ(stream_hash(generated), pin.hash) << label;
+    const Xoshiro256pp rng(pin.seed);
     const auto src =
-        pin.zipf ? SyntheticSource::zipf(pin.n, 8, pin.n / 8, kT, 0.9,
-                                         pin.seed)
-                 : SyntheticSource::block_local(pin.n, 8, pin.n / 4, kT, 0.75,
-                                                0.9, pin.seed);
+        pin.zipf ? SyntheticSource::zipf(header(pin.n, 8, pin.n / 8), kT, 0.9,
+                                         rng)
+                 : SyntheticSource::block_local(header(pin.n, 8, pin.n / 4), kT,
+                                                0.75, 0.9, rng);
     EXPECT_EQ(stream_hash(drain_batched(*src, 512)), pin.hash) << label;
     src->rewind();
     EXPECT_EQ(stream_hash(drain_batched(*src, 512)), pin.hash) << label;
@@ -169,11 +233,15 @@ TEST(NextBatch, MatchesNextForEverySourceKind) {
   // Synthetic sources (one per generator kind) ...
   const auto make_synthetics = [] {
     std::vector<std::unique_ptr<RequestSource>> v;
-    v.push_back(SyntheticSource::uniform(32, 4, 8, 700, 5));
-    v.push_back(SyntheticSource::zipf(64, 8, 16, 700, 0.9, 6));
-    v.push_back(SyntheticSource::scan(10, 2, 4, 700));
-    v.push_back(SyntheticSource::phased(40, 4, 12, 700, 60, 12, 7));
-    v.push_back(SyntheticSource::block_local(48, 6, 12, 700, 0.75, 0.9, 8));
+    v.push_back(
+        SyntheticSource::uniform(header(32, 4, 8), 700, Xoshiro256pp(5)));
+    v.push_back(
+        SyntheticSource::zipf(header(64, 8, 16), 700, 0.9, Xoshiro256pp(6)));
+    v.push_back(SyntheticSource::scan(header(10, 2, 4), 700));
+    v.push_back(SyntheticSource::phased(header(40, 4, 12), 700, 60, 12,
+                                        Xoshiro256pp(7)));
+    v.push_back(SyntheticSource::block_local(header(48, 6, 12), 700, 0.75, 0.9,
+                                             Xoshiro256pp(8)));
     return v;
   };
   auto a = make_synthetics();
@@ -195,7 +263,8 @@ TEST(NextBatch, MatchesNextForEverySourceKind) {
 }
 
 TEST(NextBatch, MixesWithNextMidStream) {
-  auto src = SyntheticSource::zipf(32, 4, 8, 300, 1.1, 13);
+  auto src =
+      SyntheticSource::zipf(header(32, 4, 8), 300, 1.1, Xoshiro256pp(13));
   const auto expect = drain(*src);
   src->rewind();
   std::vector<PageId> got;
@@ -220,7 +289,8 @@ TEST(StreamingSimulate, MatchesMaterializedPathBitForBit) {
   const std::uint64_t seed = 3;
   const Instance inst =
       make_instance(64, 8, 16, zipf_trace(64, 2000, 0.9, Xoshiro256pp(seed)));
-  auto src = SyntheticSource::zipf(64, 8, 16, 2000, 0.9, seed);
+  auto src =
+      SyntheticSource::zipf(header(64, 8, 16), 2000, 0.9, Xoshiro256pp(seed));
 
   LruPolicy lru_a, lru_b;
   const RunResult a = simulate(inst, lru_a);
@@ -234,7 +304,7 @@ TEST(StreamingSimulate, MatchesMaterializedPathBitForBit) {
 }
 
 TEST(StreamingSimulate, RejectsOfflinePoliciesOnStreams) {
-  auto src = SyntheticSource::scan(16, 2, 8, 100);
+  auto src = SyntheticSource::scan(header(16, 2, 8), 100);
   BeladyPolicy belady;
   EXPECT_THROW(simulate(*src, belady), std::invalid_argument);
   // Materialized sources still welcome them.

@@ -31,23 +31,23 @@ using server::ConcurrentCache;
 using server::ServerStats;
 using server::ShardSnapshot;
 
-std::vector<PageId> materialize(RequestSource& source) {
-  std::vector<PageId> out;
-  PageId p = 0;
-  while (source.next(p)) out.push_back(p);
-  return out;
-}
-
 /// Small zipf workload: 256 pages in blocks of 4, k = 32, 20k requests.
 struct Workload {
   Instance inst;
   std::vector<PageId> requests;
 };
 
+/// A zipf0.9 trace over contiguous blocks of `beta` pages.
+Instance zipf_trace_of(int n, int beta, int k, long long T,
+                       std::uint64_t seed) {
+  return materialize(
+      *SyntheticSource::zipf(Instance{BlockMap::contiguous(n, beta), {}, k},
+                             T, 0.9, Xoshiro256pp(seed)));
+}
+
 Workload zipf_workload(long long T = 20000) {
-  auto src = SyntheticSource::zipf(256, 4, 32, T, 0.9, 7);
-  std::vector<PageId> requests = materialize(*src);
-  Instance inst{src->context().blocks, requests, src->context().k};
+  Instance inst = zipf_trace_of(256, 4, 32, T, 7);
+  std::vector<PageId> requests = inst.requests;
   return {std::move(inst), std::move(requests)};
 }
 
@@ -235,9 +235,8 @@ TEST(ConcurrentCache, GetBatchRejectsOutOfRangeBeforeServingAny) {
 // must equal those of the same trace fed through get() one request at a
 // time — for every policy kind, shard count and batch size.
 TEST(ConcurrentCache, GetBatchMatchesPerRequestGet) {
-  auto src = SyntheticSource::zipf(1024, 4, 128, 6000, 0.9, 21);
-  const std::vector<PageId> requests = materialize(*src);
-  const Instance inst{src->context().blocks, requests, src->context().k};
+  const Instance inst = zipf_trace_of(1024, 4, 128, 6000, 21);
+  const std::vector<PageId>& requests = inst.requests;
   const int whole = static_cast<int>(requests.size());
   const LruPolicy lru;
   const MarkingPolicy marking;
@@ -333,9 +332,9 @@ class OneSlowRequestPolicy final : public OnlinePolicy {
 // batch-mean recording (one sample = batch total / n) diluted even the
 // max 512-fold (~1us), so these bounds fail against it.
 TEST(CacheShard, OneSlowRequestInABatchMovesTheTail) {
-  auto src = SyntheticSource::zipf(64, 4, 16, 512, 0.9, 5);
-  const std::vector<PageId> requests = materialize(*src);
-  const Instance header{src->context().blocks, {}, src->context().k};
+  const Instance trace = zipf_trace_of(64, 4, 16, 512, 5);
+  const std::vector<PageId>& requests = trace.requests;
+  const Instance header{trace.blocks, {}, trace.k};
   CacheShard shard(header, std::make_unique<OneSlowRequestPolicy>(300), 1);
   shard.get_batch(requests.data(), static_cast<int>(requests.size()));
 

@@ -45,19 +45,24 @@ TEST(FuzzGen, DeterministicAndValid) {
 }
 
 TEST(FuzzGen, StreamingTwinYieldsTheMaterializedRequests) {
-  int checked = 0;
-  for (std::uint64_t seed = 1; seed <= 120 && checked < 10; ++seed) {
+  // Every instance is a drain of its twin, whatever its block shape and
+  // costs.
+  bool saw_weighted = false, saw_skewed = false;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
     const verify::GeneratedInstance gi = verify::random_instance(seed);
-    if (!gi.streaming_twin) continue;
-    ++checked;
+    ASSERT_TRUE(gi.streaming_twin) << gi.descriptor;
     const auto source = gi.streaming_twin();
     std::vector<PageId> streamed;
     PageId p = 0;
     while (source->next(p)) streamed.push_back(p);
     EXPECT_EQ(streamed, gi.inst.requests) << gi.descriptor;
     EXPECT_EQ(source->context().k, gi.inst.k);
+    EXPECT_TRUE(source->context().blocks.shares_structure(gi.inst.blocks));
+    saw_weighted |= gi.descriptor.find("costs=unit") == std::string::npos;
+    saw_skewed |= gi.descriptor.find("shape=skewed") != std::string::npos;
   }
-  EXPECT_GE(checked, 5) << "generator should produce twinned shapes often";
+  EXPECT_TRUE(saw_weighted);
+  EXPECT_TRUE(saw_skewed);
 }
 
 TEST(FuzzGen, CoversTheEdgeShapes) {

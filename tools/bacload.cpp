@@ -66,15 +66,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-std::vector<bac::PageId> materialize(bac::RequestSource& source) {
-  std::vector<bac::PageId> out;
-  const long long hint = source.horizon_hint();
-  if (hint > 0) out.reserve(static_cast<std::size_t>(hint));
-  bac::PageId p = 0;
-  while (source.next(p)) out.push_back(p);
-  return out;
-}
-
 struct RunRecord {
   int threads = 0;
   double wall_ms = 0;
@@ -83,8 +74,9 @@ struct RunRecord {
   double speedup = 1.0;
   /// speedup divided by the thread-count ratio vs the baseline run:
   /// 1.0 = perfect scaling, and the gap below 1.0 is what the per-shard
-  /// lock_wait_* fields in the same record explain (contention-aware
-  /// scaling report, ROADMAP item 6).
+  /// lock_wait_* fields in the same record explain (a contention-aware
+  /// scaling report: how much of the lost speedup went to waiting on
+  /// shard locks).
   double scaling_efficiency = 1.0;
   ServerStats stats;
 };
@@ -249,9 +241,9 @@ int run(int argc, char** argv) {
 
   // Materialize the workload once (partitioning needs random access);
   // every run replays the same sequence.
-  auto source = bac::driver::make_workload_source(workload, config, k);
-  bac::Instance ctx{source->context().blocks, {}, k};
-  const std::vector<bac::PageId> requests = materialize(*source);
+  const bac::Instance trace =
+      bac::materialize(*bac::driver::make_workload_source(workload, config, k));
+  const std::vector<bac::PageId>& requests = trace.requests;
   if (requests.empty()) {
     std::fprintf(stderr, "%s: workload '%s' yielded no requests\n", argv[0],
                  workload.c_str());
@@ -259,7 +251,7 @@ int run(int argc, char** argv) {
   }
 
   if (shards == 0)
-    shards = std::min(ConcurrentCache::max_shards(ctx), 64);
+    shards = std::min(ConcurrentCache::max_shards(trace), 64);
 
   if (!quiet)
     std::printf("%8s %8s %12s %12s %14s %10s %12s %10s %10s %8s %6s\n",
@@ -270,7 +262,7 @@ int run(int argc, char** argv) {
   double base_rps = 0;
   for (const int n_threads : thread_counts) {
     // A fresh cache per run: every run starts cold from the same state.
-    ConcurrentCache cache(ctx, *prototype, shards, config.seed);
+    ConcurrentCache cache(trace, *prototype, shards, config.seed);
     bac::obs::Span span(obs.trace(), "load/t" + std::to_string(n_threads));
     const double seconds =
         dispatch == "shard"
@@ -314,7 +306,7 @@ int run(int argc, char** argv) {
 
   if (json) {
     write_json(json_path, config, workload, policy_name, prototype->name(),
-               ctx, shards, dispatch, runs, costs_equal);
+               trace, shards, dispatch, runs, costs_equal);
     std::printf("[json: %s]\n", json_path.c_str());
   }
   if (!obs.write_metrics(argv[0], "bacload")) return 1;
