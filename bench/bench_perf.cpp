@@ -138,10 +138,12 @@ void serve_case(Table& table, int n, Time T) {
 void simulator_throughput() {
   Table table = perf_table();
   // Light (index-bound) policies get long traces for stable timing. The
-  // LP-based randomized policy costs tens of microseconds per request, and
-  // more as T grows: Algorithm 2's flush history grows ~0.8 entries per
-  // request and the separation oracle still walks its non-dead part each
-  // call. So it runs at T = 2k and at T = 20k, where that growth shows.
+  // LP-based randomized policy costs microseconds to tens of them per
+  // request. Its separation oracle rebuilds only the blocks whose entries
+  // or last requests changed and decides most S' from per-block sums, so
+  // its per-request time at n = 256 no longer grows with T; it runs at
+  // T = 2k and 20k there, and at T = 8k at n = 4096 (k = 1024), where
+  // non-dead entries are many.
   constexpr Time kLong = 200'000;
   simulate_case<LruPolicy>(table, "simulate/LRU", 256, kLong);
   simulate_case<LruPolicy>(table, "simulate/LRU", 1024, kLong);
@@ -165,6 +167,8 @@ void simulator_throughput() {
   simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand", 256, 2'000);
   simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand-T20k", 256,
                                       20'000);
+  simulate_case<RandomizedBlockAware>(table, "simulate/BA-Rand-T8k", 4096,
+                                      8'000);
   // Theorem 4.1's rounding over the fractional weighted-paging substrate
   // (half-size cache h = 32).
   ThresholdBicriteriaPolicy bicrit(ThresholdBicriteriaPolicy::Mode::Fetching);

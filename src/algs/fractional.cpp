@@ -38,6 +38,7 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
       throw std::logic_error("FractionalBlockAware: while-loop not converging");
 
     const auto violation = oracle_->find_violated(*S_, vars_);
+    ++counts_.separation_calls;
     if (!violation) break;
     const FlushSet& sprime = violation->sprime;
 
@@ -59,13 +60,7 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
         alive_.push_back({b, at, coeff, vars_.get(b, at), rate, *slot});
       }
     }
-    // exp(rate * d) once per distinct rate (coeff <= beta, so with equal
-    // block costs there are at most beta of them).
     growth_.resize(rates_.size());
-    const auto grow_to = [&](double d) {
-      for (std::size_t r = 0; r < rates_.size(); ++r)
-        growth_[r] = std::exp(rates_[r] * d);
-    };
 
     // d_tight: minimal dual increase making some alive flush with
     // coeff >= 1 reach phi = 1 (its dual constraint tightens then).
@@ -97,27 +92,25 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
     // a Theta(k) factor — see Lemma 3.11's inequality (3.6), which is only
     // valid while the constraint is violated.)
     const double rhs = violation->rhs;
-    auto lhs_at = [&](double d) {
-      grow_to(d);
-      double lhs = 0;
-      for (const Candidate& c : alive_) {
-        const double phi =
-            std::min(1.0, (c.phi + eps_) * growth_[c.slot] - eps_);
-        lhs += static_cast<double>(c.coeff) * phi;
-      }
-      return lhs;
-    };
     double dstar = d_tight;
     bool adopt = true;
     if (d_tight > 0 && lhs_at(d_tight) >= rhs) {
       adopt = false;  // saturation happens first; no variable reaches 1
+      ++counts_.bisections;
+      // Halvings outside the bracket are decided without lhs_at, and
+      // decided as lhs_at decides them (see the header).
+      const CertifiedBracket bracket = saturation_bracket(d_tight, rhs);
+      const auto reads_below = [&](double d) {
+        ++counts_.lhs_evals;
+        return lhs_at(d) < rhs;
+      };
       double lo = 0.0, hi = d_tight;
       for (int iter = 0; iter < 64; ++iter) {
         const double mid = 0.5 * (lo + hi);
         // With mid at an end, this update leaves (lo, hi) final: every
         // later halving recomputes this mid and takes this branch.
         const bool fixed_point = mid == lo || mid == hi;
-        if (lhs_at(mid) < rhs) lo = mid;
+        if (bracket.below_at(mid, reads_below)) lo = mid;
         else hi = mid;
         if (fixed_point) break;
       }
@@ -150,6 +143,85 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
     }
   }
   return increments_;
+}
+
+void FractionalBlockAware::grow_to(double d) {
+  // exp(rate * d) once per distinct rate (coeff <= beta, so with equal
+  // block costs there are at most beta of them).
+  for (std::size_t r = 0; r < rates_.size(); ++r)
+    growth_[r] = std::exp(rates_[r] * d);
+}
+
+double FractionalBlockAware::lhs_at(double d) {
+  grow_to(d);
+  double lhs = 0;
+  for (const Candidate& c : alive_) {
+    const double phi = std::min(1.0, (c.phi + eps_) * growth_[c.slot] - eps_);
+    lhs += static_cast<double>(c.coeff) * phi;
+  }
+  return lhs;
+}
+
+CertifiedBracket FractionalBlockAware::saturation_bracket(double d_tight,
+                                                         double rhs) {
+  // Below d_tight no candidate's real phi reaches 1, so the real LHS is
+  //   L(d) = sum_r W_r exp(r d) - eps * sum coeff,
+  // W_r = sum of coeff * (phi + eps) over the candidates of rate r, with
+  // phi + eps rounded as lhs_at rounds it. L is increasing and convex.
+  weights_.assign(rates_.size(), 0.0);
+  double coeffs = 0;
+  for (const Candidate& c : alive_) {
+    weights_[c.slot] += static_cast<double>(c.coeff) * (c.phi + eps_);
+    coeffs += static_cast<double>(c.coeff);
+  }
+  // Newton's method on log(L + eps * sum coeff), a log-sum-exp and so also
+  // convex: from d_tight, right of the root, it descends onto the root
+  // without overshooting, in one step when one rate dominates.
+  const double target = std::log(rhs + eps_ * coeffs);
+  double d = d_tight;
+  double slope = 0;  // L'(d)
+  for (int iter = 0; iter < 32; ++iter) {
+    double sum = 0;
+    slope = 0;
+    for (std::size_t r = 0; r < rates_.size(); ++r) {
+      const double w = weights_[r] * std::exp(rates_[r] * d);
+      sum += w;
+      slope += rates_[r] * w;
+    }
+    const double step = (std::log(sum) - target) * sum / slope;
+    if (!(step > 0)) break;  // at the root, as far as rounding tells
+    if (!(step < d)) return {};  // a root at or below 0: no bracket
+    d -= step;
+    if (step <= d * 0x1p-52) break;
+  }
+
+  // lhs_at's error model on [0, d_tight] (u = 2^-53, n terms, x_max = the
+  // largest r d there, at most ln(k beta + 1) up to rounding, and
+  // std::exp within kExpUlps ulps): each term's phi + eps is off by at most
+  // (x + 2 kExpUlps + 1) u of itself, its cap and its product with coeff add
+  // 2 u of phi, and the add chain u of each partial sum, at most n u of
+  // the LHS. So |lhs_at(d) - L(d)| <= rel L(d) + abs with
+  const double x_max = log_term_ + 1.0;
+  const double per_term = x_max + 2.0 * kExpUlps + 3.0;
+  const double slack = 1.0 + 0x1p-20;  // second-order terms
+  const ErrorModel model{
+      0x1p-53 * (static_cast<double>(alive_.size()) + per_term + 1.0) * slack,
+      0x1p-53 * per_term * eps_ * coeffs * slack};
+
+  // Ends a few error widths either side of the root, each certified by
+  // one reading; an end that fails to certify stays open.
+  const double width = 8.0 * (model.rel * rhs + model.abs) / slope;
+  CertifiedBracket bracket;
+  if (!(width > 0)) return bracket;
+  if (const double below = d - width; below > 0) {
+    ++counts_.lhs_evals;
+    if (certifies_below(lhs_at(below), rhs, model)) bracket.below = below;
+  }
+  if (const double above = d + width; above < d_tight) {
+    ++counts_.lhs_evals;
+    if (certifies_above(lhs_at(above), rhs, model)) bracket.above = above;
+  }
+  return bracket;
 }
 
 }  // namespace bac

@@ -18,6 +18,25 @@
 // The solution only ever increases (monotone-incremental); all increments
 // are reported per step so the online rounding (Algorithm 3) can consume
 // them without seeing the future.
+//
+// The saturation bisection. When the constraint saturates before any
+// flush tightens, the dual step is found by at most 64 halvings of
+// [0, d_tight], each asking "does lhs_at(mid) read below rhs?", and the
+// bits of the step, of every increment and of the dual are those
+// halvings'. Most of them need no evaluation. Below d_tight no candidate
+// reaches 1, so the real LHS L(d) = sum_r W_r exp(r d) - eps * sum coeff
+// is increasing and convex, and lhs_at stays within rel * L + abs of it,
+// rel = (n + x_max + 2 U + 4) u and abs = (x_max + 2 U + 3) u eps sum
+// coeff (u = 2^-53, n terms, x_max = ln(k beta + 1) + 1 bounds r d, U =
+// kExpUlps). This assumes std::exp is within U ulps of exp; a test samples
+// it against expl. Newton's method on log(L + eps sum coeff) finds the
+// root; one lhs_at reading each a few error widths either side of it
+// certifies a bracket (util/certified_bracket.hpp): every mid at or below
+// its lower end reads below rhs and every mid at or above its upper end
+// does not. The halvings consult the bracket first and evaluate lhs_at
+// only between its ends, so they take the branches the plain bisection
+// takes. verify::ReferenceFractionalBlockAware is that plain bisection;
+// tests and the policy_equivalence fuzz family diff the two bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +48,7 @@
 #include "submodular/flush_coverage.hpp"
 #include "submodular/flush_vars.hpp"
 #include "submodular/separation.hpp"
+#include "util/certified_bracket.hpp"
 #include "util/flat_hash.hpp"
 
 namespace bac {
@@ -64,6 +84,23 @@ class FractionalBlockAware {
     return integral_flushes_;
   }
 
+  /// How the while-loop's decisions were made. Every count is a function
+  /// of the request sequence alone.
+  struct Counts {
+    long long separation_calls = 0;  ///< find_violated calls
+    long long bisections = 0;        ///< saturation bisections
+    long long lhs_evals = 0;         ///< lhs_at evaluations they made
+  };
+  [[nodiscard]] const Counts& counts() const noexcept { return counts_; }
+  /// The oracle's own counts (zero for oracles that keep none).
+  [[nodiscard]] SeparationCounts separation_counts() const {
+    return oracle_->counts();
+  }
+
+  /// std::exp's largest error, in ulps, that the saturation bracket's
+  /// error model assumes (tests/test_fractional.cpp samples it).
+  static constexpr double kExpUlps = 2;
+
  private:
   const BlockMap* blocks_;
   int k_;
@@ -76,6 +113,7 @@ class FractionalBlockAware {
   double dual_obj_ = 0;
   long long integral_flushes_ = 0;
   std::vector<FractionalIncrement> increments_;
+  Counts counts_;
 
   // Per-iteration buffers of step(), kept for their capacity.
   struct Candidate {
@@ -91,6 +129,16 @@ class FractionalBlockAware {
   std::vector<double> rates_;   // distinct rates of alive_
   FlatMap<std::uint64_t, std::size_t> rate_slots_;  // rate bits -> slot
   std::vector<double> growth_;  // exp(rate * d) per rates_ entry
+  std::vector<double> weights_;  // per rates_ entry: sum coeff * (phi + eps)
+
+  /// growth_ at dual increase d.
+  void grow_to(double d);
+  /// The violated constraint's LHS after dual increase d: every alive
+  /// candidate grown in closed form and capped at 1.
+  [[nodiscard]] double lhs_at(double d);
+  /// Certified ends for the saturation bisection over [0, d_tight].
+  [[nodiscard]] CertifiedBracket saturation_bracket(double d_tight,
+                                                    double rhs);
 };
 
 }  // namespace bac

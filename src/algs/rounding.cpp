@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+
+#include "obs/metrics.hpp"
 
 namespace bac {
 
@@ -148,6 +151,23 @@ void RandomizedBlockAware::on_request(Time t, PageId p, CacheOps& cache) {
       break;  // only the requested page is cached; cannot overflow
     }
   }
+}
+
+void RandomizedBlockAware::export_metrics(
+    obs::MetricRegistry& registry) const {
+  if (!frac_) return;  // never reset
+  const auto inc = [&](const char* name, long long n) {
+    registry.counter(name).inc(static_cast<std::uint64_t>(n));
+  };
+  const FractionalBlockAware::Counts& c = frac_->counts();
+  const SeparationCounts sc = frac_->separation_counts();
+  inc("policy_separation_calls_total", c.separation_calls);
+  inc("policy_separation_scored_total", sc.scored);
+  inc("policy_separation_exact_total", sc.exact);
+  inc("policy_saturation_bisections_total", c.bisections);
+  inc("policy_saturation_lhs_evals_total", c.lhs_evals);
+  inc("policy_alterations_total", alterations_);
+  inc("policy_fallback_alterations_total", fallback_alterations_);
 }
 
 }  // namespace bac

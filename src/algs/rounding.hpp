@@ -78,6 +78,11 @@ class RandomizedBlockAware final : public OnlinePolicy {
     return fallback_alterations_;
   }
   [[nodiscard]] double gamma() const noexcept { return gamma_; }
+  /// Algorithm 2's decision counts (separation calls, S' scored and those
+  /// the exact chain decided, saturation bisections and their LHS
+  /// evaluations) and the two alteration counts; all are deterministic
+  /// per seed.
+  void export_metrics(obs::MetricRegistry& registry) const override;
 
  private:
   Options options_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace bac {
 
@@ -63,6 +64,11 @@ std::unique_ptr<SyntheticSource> SyntheticSource::phased(
 std::unique_ptr<SyntheticSource> SyntheticSource::block_local(
     const Instance& header, long long T, double stay, double alpha,
     Xoshiro256pp rng) {
+  // It draws a block, then a page of it: an empty block has none to draw.
+  for (BlockId b = 0; b < header.blocks.n_blocks(); ++b)
+    if (header.blocks.pages_in(b).empty())
+      throw std::invalid_argument("SyntheticSource::block_local: block " +
+                                  std::to_string(b) + " has no pages");
   auto src = std::unique_ptr<SyntheticSource>(
       new SyntheticSource(Kind::BlockLocal, header, T, rng));
   src->stay_ = stay;

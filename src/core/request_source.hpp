@@ -122,7 +122,8 @@ class InstanceSource final : public RequestSource {
 /// Zipf and blocklocal draw pages (blocks) through a ZipfSampler
 /// (util/zipf_sampler.hpp) built once per source. Every factory throws
 /// std::invalid_argument on a negative horizon, an empty universe or a
-/// header that fails Instance::validate().
+/// header that fails Instance::validate(); block_local also on a header
+/// with an empty block.
 class SyntheticSource final : public RequestSource {
  public:
   /// Pages drawn uniformly from [0, n_pages).

@@ -80,10 +80,10 @@ bool ThresholdSeparation::rebuild(Block& blk, BlockId b, const FlushVars& phi,
   maxima_.clear();
   double run = 0;
   for (int i = static_cast<int>(blk.active.size()) - 1; i >= 0; --i) {
-    const double v = blk.active[static_cast<std::size_t>(i)].phi;
-    if (v > run) {
-      maxima_.push_back({v, i});
-      run = v;
+    const Active& e = blk.active[static_cast<std::size_t>(i)];
+    if (e.phi > run) {
+      maxima_.push_back({e.phi, i, e.below});
+      run = e.phi;
     }
   }
   const auto same = [](const Maximum& x, const Maximum& y) {
@@ -91,11 +91,50 @@ bool ThresholdSeparation::rebuild(Block& blk, BlockId b, const FlushVars& phi,
   };
   const bool changed = !std::equal(maxima_.begin(), maxima_.end(),
                                    blk.maxima.begin(), blk.maxima.end(), same);
-  if (changed) blk.maxima.swap(maxima_);
+  blk.maxima.swap(maxima_);  // the belows can differ when nothing else does
+  sum_terms(blk);
   blk.phi_stamp = phi.stamp(b);
   blk.cov_stamp = cov.stamp(b);
   blk.m = m;
   return changed;
+}
+
+void ThresholdSeparation::sum_terms(Block& blk) {
+  // The suffixes the choices leave are nested, so one right-to-left walk
+  // fills level_[w], the phi sum of the walked entries whose count_below
+  // is w. A choice with count_below base then has gm = w - base, and its
+  // row is sum_{w > base} min(w - base, v) level_[w] = row[v - 2] +
+  // tail(v), tail(v) = sum_{w >= base + v} level_[w]. Every sum adds
+  // nonnegative values only, each phi through at most (entries + 2 beta)
+  // roundings.
+  const auto width = static_cast<std::size_t>(beta_);
+  const std::size_t rows = blk.maxima.size() + 1;
+  blk.sums.assign(rows * width, 0.0);
+  if (blk.active.empty()) return;  // one row, all 0
+  level_.assign(width + 1, 0.0);
+  const auto fill = [&](std::size_t row, int base) {
+    double* out = blk.sums.data() + row * width;
+    double tail = 0;
+    for (std::size_t v = width; v >= 1; --v) {
+      if (const std::size_t w = static_cast<std::size_t>(base) + v;
+          w <= width)
+        tail += level_[w];
+      out[v - 1] = tail;  // tail(v), summed into the row below
+    }
+    for (std::size_t v = 1; v < width; ++v) out[v] += out[v - 1];
+  };
+  std::size_t i = blk.active.size();
+  for (std::size_t r = 0; r < blk.maxima.size(); ++r) {
+    const Maximum& mx = blk.maxima[r];
+    for (; i > static_cast<std::size_t>(mx.index) + 1; --i)
+      level_[static_cast<std::size_t>(blk.active[i - 1].below)] +=
+          blk.active[i - 1].phi;
+    fill(r + 1, mx.below);
+  }
+  for (; i > 0; --i)
+    level_[static_cast<std::size_t>(blk.active[i - 1].below)] +=
+        blk.active[i - 1].phi;
+  fill(0, blk.base);
 }
 
 void ThresholdSeparation::build_net() {
@@ -183,14 +222,55 @@ double ThresholdSeparation::predecessor(double x) const {
   return best > 0 ? std::bit_cast<double>(best) : octave_below_[o];
 }
 
-void ThresholdSeparation::sort_steps() {
-  steps_.clear();
-  for (std::size_t b = 0; b < blocks_.size(); ++b)
-    for (const Maximum& mx : blocks_[b].maxima)
-      steps_.push_back({mx.phi, mx.index, static_cast<BlockId>(b)});
-  // Equal phi are passed by the same theta, so their order is immaterial.
-  std::sort(steps_.begin(), steps_.end(),
+void ThresholdSeparation::merge_steps() {
+  // One pass over the kept steps, which stay sorted, merging in the fresh
+  // ones, sorted first. Equal phi are passed by the same theta, so their
+  // order is immaterial.
+  fresh_.clear();
+  for (const BlockId b : restepped_) {
+    const Block& blk = blocks_[static_cast<std::size_t>(b)];
+    for (std::size_t m = 0; m < blk.maxima.size(); ++m)
+      fresh_.push_back({blk.maxima[m].phi, b, static_cast<int>(m)});
+  }
+  std::sort(fresh_.begin(), fresh_.end(),
             [](const Step& x, const Step& y) { return x.phi > y.phi; });
+  merged_.clear();
+  auto f = fresh_.begin();
+  for (const Step& st : steps_) {
+    if (restep_[static_cast<std::size_t>(st.b)]) continue;
+    for (; f != fresh_.end() && f->phi > st.phi; ++f) merged_.push_back(*f);
+    merged_.push_back(st);
+  }
+  merged_.insert(merged_.end(), f, fresh_.end());
+  steps_.swap(merged_);
+  for (const BlockId b : restepped_) restep_[static_cast<std::size_t>(b)] = 0;
+  restepped_.clear();
+}
+
+std::optional<double> ThresholdSeparation::violated_lhs(int cap, int g) {
+  ++counts_.scored;
+  const double threshold = static_cast<double>(cap - g) - tolerance_;
+  // constraint_lhs is one add chain over at most terms_ products, so it
+  // is within gamma(terms_) of the real sum T of its terms; the row sums
+  // each took at most (entries + 2 beta) roundings and their total one
+  // per block more, so sum is within gamma(k) of T, k = terms_ + 2 beta +
+  // blocks. Then |chain - sum| <= 2 gamma(k) T <= 2^-51 k sum (1 + tiny);
+  // the bound takes twice that, which also covers the roundings of
+  // bound and of sum +- bound.
+  const auto col = static_cast<std::size_t>(std::min(cap - g, beta_) - 1);
+  double sum = 0;
+  for (const double* row : rows_) sum += row[col];
+  const double k = static_cast<double>(terms_) + 2.0 * beta_ +
+                   static_cast<double>(rows_.size());
+  const double bound = sum * k * 0x1p-50;
+  if (sum - bound >= threshold) return std::nullopt;
+  if (!(sum + bound < threshold)) {
+    ++counts_.exact;
+    const double lhs = chosen_lhs(cap, g);
+    if (!(lhs < threshold)) return std::nullopt;
+    return lhs;
+  }
+  return chosen_lhs(cap, g);  // the Violation carries the chain's bits
 }
 
 double ThresholdSeparation::chosen_lhs(int cap, int g) const {
@@ -198,13 +278,16 @@ double ThresholdSeparation::chosen_lhs(int cap, int g) const {
   // and entries at or before a block's chosen flush contribute nothing.
   double lhs = 0;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const std::vector<Active>& active = blocks_[b].active;
+    const Block& blk = blocks_[b];
     const int c = chosen_[b];
-    const int base = c < 0 ? blocks_[b].base
-                           : active[static_cast<std::size_t>(c)].below;
-    for (std::size_t i = c < 0 ? 0 : static_cast<std::size_t>(c) + 1;
-         i < active.size(); ++i) {
-      const Active& e = active[i];
+    const int base =
+        c < 0 ? blk.base : blk.maxima[static_cast<std::size_t>(c)].below;
+    for (std::size_t i =
+             c < 0 ? 0
+                   : static_cast<std::size_t>(
+                         blk.maxima[static_cast<std::size_t>(c)].index) + 1;
+         i < blk.active.size(); ++i) {
+      const Active& e = blk.active[i];
       const int gm = e.below - base;
       if (gm <= 0) continue;
       lhs += static_cast<double>(std::min(gm, cap - g)) * e.phi;
@@ -220,22 +303,30 @@ std::optional<Violation> ThresholdSeparation::find_violated(
   // Every S' >= S has g(S') >= g(S), so rhs <= 0 for all of them too.
   if (S.g() >= cap) return std::nullopt;
   const auto n_blocks = static_cast<std::size_t>(cov.blocks().n_blocks());
-  if (blocks_.size() != n_blocks) {  // storage only; the keys are stamps
+  if (blocks_.size() != n_blocks || beta_ != cov.blocks().beta()) {
+    // storage only; the keys are stamps
     blocks_.assign(n_blocks, {});
+    beta_ = cov.blocks().beta();
     steps_.clear();  // every block's maxima are empty now
+    restep_.assign(n_blocks, 0);
+    restepped_.clear();
   }
 
   bool net_stale = false;
-  bool steps_stale = false;
+  terms_ = 0;
   for (std::size_t b = 0; b < n_blocks; ++b) {
     Block& blk = blocks_[b];
     const auto block = static_cast<BlockId>(b);
     const std::uint64_t phi_stamp = phi.stamp(block);
     const Time m = S.max_flush(block);
-    if (blk.phi_stamp != phi_stamp || blk.cov_stamp != cov.stamp(block) ||
-        blk.m != m)
-      steps_stale |= rebuild(blk, block, phi, cov, m);
+    if ((blk.phi_stamp != phi_stamp || blk.cov_stamp != cov.stamp(block) ||
+         blk.m != m) &&
+        rebuild(blk, block, phi, cov, m) && !restep_[b]) {
+      restep_[b] = 1;
+      restepped_.push_back(block);
+    }
     net_stale |= blk.net_phi_stamp != phi_stamp || blk.net_first != blk.first;
+    terms_ += static_cast<long long>(blk.active.size());
   }
   if (net_stale) {
     build_net();
@@ -246,33 +337,34 @@ std::optional<Violation> ThresholdSeparation::find_violated(
   }
   // Before S is checked: that check may answer, and the next call
   // rebuilds only the blocks whose keys change again.
-  if (steps_stale) sort_steps();
+  if (!restepped_.empty()) merge_steps();
 
   // S itself first (theta = +infinity).
   chosen_.assign(n_blocks, -1);
+  rows_.resize(n_blocks);
+  for (std::size_t b = 0; b < n_blocks; ++b) rows_[b] = blocks_[b].sums.data();
   int g = S.g();
-  {
-    const double rhs = static_cast<double>(cap - g);
-    const double l = chosen_lhs(cap, g);
-    if (l < rhs - tolerance_) return Violation{S, l, rhs};
-  }
+  if (const auto l = violated_lhs(cap, g))
+    return Violation{S, *l, static_cast<double>(cap - g)};
 
+  const auto width = static_cast<std::size_t>(beta_);
   std::size_t next = 0;
   for (const double theta : thresholds_) {
     if (next == steps_.size() || steps_[next].phi < theta) continue;
     for (; next < steps_.size() && steps_[next].phi >= theta; ++next) {
       const Step& st = steps_[next];
-      const Block& blk = blocks_[static_cast<std::size_t>(st.b)];
-      int& c = chosen_[static_cast<std::size_t>(st.b)];
-      g += blk.active[static_cast<std::size_t>(st.index)].below -
-           (c < 0 ? blk.base : blk.active[static_cast<std::size_t>(c)].below);
-      c = st.index;
+      const auto b = static_cast<std::size_t>(st.b);
+      const Block& blk = blocks_[b];
+      int& c = chosen_[b];
+      g += blk.maxima[static_cast<std::size_t>(st.m)].below -
+           (c < 0 ? blk.base : blk.maxima[static_cast<std::size_t>(c)].below);
+      c = st.m;
+      rows_[b] = blk.sums.data() + (static_cast<std::size_t>(c) + 1) * width;
     }
     // g only grows as theta falls, so no later S' has rhs > 0 either.
     if (g >= cap) return std::nullopt;
-    const double rhs = static_cast<double>(cap - g);
-    const double l = chosen_lhs(cap, g);
-    if (l < rhs - tolerance_) return Violation{sprime(S), l, rhs};
+    if (const auto l = violated_lhs(cap, g))
+      return Violation{sprime(S), *l, static_cast<double>(cap - g)};
   }
   return std::nullopt;
 }
@@ -281,8 +373,12 @@ FlushSet ThresholdSeparation::sprime(const FlushSet& S) const {
   FlushSet out = S;
   for (std::size_t b = 0; b < blocks_.size(); ++b)
     if (const int c = chosen_[b]; c >= 0)
-      out.add_flush(static_cast<BlockId>(b),
-                    blocks_[b].active[static_cast<std::size_t>(c)].t);
+      out.add_flush(
+          static_cast<BlockId>(b),
+          blocks_[b]
+              .active[static_cast<std::size_t>(
+                  blocks_[b].maxima[static_cast<std::size_t>(c)].index)]
+              .t);
   return out;
 }
 

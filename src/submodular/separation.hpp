@@ -52,9 +52,33 @@
 //     rebuilt only when one of those differs from the net's own record
 //     of what it was built from. A request changes neither unless it
 //     kills an entry (the page's old r(p) leaves [m_B, t)).
-//   * The steps (every block's maxima, sorted by phi) are re-sorted only
-//     when some rebuilt block's maxima changed, and before S itself is
-//     checked, so an early answer never leaves them stale.
+//   * The steps (every block's maxima, sorted by phi) change only when
+//     some rebuilt block's maxima changed, and then only those blocks'
+//     steps move: they are dropped, and the blocks' new maxima are sorted
+//     and merged into the kept steps, before S itself is checked, so an
+//     early answer never leaves them stale. Steps of equal phi are passed
+//     by the same theta, so their order within a tie is immaterial.
+//
+// Deciding an S' without its add chain. constraint_lhs's bits come from
+// one add chain, block by block and then by time; a Violation carries
+// them, and no other order gives them. But "is l < rhs - tolerance?"
+// seldom needs them. A rebuild also stores, per block, choice (nothing
+// chosen, or one of its maxima) and cap v = 1..beta, the sum of
+// min(gm, v) * phi over the terms that choice leaves; the rows of a
+// block's nested suffixes come from one right-to-left walk. Scoring
+// S'(theta) at g = g(S') then adds one stored value per block (column
+// min(cap - g, beta), since gm <= beta), and theta passing a step only
+// moves that block's row. Both that total and the chain sum the same
+// nonnegative terms, the chain within gamma(terms) of their real sum and
+// the total within gamma(terms + 2 beta + blocks) (gamma(m) = m u / (1 -
+// m u), u = 2^-53), so the two differ by at most 2^-51 (terms + 2 beta +
+// blocks) times the total, up to second-order terms; the oracle takes
+// twice that as its bound. When total +- bound lies on one side of rhs -
+// tolerance, so does the chain's l, and that side is the answer. Only S'
+// within the bound of the threshold run the exact chain, as does every S'
+// found violated, so each Violation keeps the chain's bits and every
+// answer is the stateless scan's. counts() reports how many S' were
+// scored and how many of them the chain had to decide.
 //
 // No dead value is kept anywhere, so the oracle's state is O(non-dead
 // entries + blocks) however long the trace. Building the net sorts
@@ -91,12 +115,21 @@ struct Violation {
 [[nodiscard]] double constraint_lhs(const FlushSet& sprime,
                                     const FlushVars& phi);
 
+/// How an oracle decided its S'. Every count is a function of its calls'
+/// arguments alone.
+struct SeparationCounts {
+  long long scored = 0;  ///< S' whose violation was decided
+  long long exact = 0;   ///< of those, decided by the exact add chain
+};
+
 class SeparationOracle {
  public:
   virtual ~SeparationOracle() = default;
   /// Find some violated constraint (S', tau) with S' >= S, or nullopt.
   virtual std::optional<Violation> find_violated(const FlushSet& S,
                                                  const FlushVars& phi) = 0;
+  /// Zero for an oracle that keeps no counts.
+  [[nodiscard]] virtual SeparationCounts counts() const { return {}; }
 };
 
 class ThresholdSeparation final : public SeparationOracle {
@@ -109,6 +142,7 @@ class ThresholdSeparation final : public SeparationOracle {
   /// Violation's S' is built with FlushSet::add_flush).
   std::optional<Violation> find_violated(const FlushSet& S,
                                          const FlushVars& phi) override;
+  [[nodiscard]] SeparationCounts counts() const override { return counts_; }
 
  private:
   /// A non-dead entry (positive g-marginal w.r.t. S) with positive phi.
@@ -121,12 +155,13 @@ class ThresholdSeparation final : public SeparationOracle {
   struct Maximum {
     double phi;
     int index;  ///< into the block's active
+    int below;  ///< its count_below
   };
-  /// Block b's Maximum, as the sorted steps hold it.
+  /// Block b's maximum m, as the sorted steps hold it.
   struct Step {
     double phi;
-    int index;  ///< into block b's active
     BlockId b;
+    int m;  ///< into block b's maxima
   };
   /// What one block derives from its entries, its sorted last requests
   /// and m_b.
@@ -142,11 +177,17 @@ class ThresholdSeparation final : public SeparationOracle {
     int first = 0;  ///< index into entries(b) of the first non-dead entry
     std::vector<Active> active;
     std::vector<Maximum> maxima;  ///< right to left
+    // The block's LHS terms summed per choice and cap: row j (0: nothing
+    // chosen, m + 1: maxima[m] chosen), column v - 1 (v = 1..beta) holds
+    // the sum of min(gm, v) * phi over the terms the choice leaves.
+    std::vector<double> sums;
   };
 
   /// Re-derive block b against m; returns whether its maxima changed.
   bool rebuild(Block& blk, BlockId b, const FlushVars& phi,
                const FlushCoverage& cov, Time m);
+  /// blk.sums from its active entries and maxima.
+  void sum_terms(Block& blk);
   /// The net over every block's non-dead phi, into thresholds_.
   void build_net();
   /// Group active_phi_ (not empty) by octave into octave_phi_ (for
@@ -157,20 +198,34 @@ class ThresholdSeparation final : public SeparationOracle {
   bool collect_distinct();
   /// Largest net candidate <= x; 0 if none.
   [[nodiscard]] double predecessor(double x) const;
-  /// Every block's maxima into steps_, by descending phi.
-  void sort_steps();
-  /// constraint_lhs of S plus each block's chosen_ entry, g(S') = g.
+  /// Replace the restepped_ blocks' steps by their current maxima,
+  /// keeping steps_ sorted by descending phi.
+  void merge_steps();
+  /// Is S plus each block's chosen_ maximum violated, with g(S') = g? Its
+  /// constraint_lhs if so.
+  [[nodiscard]] std::optional<double> violated_lhs(int cap, int g);
+  /// constraint_lhs of S plus each block's chosen_ maximum, g(S') = g.
   [[nodiscard]] double chosen_lhs(int cap, int g) const;
-  /// S plus each block's chosen_ entry: the S'(theta) just scored.
+  /// S plus each block's chosen_ maximum: the S'(theta) just scored.
   [[nodiscard]] FlushSet sprime(const FlushSet& S) const;
 
   double tolerance_;
+  SeparationCounts counts_;
+  int beta_ = 0;        ///< the sums' row length
+  long long terms_ = 0; ///< active entries over all blocks
   std::vector<Block> blocks_;
   std::vector<double> thresholds_;  ///< the net, descending
   std::vector<Step> steps_;         ///< descending phi
   // Per-call buffers, kept for their capacity.
-  std::vector<int> chosen_;  ///< per block: index into its active or -1
+  std::vector<int> chosen_;  ///< per block: index into its maxima or -1
+  std::vector<const double*> rows_;  ///< per block: its chosen sums row
   std::vector<Maximum> maxima_;     ///< rebuild's new maxima
+  /// Per block: its maxima changed since the steps were merged.
+  std::vector<char> restep_;
+  std::vector<BlockId> restepped_;  ///< the blocks with restep_ set
+  std::vector<Step> fresh_;         ///< merge_steps' new steps
+  std::vector<Step> merged_;        ///< merge_steps' output
+  std::vector<double> level_;       ///< sum_terms' per-gm phi sums
   std::vector<double> active_phi_;  ///< the active phi that are > 0
   // active_phi_ by octave, lowest first: octave lo_octave_ + i holds
   // octave_phi_[octave_begin_[i], octave_begin_[i + 1]), and

@@ -375,27 +375,38 @@ class CheckedSeparation final : public SeparationOracle {
   bool failed_ = false;
 };
 
-/// Algorithm 2 under its default oracle (checked as above) against the
-/// same algorithm under the frozen stateless ReferenceThresholdSeparation:
-/// bit-identical increments at every step.
+/// Algorithm 2 under its default oracle (checked as above) against its
+/// frozen twin ReferenceFractionalBlockAware, which bisects without a
+/// bracket under the stateless ReferenceThresholdSeparation:
+/// bit-identical increments at every step, and the same dual objective
+/// and fractional cost at the end.
 void diff_fractional_twin(const Instance& inst, std::vector<Violation>& out) {
   try {
     FractionalBlockAware frac(inst.blocks, inst.k,
                               std::make_unique<CheckedSeparation>(out));
-    FractionalBlockAware twin(
-        inst.blocks, inst.k,
-        std::make_unique<ReferenceThresholdSeparation>());
+    ReferenceFractionalBlockAware twin(inst.blocks, inst.k);
     for (Time t = 1; t <= inst.horizon(); ++t) {
       const auto& got = frac.step(t, inst.request_at(t));
       const auto& want = twin.step(t, inst.request_at(t));
       if (!bit_identical(got, want)) {
         report(out, "policy_equivalence",
-               "threshold separation diverges from its reference twin at t=" +
+               "Algorithm 2 diverges from its reference twin at t=" +
                    std::to_string(t) + " (" + std::to_string(got.size()) +
                    " vs " + std::to_string(want.size()) + " increments)");
         return;
       }
     }
+    const auto same = [](double a, double b) {
+      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    };
+    if (!same(frac.dual_objective(), twin.dual_objective()) ||
+        !same(frac.fractional_cost(), twin.fractional_cost()))
+      report(out, "policy_equivalence",
+             "Algorithm 2's dual " + fmt(frac.dual_objective()) +
+                 " and fractional cost " + fmt(frac.fractional_cost()) +
+                 " differ from its reference twin's " +
+                 fmt(twin.dual_objective()) + " and " +
+                 fmt(twin.fractional_cost()));
   } catch (const std::exception& e) {
     report(out, "policy_equivalence",
            std::string("fractional algorithm failed: ") + e.what());

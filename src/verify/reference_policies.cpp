@@ -1121,6 +1121,151 @@ void ReferenceDetOnline::on_request(Time t, PageId p, CacheOps& cache) {
   ++flushes_;
 }
 
+// --- the frozen Algorithm 2 ---------------------------------------------
+// FractionalBlockAware::step before its saturation bisection consulted a
+// certified bracket, verbatim (modulo the Reference name and the oracle
+// it owns by value).
+
+ReferenceFractionalBlockAware::ReferenceFractionalBlockAware(
+    const BlockMap& blocks, int k)
+    : blocks_(&blocks),
+      eps_(1.0 / (static_cast<double>(k) * blocks.beta())),
+      log_term_(std::log(static_cast<double>(k) * blocks.beta() + 1.0)),
+      vars_(blocks.n_blocks()) {
+  cov_.emplace(blocks, k);
+  S_.emplace(*cov_);  // S = {(B, 0)}: free initial clear
+  for (BlockId b = 0; b < blocks.n_blocks(); ++b) vars_.raise_to(b, 0, 1.0);
+}
+
+const std::vector<FractionalIncrement>& ReferenceFractionalBlockAware::step(
+    Time t, PageId p) {
+  increments_.clear();
+  FlushSet* sets[] = {&*S_};
+  cov_->advance(p, t, sets);
+
+  // Paranoia bound: adoptions raise g(S) by >= 1 (capped at n) and
+  // saturation iterations strictly satisfy the oracle's constraint, so the
+  // loop terminates; the generous cap guards against numerical stalls.
+  const int max_iters = 20 * cov_->n() + 200;
+  for (int iter = 0;; ++iter) {
+    if (iter > max_iters)
+      throw std::logic_error("ReferenceFractionalBlockAware: while-loop not converging");
+
+    const auto violation = oracle_.find_violated(*S_, vars_);
+    if (!violation) break;
+    const FlushSet& sprime = violation->sprime;
+
+    // Gather alive flushes and their capped marginals w.r.t. S'.
+    alive_.clear();
+    rates_.clear();
+    rate_slots_.reset();
+    for (BlockId b = 0; b < blocks_->n_blocks(); ++b) {
+      const double eta = log_term_ / blocks_->cost(b);
+      cov_->alive_times(b, alive_times_);
+      for (Time at : alive_times_) {
+        if (at > t) continue;  // flush strictly in the future: untouchable
+        const int coeff = sprime.f_marginal(b, at);
+        if (coeff <= 0) continue;
+        const double rate = eta * coeff;
+        const auto [slot, fresh] = rate_slots_.try_emplace(
+            std::bit_cast<std::uint64_t>(rate), rates_.size());
+        if (fresh) rates_.push_back(rate);
+        alive_.push_back({b, at, coeff, vars_.get(b, at), rate, *slot});
+      }
+    }
+    // exp(rate * d) once per distinct rate (coeff <= beta, so with equal
+    // block costs there are at most beta of them).
+    growth_.resize(rates_.size());
+    const auto grow_to = [&](double d) {
+      for (std::size_t r = 0; r < rates_.size(); ++r)
+        growth_[r] = std::exp(rates_[r] * d);
+    };
+
+    // d_tight: minimal dual increase making some alive flush with
+    // coeff >= 1 reach phi = 1 (its dual constraint tightens then).
+    double d_tight = std::numeric_limits<double>::infinity();
+    std::size_t chosen = alive_.size();
+    for (std::size_t i = 0; i < alive_.size(); ++i) {
+      const Candidate& c = alive_[i];
+      if (c.phi >= 1.0 - 1e-12) {
+        // Already fully evicted fractionally but not yet in S: adopt it
+        // immediately (d = 0).
+        d_tight = 0.0;
+        chosen = i;
+        break;
+      }
+      const double d = std::log((1.0 + eps_) / (c.phi + eps_)) / c.rate;
+      if (d < d_tight) {
+        d_tight = d;
+        chosen = i;
+      }
+    }
+    if (chosen == alive_.size())
+      throw std::logic_error(
+          "ReferenceFractionalBlockAware: violated constraint but no alive candidate");
+
+    // d_sat: the dual increase at which the violated constraint becomes
+    // exactly satisfied — the paper's continuous while-condition stops the
+    // growth there. LHS(d) is monotone; bisect. (Without this cutoff every
+    // candidate would grow all the way to phi = 1, inflating the primal by
+    // a Theta(k) factor — see Lemma 3.11's inequality (3.6), which is only
+    // valid while the constraint is violated.)
+    const double rhs = violation->rhs;
+    auto lhs_at = [&](double d) {
+      grow_to(d);
+      double lhs = 0;
+      for (const Candidate& c : alive_) {
+        const double phi =
+            std::min(1.0, (c.phi + eps_) * growth_[c.slot] - eps_);
+        lhs += static_cast<double>(c.coeff) * phi;
+      }
+      return lhs;
+    };
+    double dstar = d_tight;
+    bool adopt = true;
+    if (d_tight > 0 && lhs_at(d_tight) >= rhs) {
+      adopt = false;  // saturation happens first; no variable reaches 1
+      double lo = 0.0, hi = d_tight;
+      for (int iter = 0; iter < 64; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        // With mid at an end, this update leaves (lo, hi) final: every
+        // later halving recomputes this mid and takes this branch.
+        const bool fixed_point = mid == lo || mid == hi;
+        if (lhs_at(mid) < rhs) lo = mid;
+        else hi = mid;
+        if (fixed_point) break;
+      }
+      dstar = hi;
+      if (dstar < 1e-13) adopt = true;  // numeric stall: force progress
+    }
+
+    // Apply the closed-form growth to every alive flush.
+    if (dstar > 0) {
+      grow_to(dstar);
+      for (const Candidate& c : alive_) {
+        double phi_new = (c.phi + eps_) * growth_[c.slot] - eps_;
+        phi_new = std::min(phi_new, 1.0);
+        const double delta = phi_new - c.phi;
+        if (delta > 0) {
+          vars_.increase(c.b, c.t, delta);
+          increments_.push_back({c.b, c.t, delta, phi_new});
+        }
+      }
+      dual_obj_ += dstar * static_cast<double>(cov_->cap() - sprime.f());
+    }
+
+    if (adopt) {
+      // The tight flush becomes integral.
+      const Candidate& win = alive_[chosen];
+      const double topup = vars_.raise_to(win.b, win.t, 1.0);
+      if (topup > 0) increments_.push_back({win.b, win.t, topup, 1.0});
+      S_->add_flush(win.b, win.t);
+      ++integral_flushes_;
+    }
+  }
+  return increments_;
+}
+
 bool bit_identical(const std::vector<FractionalIncrement>& a,
                    const std::vector<FractionalIncrement>& b) {
   return std::equal(

@@ -1,7 +1,8 @@
 // Frozen reference implementations: std::set-based twins of the
 // deterministic classical policies, for the policy_equivalence oracle
-// family; the stateless scan ThresholdSeparation replaced, for the same
-// family's Algorithm 2 check; the exhaustive separation oracle the tests
+// family; the stateless scan ThresholdSeparation replaced and Algorithm 2
+// with its plain saturation bisection, for the same family's Algorithm 2
+// check; the exhaustive separation oracle the tests
 // check the other oracles against; the full-scan fractional
 // weighted paging with its threshold-rounding policy; and Algorithm 1
 // with its rescanning dual-load lists.
@@ -208,6 +209,50 @@ class ReferenceDetOnline final : public OnlinePolicy {
   double max_load_ratio_ = 0;
   bool log_events_ = false;
   std::vector<DualEvent> events_;
+};
+
+/// FractionalBlockAware (Algorithm 2) before its saturation bisection
+/// consulted a certified bracket, verbatim: every halving of the up to 64
+/// evaluates the LHS, and the oracle is the frozen stateless
+/// ReferenceThresholdSeparation. The production class must match its
+/// increments after every step, dual_objective() and fractional_cost() bit
+/// for bit. It keeps a pointer to `blocks`, which must outlive it.
+class ReferenceFractionalBlockAware {
+ public:
+  ReferenceFractionalBlockAware(const BlockMap& blocks, int k);
+
+  /// Serve the request to p at time t; returns this step's increments.
+  const std::vector<FractionalIncrement>& step(Time t, PageId p);
+
+  [[nodiscard]] double fractional_cost() const {
+    return vars_.total_cost(*blocks_);
+  }
+  [[nodiscard]] double dual_objective() const noexcept { return dual_obj_; }
+
+ private:
+  struct Candidate {
+    BlockId b;
+    Time t;
+    int coeff;
+    double phi;
+    double rate;
+    std::size_t slot;
+  };
+  const BlockMap* blocks_;
+  double eps_;
+  double log_term_;
+  ReferenceThresholdSeparation oracle_;
+  std::optional<FlushCoverage> cov_;
+  std::optional<FlushSet> S_;
+  FlushVars vars_;
+  double dual_obj_ = 0;
+  long long integral_flushes_ = 0;
+  std::vector<FractionalIncrement> increments_;
+  std::vector<Candidate> alive_;
+  std::vector<Time> alive_times_;
+  std::vector<double> rates_;
+  FlatMap<std::uint64_t, std::size_t> rate_slots_;
+  std::vector<double> growth_;
 };
 
 /// Do two steps' increments agree bit for bit (same order, blocks, times,

@@ -3,9 +3,11 @@
 // cost vs dual ratio, and dual validity against exact OPT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "algs/fractional.hpp"
 #include "algs/opt.hpp"
@@ -209,6 +211,76 @@ TEST(Fractional, CachedThresholdOracleIsBitIdenticalToReference) {
               std::bit_cast<std::uint64_t>(twin.dual_objective()));
     EXPECT_EQ(fast.integral_flushes(), twin.integral_flushes());
   }
+}
+
+TEST(Fractional, MatchesFrozenTwinBitForBit) {
+  // The production class (cached oracle deciding S' from per-block sums,
+  // bisection inside a certified bracket) against its frozen twin, which
+  // evaluates every halving under the stateless oracle: increments at
+  // every step, the dual and the fractional cost, bit for bit. The
+  // instances cover unit and log-uniform block costs, a small k * beta
+  // (eps = 1/6) and cap = n - k < beta, where min(gm, cap - g) caps terms.
+  const BlockMap unit = BlockMap::contiguous(64, 4);
+  Xoshiro256pp rng(83);
+  const std::vector<Instance> instances = {
+      {unit, block_local_trace(unit, 1500, 0.75, 0.9, Xoshiro256pp(84)), 16},
+      make_weighted_instance(64, 8, 12,
+                             block_local_trace(BlockMap::contiguous(64, 8),
+                                               1500, 0.75, 0.9,
+                                               rng.substream(1)),
+                             log_uniform_costs(8, 32.0, rng.substream(2))),
+      make_instance(12, 2, 3, zipf_trace(12, 1500, 0.9, rng.substream(3))),
+      make_instance(40, 8, 34, zipf_trace(40, 1500, 0.9, rng.substream(4)))};
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const Instance& inst = instances[i];
+    FractionalBlockAware fast(inst.blocks, inst.k);
+    verify::ReferenceFractionalBlockAware twin(inst.blocks, inst.k);
+    for (Time t = 1; t <= inst.horizon(); ++t) {
+      const auto& a = fast.step(t, inst.request_at(t));
+      const auto& b = twin.step(t, inst.request_at(t));
+      ASSERT_TRUE(verify::bit_identical(a, b))
+          << "instance " << i << ": increments diverge at t=" << t << " ("
+          << a.size() << " vs " << b.size() << ")";
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.dual_objective()),
+              std::bit_cast<std::uint64_t>(twin.dual_objective()))
+        << "instance " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fast.fractional_cost()),
+              std::bit_cast<std::uint64_t>(twin.fractional_cost()))
+        << "instance " << i;
+    // Both shortcuts ran: S' were scored, and some bisections decided
+    // halvings without evaluating them.
+    const FractionalBlockAware::Counts& c = fast.counts();
+    EXPECT_GT(fast.separation_counts().scored, 0) << "instance " << i;
+    EXPECT_GT(c.bisections, 0) << "instance " << i;
+    EXPECT_LT(c.lhs_evals, 30 * c.bisections) << "instance " << i;
+  }
+}
+
+TEST(Fractional, StdExpStaysWithinTheBracketsUlpAssumption) {
+  // The saturation bracket's error model assumes std::exp is within
+  // kExpUlps ulps over the arguments the bisection hands it: r * d in
+  // [0, ln(k beta + 1) + 1], and beyond that for terms it caps at 1. Sample
+  // [0, 64] uniformly and (0, 1] log-uniformly against expl.
+  if (std::numeric_limits<long double>::digits < 64)
+    GTEST_SKIP() << "no wider long double to measure against";
+  Xoshiro256pp rng(85);
+  double worst = 0;
+  const auto measure = [&](double x) {
+    const double got = std::exp(x);
+    const long double want = expl(static_cast<long double>(x));
+    const double ulp = std::nextafter(got, std::numeric_limits<double>::infinity()) - got;
+    const long double err =
+        (static_cast<long double>(got) - want) / static_cast<long double>(ulp);
+    worst = std::max(worst, static_cast<double>(err < 0 ? -err : err));
+  };
+  for (int i = 0; i < 200000; ++i) {
+    measure(64.0 * rng.uniform());
+    measure(std::exp2(-60.0 * rng.uniform()));
+  }
+  EXPECT_LE(worst, FractionalBlockAware::kExpUlps)
+      << "std::exp is less accurate than the saturation bracket assumes";
+  EXPECT_GT(worst, 0.0);  // the comparison measured something
 }
 
 }  // namespace

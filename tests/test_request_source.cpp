@@ -86,6 +86,19 @@ TEST(SyntheticSource, RejectsAHeaderWithoutPages) {
                std::invalid_argument);
 }
 
+TEST(SyntheticSource, BlockLocalRejectsAnEmptyBlock) {
+  // Block 1 has no pages, which Instance::validate() accepts. block_local
+  // draws a block and then a page of it, so it refuses the header before
+  // any draw; the other kinds draw pages and keep accepting it.
+  const Instance gap{BlockMap({0, 0, 0}, {1.0, 1.0}), {}, 3};
+  ASSERT_NO_THROW(gap.validate());
+  EXPECT_THROW(
+      SyntheticSource::block_local(gap, 50, 0.75, 0.9, Xoshiro256pp(1)),
+      std::invalid_argument);
+  auto uniform = SyntheticSource::uniform(gap, 50, Xoshiro256pp(1));
+  EXPECT_EQ(drain(*uniform).size(), 50u);
+}
+
 TEST(SyntheticSource, MatchesBlockLocalGenerator) {
   const std::uint64_t seed = 5;
   const BlockMap blocks = BlockMap::contiguous(48, 6);

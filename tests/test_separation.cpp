@@ -433,6 +433,76 @@ class ReuseProbe final : public SeparationOracle {
   ThresholdSeparation reused_;
 };
 
+/// At every state Algorithm 2 asks about, S's own constraint with the
+/// tolerance set so that rhs - tolerance is constraint_lhs(S) itself or
+/// one of its neighbours: a fresh ThresholdSeparation, which decides from
+/// per-block sums where their error bound allows, must answer as the
+/// stateless twin, whose exact add chain decides every S'.
+class BoundaryProbe final : public SeparationOracle {
+ public:
+  std::optional<Violation> find_violated(const FlushSet& S,
+                                         const FlushVars& phi) override {
+    const int cap = S.coverage().cap();
+    const double lhs = constraint_lhs(S, phi);
+    const double rhs = static_cast<double>(cap - S.g());
+    if (S.g() < cap && lhs >= rhs / 2 && lhs <= 2 * rhs) {
+      const double inf = std::numeric_limits<double>::infinity();
+      for (const double edge :
+           {std::nextafter(lhs, -inf), lhs, std::nextafter(lhs, inf)}) {
+        const double tolerance = rhs - edge;  // exact (Sterbenz)
+        if (rhs - tolerance != edge) continue;
+        ++states;
+        const auto want = verify::ReferenceThresholdSeparation(tolerance)
+                              .find_violated(S, phi);
+        const auto got =
+            ThresholdSeparation(tolerance).find_violated(S, phi);
+        EXPECT_EQ(got.has_value(), want.has_value()) << "state " << states;
+        if (!got || !want) continue;
+        ++violated;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got->lhs),
+                  std::bit_cast<std::uint64_t>(want->lhs))
+            << "state " << states;
+        EXPECT_EQ(got->rhs, want->rhs) << "state " << states;
+        for (BlockId b = 0; b < S.coverage().blocks().n_blocks(); ++b)
+          EXPECT_EQ(got->sprime.max_flush(b), want->sprime.max_flush(b))
+              << "state " << states;
+      }
+    }
+    return inner_.find_violated(S, phi);
+  }
+
+  int states = 0;    ///< boundary tolerances probed
+  int violated = 0;  ///< of those, answered with a violation
+
+ private:
+  ThresholdSeparation inner_;
+};
+
+TEST(Separation, DecidesAtTheToleranceBoundaryAsTheExactChain) {
+  // At rhs - tolerance == constraint_lhs(S) the answer turns on the exact
+  // chain's last bit, so every bound that is too tight or a Violation lhs
+  // not from the chain diffs here. Unit and weighted costs, and
+  // cap = n - k < beta, where min(gm, cap - g) caps terms.
+  const BlockMap unit = BlockMap::contiguous(64, 4);
+  Xoshiro256pp rng(86);
+  const std::vector<Instance> instances = {
+      {unit, block_local_trace(unit, 400, 0.75, 0.9, Xoshiro256pp(87)), 16},
+      make_weighted_instance(48, 4, 12,
+                             zipf_trace(48, 400, 0.9, rng.substream(1)),
+                             log_uniform_costs(12, 16.0, rng.substream(2))),
+      make_instance(40, 8, 34, zipf_trace(40, 400, 0.9, rng.substream(3)))};
+  for (const Instance& inst : instances) {
+    auto probe = std::make_unique<BoundaryProbe>();
+    BoundaryProbe& p = *probe;
+    FractionalBlockAware alg(inst.blocks, inst.k, std::move(probe));
+    for (Time t = 1; t <= inst.horizon(); ++t)
+      alg.step(t, inst.request_at(t));
+    EXPECT_GT(p.states, 100);
+    EXPECT_GT(p.violated, 0);
+    EXPECT_LT(p.violated, p.states);
+  }
+}
+
 TEST(Separation, ReusedOracleFollowsPhiChanges) {
   // Every state Algorithm 2 asks about on a blocklocal trace, plus two
   // edits per state inside a dead prefix and one raising the same

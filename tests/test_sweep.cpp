@@ -19,6 +19,7 @@
 #include "driver/sweep.hpp"
 #include "trace/bact.hpp"
 #include "trace/generators.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
@@ -395,6 +396,43 @@ TEST(ParallelMc, PrototypeStateReflectsACompletedRun) {
   EXPECT_EQ(mc.trials, 4);
   // A fresh simulate on the prototype must not throw (state consistent).
   EXPECT_NO_THROW(simulate(inst, marking));
+}
+
+TEST(Sweep, RandOnlineCountersMatchOneThreadRuns) {
+  // rand_online's decision counters, folded by a sweep whose cells run
+  // on the 4-thread pool, equal the same cells run one after another on
+  // this thread: every count is a function of the cell's seed.
+  driver::SweepConfig config;
+  config.policies = {"rand_online"};
+  config.workloads = {"blocklocal", "zipf0.9"};
+  config.ks = {16};
+  config.n = 64;
+  config.beta = 4;
+  config.T = 1500;
+  obs::MetricRegistry pooled;
+  config.metrics = &pooled;
+  driver::run_sweep(config, nullptr);
+
+  obs::MetricRegistry serial;
+  for (const std::string& workload : config.workloads) {
+    auto source = driver::make_workload_source(workload, config, 16);
+    auto policy = make_policy("rand_online");
+    SimOptions options;
+    options.seed = config.seed;
+    options.metrics = &serial;
+    simulate(*source, *policy, options);
+  }
+  for (const char* name :
+       {"policy_separation_calls_total", "policy_separation_scored_total",
+        "policy_separation_exact_total", "policy_saturation_bisections_total",
+        "policy_saturation_lhs_evals_total", "policy_alterations_total",
+        "policy_fallback_alterations_total"})
+    EXPECT_EQ(pooled.counter(name).value(), serial.counter(name).value())
+        << name;
+  EXPECT_GT(serial.counter("policy_separation_calls_total").value(), 3000u);
+  EXPECT_GT(serial.counter("policy_saturation_bisections_total").value(), 0u);
+  EXPECT_LT(serial.counter("policy_separation_exact_total").value(),
+            serial.counter("policy_separation_scored_total").value());
 }
 
 }  // namespace
