@@ -217,9 +217,12 @@ void fractional_step() {
 
 /// Theorem 4.1's fractional substrate alone: FractionalWeightedPaging::step
 /// at the policy's half-size cache h = 32, over simulate/BA-Bicrit-fetch/256's
-/// trace. With unit costs each bisection halving is decided against one
-/// exact growth threshold; costs 2^(b mod 4) keep the evaluated mass. The
-/// checksum, block_fetch_cost(), moves if any x moves in its last bit.
+/// trace, and at h = 512 over n = 4096 pages (512 blocks). Every bisection
+/// consults a certified bracket first: with unit costs it reads std::exp
+/// against one exact growth threshold inside it; with costs 2^(b mod 4), or
+/// log-uniform costs of aspect ratio 64 (512 distinct costs), it evaluates
+/// the mass inside it. The checksum, block_fetch_cost(), moves if any x
+/// moves in its last bit.
 void fractional_paging_step() {
   Table table = perf_table();
   const Instance unit = bench_instance(256, 8, 32, 20'000);
@@ -228,9 +231,17 @@ void fractional_paging_step() {
     costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
   const Instance dyadic{BlockMap::contiguous_weighted(256, 8, std::move(costs)),
                         unit.requests, unit.k};
-  for (const auto& [label, inst] : {std::pair{"unit", &unit},
-                                    std::pair{"dyadic", &dyadic}}) {
-    run_case(table, std::string("frac_paging/") + label + "/256", *inst,
+  const Instance wide = bench_instance(4096, 8, 512, 8'000);
+  const Instance loguniform{
+      BlockMap::contiguous_weighted(
+          4096, 8,
+          log_uniform_costs(wide.blocks.n_blocks(), 64.0,
+                            Xoshiro256pp(bench::seed_of(15)))),
+      wide.requests, wide.k};
+  for (const auto& [label, inst] :
+       {std::pair{"unit/256", &unit}, std::pair{"dyadic/256", &dyadic},
+        std::pair{"loguniform/4096", &loguniform}}) {
+    run_case(table, std::string("frac_paging/") + label, *inst,
              inst->horizon(), [&] {
                FractionalWeightedPaging frac(inst->blocks, inst->k);
                for (const PageId p : inst->requests) frac.step(p);

@@ -208,20 +208,15 @@ CertifiedBracket FractionalBlockAware::saturation_bracket(double d_tight,
       0x1p-53 * (static_cast<double>(alive_.size()) + per_term + 1.0) * slack,
       0x1p-53 * per_term * eps_ * coeffs * slack};
 
-  // Ends a few error widths either side of the root, each certified by
-  // one reading; an end that fails to certify stays open.
+  // Ends a few error widths either side of the root, inside (0, d_tight),
+  // each certified by one reading.
   const double width = 8.0 * (model.rel * rhs + model.abs) / slope;
-  CertifiedBracket bracket;
-  if (!(width > 0)) return bracket;
-  if (const double below = d - width; below > 0) {
+  return certify_bracket(d, width, 0.0, d_tight, [&](double end, bool lower) {
     ++counts_.lhs_evals;
-    if (certifies_below(lhs_at(below), rhs, model)) bracket.below = below;
-  }
-  if (const double above = d + width; above < d_tight) {
-    ++counts_.lhs_evals;
-    if (certifies_above(lhs_at(above), rhs, model)) bracket.above = above;
-  }
-  return bracket;
+    const double lhs = lhs_at(end);
+    return lower ? certifies_below(lhs, rhs, model)
+                 : certifies_above(lhs, rhs, model);
+  });
 }
 
 }  // namespace bac

@@ -28,10 +28,11 @@
 // is increasing and convex, and lhs_at stays within rel * L + abs of it,
 // rel = (n + x_max + 2 U + 4) u and abs = (x_max + 2 U + 3) u eps sum
 // coeff (u = 2^-53, n terms, x_max = ln(k beta + 1) + 1 bounds r d, U =
-// kExpUlps). This assumes std::exp is within U ulps of exp; a test samples
-// it against expl. Newton's method on log(L + eps sum coeff) finds the
-// root; one lhs_at reading each a few error widths either side of it
-// certifies a bracket (util/certified_bracket.hpp): every mid at or below
+// kExpUlps, util/certified_bracket.hpp's one libm assumption: std::exp
+// is within U ulps of exp; a test samples it against expl). Newton's
+// method on log(L + eps sum coeff) finds the root; one lhs_at reading
+// each a few error widths either side of it certifies a bracket
+// (util/certified_bracket.hpp's certify_bracket): every mid at or below
 // its lower end reads below rhs and every mid at or above its upper end
 // does not. The halvings consult the bracket first and evaluate lhs_at
 // only between its ends, so they take the branches the plain bisection
@@ -96,10 +97,6 @@ class FractionalBlockAware {
   [[nodiscard]] SeparationCounts separation_counts() const {
     return oracle_->counts();
   }
-
-  /// std::exp's largest error, in ulps, that the saturation bracket's
-  /// error model assumes (tests/test_fractional.cpp samples it).
-  static constexpr double kExpUlps = 2;
 
  private:
   const BlockMap* blocks_;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 namespace bac {
 
@@ -20,6 +21,8 @@ void insert_sorted(std::vector<PageId>& list, PageId q) {
 
 FractionalWeightedPaging::FractionalWeightedPaging(BlockMap blocks, int k)
     : blocks_(std::move(blocks)), k_(k), inv_k_(1.0 / static_cast<double>(k)) {
+  if (k <= 0)
+    throw std::invalid_argument("FractionalWeightedPaging: k must be positive");
   const auto n = static_cast<std::size_t>(blocks_.n_pages());
   x_.assign(n, 1.0);  // everything starts missing (empty cache)
   for (BlockId b = 0; b < blocks_.n_blocks(); ++b)
@@ -28,6 +31,7 @@ FractionalWeightedPaging::FractionalWeightedPaging(BlockMap blocks, int k)
   class_cost_.erase(std::unique(class_cost_.begin(), class_cost_.end()),
                     class_cost_.end());
   growth_.resize(class_cost_.size());
+  for (const double c : class_cost_) inv_cost_.push_back(1.0 / c);
   class_of_.resize(n);
   for (PageId q = 0; q < blocks_.n_pages(); ++q)
     class_of_[static_cast<std::size_t>(q)] = static_cast<std::size_t>(
@@ -99,6 +103,7 @@ double FractionalWeightedPaging::least_fitting_growth(PageId p) {
       std::bit_cast<Bits>(std::numeric_limits<double>::infinity());
   const auto fits = [&](Bits b) {
     growth_[0] = std::bit_cast<double>(b);
+    ++counts_.mass_evals;
     return mass(p) <= k;
   };
   Bits lo = std::bit_cast<Bits>(g);
@@ -134,6 +139,92 @@ double FractionalWeightedPaging::least_fitting_growth(PageId p) {
     else lo = mid;
   }
   return std::bit_cast<double>(hi);
+}
+
+CertifiedBracket FractionalWeightedPaging::growth_bracket(double g_star) {
+  // Ends a few error widths (and a few ulps of y*) either side of y* =
+  // log g*, each certified by one std::exp reading, then carried back to
+  // s through y = fl(s / c).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double y_star = std::log(g_star);
+  const double width = 8.0 * kExpModel.rel + std::abs(y_star) * 0x1p-50;
+  const CertifiedBracket in_y = certify_bracket(
+      y_star, width, -kInf, kInf, [&](double y, bool lower) {
+        ++counts_.exp_reads;
+        const double g = std::exp(y);
+        return lower ? certifies_below(g, g_star, kExpModel)
+                     : certifies_above(g, g_star, kExpModel);
+      });
+  return quotient_preimage(in_y, class_cost_[0]);
+}
+
+CertifiedBracket FractionalWeightedPaging::mass_bracket(PageId p) {
+  const double k = static_cast<double>(k_);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Estimate: Newton's method on the real-valued mass M(s) = 1 + the sum
+  // over q in partial_, q != p, of max(0, 1 + 1/k - a_q e^(s / c_q)), a_q
+  // = x_q + 1/k, safeguarded by the bracket [lo, hi] of its own passes.
+  // On each linear piece M is concave and decreasing, so from s = 0 the
+  // first step lands right of the root and the later ones descend onto
+  // it. The margin is how far the mass moves when every growth moves by
+  // the exp model's bound (below), plus its rounding noise; the passes
+  // stop once a step's own quadratic error, -M'' step^2 / 2, is within it.
+  const double noise =
+      0x1p-53 * k * std::sqrt(static_cast<double>(partial_.size()));
+  double lo = 0.0, hi = kInf, s = 0.0;
+  double slope = 0.0;  // -M'(s)
+  double margin = 0.0;
+  for (int pass = 0; pass < 64; ++pass) {
+    grow_classes(s);
+    double m = 1.0;
+    double load = 0.0;       // sum of a_q e^(s / c_q) over active terms
+    double curvature = 0.0;  // -M''(s)
+    slope = 0.0;
+    for (const PageId q : partial_) {
+      if (q == p) continue;
+      const auto i = static_cast<std::size_t>(q);
+      const double inv_c = inv_cost_[class_of_[i]];
+      const double grown = (x_[i] + inv_k_) * growth_[class_of_[i]];
+      if (grown < 1.0 + inv_k_) {
+        m += 1.0 + inv_k_ - grown;
+        load += grown;
+        slope += grown * inv_c;
+        curvature += grown * inv_c * inv_c;
+      }
+    }
+    margin = 4.0 * kExpModel.rel * load + noise;
+    if (m > k) lo = s;
+    else hi = s;
+    const double step = (m - k) / slope;
+    if (slope > 0 && 0.5 * curvature * step * step <= margin) {
+      s += step;
+      break;
+    }
+    s += step;
+    if (!(s > lo && s < hi))
+      s = hi < kInf ? 0.5 * (lo + hi) : std::max(2.0 * lo, 1.0);
+  }
+
+  // Ends two margins either side of the estimate, inside (0, inf), each
+  // certified by one exact evaluation of the mass at bounds on every
+  // class's growth: every s' <= end reads growths at most the
+  // reading_ceiling of the std::exp readings at end, every s' >= end at
+  // least their reading_floor, and the mass never rises as a growth rises
+  // (see the header). A reading of +inf means e^y is about the largest
+  // double or more, so its floor is taken from that double.
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  return certify_bracket(
+      s, 2.0 * margin / slope, 0.0, kInf, [&](double end, bool lower) {
+        for (std::size_t j = 0; j < class_cost_.size(); ++j) {
+          const double g = std::exp(end / class_cost_[j]);
+          growth_[j] =
+              lower ? reading_ceiling(g, kExpModel)
+                    : reading_floor(std::min(g, kMaxDouble), kExpModel);
+        }
+        ++counts_.mass_evals;
+        const double mass_bound = mass(p);
+        return lower ? mass_bound > k : mass_bound <= k;
+      });
 }
 
 void FractionalWeightedPaging::grow_to(double s, PageId p, double p_from) {
@@ -204,12 +295,25 @@ const std::vector<double>& FractionalWeightedPaging::step(PageId p) {
     // "time" s at which the fractional cache exactly fits via bisection
     // (the cached mass is strictly decreasing in s). With one cost class
     // the mass exceeds k exactly when exp(s / c) < g* (see the header).
+    // Each question is read from a certified bracket where it can be, and
+    // answered as the plain bisection answers it.
+    ++counts_.bisections;
     const bool one_class = class_cost_.size() == 1;
     const double g_star = one_class ? least_fitting_growth(p) : 0.0;
-    const auto overfull = [&](double s) {
-      if (one_class) return std::exp(s / class_cost_[0]) < g_star;
+    const CertifiedBracket bracket =
+        one_class ? growth_bracket(g_star) : mass_bracket(p);
+    const auto reads_overfull = [&](double s) {
+      if (one_class) {
+        ++counts_.exp_reads;
+        return std::exp(s / class_cost_[0]) < g_star;
+      }
       grow_classes(s);
+      ++counts_.mass_evals;
       return mass(p) > k;
+    };
+    const auto overfull = [&](double s) {
+      ++counts_.halvings;
+      return bracket.below_at(s, reads_overfull);
     };
 
     double lo = 0.0, hi = 1.0;

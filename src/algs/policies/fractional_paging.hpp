@@ -14,14 +14,15 @@
 // randomized policy's indicator. Page costs are their block's cost.
 //
 // Each step bisects (100 halvings at most) for the growth time s at which
-// the cache fits, deciding each halving by whether
+// the cache fits, asking at each halving whether
 //   mass(s) = 1 + sum over seen q != p, ascending, of
 //             1 - min(1, (x_q + 1/k) * exp(s / c_q) - 1/k)
 // exceeds k. The result — x, both cost accumulators — is bit for bit that
 // of the plain loop over every seen page (frozen as
 // verify::ReferenceFractionalWeightedPaging), while one step costs
 // O(pages with x < 1) per evaluated mass plus one std::exp per distinct
-// block cost per halving. Why that is exact:
+// block cost per evaluation, and most halvings cost one compare. Why that
+// is exact:
 //   - Pages at x = 1 are inert while a check holds. All pages at x = 1 of
 //     one cost class c share the term 1 - min(1, (1 + 1/k) exp(s/c) - 1/k).
 //     If that min is 1 for every class, each such term is +0.0; adding +0.0
@@ -33,24 +34,48 @@
 //     seen page (also kept ascending), exactly as the plain loop does.
 //   - exp(s / c) depends on the page only through c: one call per class
 //     gives every page of the class the same bits.
+//   - The mass never increases in any class's growth g_j = exp(s / c_j),
+//     taken as a vector of doubles. Each term is a chain of correctly
+//     rounded IEEE operations, each monotone: the product of g with
+//     x_q + 1/k > 0, the subtraction of 1/k, the min with 1, and 1 minus
+//     that min; the running sum is monotone in each addend. (A compiler
+//     that fuses the multiply-subtract into one FMA keeps this: a
+//     correctly rounded FMA is monotone in g too.) Taking the walk over
+//     every seen page or only over x < 1 gives the same sum, as above.
 //   - One cost class (unit costs, and any single-cost instance): the mass
-//     depends on s only through g = exp(s / c), and as a function of g it
-//     never increases. Each term is a chain of correctly rounded IEEE
-//     operations, each monotone: the product of g with x_q + 1/k > 0, the
-//     subtraction of 1/k, the min with 1, and 1 minus that min; the
-//     running sum is monotone in each addend. (A compiler that fuses the
-//     multiply-subtract into one FMA keeps this: a correctly rounded FMA
-//     is monotone in g too.) Taking the walk over every seen page or only
-//     over x < 1 gives the same sum, as above. So for
-//     g* = the least positive double with mass <= k at growth g*,
+//     depends on s only through g = exp(s / c), so for g* = the least
+//     positive double with mass <= k at growth g*,
 //     mass(s) > k  <=>  exp(s / c) < g*. The step finds g* once — a
 //     Newton estimate on the real-valued mass, a gallop of 1, 2, 4, ...
 //     ulps to a bracket, then a bisection of the bit patterns of positive
-//     doubles, which order like their values — and then runs the same
-//     doubling and halving loops on that comparison. Every decision, so
-//     hi and everything after it, is the same, and exp gets the same
-//     arguments. Instances with several block costs keep the evaluated
-//     mass as their only predicate; class_cost_.size() picks the path.
+//     doubles, which order like their values — and then asks that
+//     comparison instead of the mass.
+//   - Every question is first put to a certified bracket
+//     (util/certified_bracket.hpp), and only the questions strictly
+//     between its ends are evaluated. Its one libm assumption is that
+//     std::exp is within kExpUlps ulps of exp (kExpModel; a test samples
+//     it against expl from y = -1 to exp's overflow point). One cost
+//     class: std::exp readings at y* -/+ w around y* = log g* (w = 8
+//     rel + 4 ulps of y*) certify, under that model, that every y at or
+//     below the lower end reads exp(y) < g* and every y at or above the
+//     upper one does not. fl(s / c) never decreases as s grows, so the
+//     ends carried back to s (quotient_preimage: the largest s with fl(s
+//     / c) at or below the lower end, the smallest at or above the upper)
+//     answer every question outside them with no division and no exp.
+//     Several cost classes: a safeguarded Newton's method on the
+//     real-valued mass estimates the root, and at each end one std::exp
+//     reading per class bounds every growth an s' on that side can read:
+//     for s' at or below the end at most the reading's reading_ceiling
+//     (fl(s' / c) <= fl(end / c), and e^y rises), for s' at or above it
+//     at least its reading_floor. The mass never increases in any growth,
+//     so one exact evaluation at those bounds bounds the mass of every s'
+//     on that side: above k at the ceilings, every s' at or below the
+//     lower end overflows; at most k at the floors, every s' at or above
+//     the upper end fits. No rounding error of the mass enters the
+//     certificate, only std::exp's. An end that fails to certify stays
+//     open. Either way a question outside the bracket gets the answer its
+//     evaluation would give, so every decision, hi, x and both
+//     accumulators are unchanged. class_cost_.size() picks the path.
 //   - The bisection stops at its fixed point. Once mid == lo or mid == hi,
 //     no later halving moves lo or hi (mass(lo) > k and mass(hi) <= k
 //     already hold, and lo > 0 by then), so the final hi is the same.
@@ -64,13 +89,15 @@
 
 #include "core/block_map.hpp"
 #include "core/instance.hpp"
+#include "util/certified_bracket.hpp"
 
 namespace bac {
 
 class FractionalWeightedPaging {
  public:
-  /// Fractional cache of k pages over `blocks` (held by value: BlockMap
-  /// copies share one immutable structure).
+  /// Fractional cache of k >= 1 pages over `blocks` (held by value:
+  /// BlockMap copies share one immutable structure). Throws
+  /// std::invalid_argument for k <= 0.
   FractionalWeightedPaging(BlockMap blocks, int k);
   explicit FractionalWeightedPaging(const Instance& inst)
       : FractionalWeightedPaging(inst.blocks, inst.k) {}
@@ -97,6 +124,22 @@ class FractionalWeightedPaging {
     return block_fetch_cost_;
   }
 
+  /// How the bisections decided. Every count is a function of the
+  /// request sequence alone.
+  struct Counts {
+    long long bisections = 0;  ///< steps that bisected for the growth time
+    /// Questions their doubling and halving loops asked (the plain
+    /// bisection evaluates each one).
+    long long halvings = 0;
+    /// One block cost: std::exp readings, at the bracket's two ends and
+    /// for the questions inside it.
+    long long exp_reads = 0;
+    /// Exact mass evaluations: the g* search's walks (one block cost),
+    /// and the readings at the bracket's ends and inside it (several).
+    long long mass_evals = 0;
+  };
+  [[nodiscard]] const Counts& counts() const noexcept { return counts_; }
+
  private:
   BlockMap blocks_;
   int k_;
@@ -104,6 +147,7 @@ class FractionalWeightedPaging {
   std::vector<double> x_;            // missing mass per page
   std::vector<std::size_t> class_of_;  // per page: index of its block's cost
   std::vector<double> class_cost_;   // the distinct block costs
+  std::vector<double> inv_cost_;     // 1 / c per class (Newton's slope)
   std::vector<double> growth_;       // per class: exp(s / c) at the last s
   std::vector<PageId> seen_list_;    // the pages requested so far, ascending
   std::vector<PageId> partial_;      // the seen pages with x < 1, ascending
@@ -113,6 +157,7 @@ class FractionalWeightedPaging {
   std::vector<std::pair<BlockId, double>> drops_;  // (block, decrease)
   double fetch_cost_ = 0;
   double block_fetch_cost_ = 0;
+  Counts counts_;
 
   /// Fill growth_ with exp(s / c) per class.
   void grow_classes(double s);
@@ -127,6 +172,11 @@ class FractionalWeightedPaging {
   /// One cost class only: the least positive double g such that mass(p)
   /// <= k when growth_[0] = g (leaves growth_ changed).
   double least_fitting_growth(PageId p);
+  /// One cost class only: certified ends in s for std::exp(s / c) < g*.
+  [[nodiscard]] CertifiedBracket growth_bracket(double g_star);
+  /// Several cost classes: certified ends in s for mass(p) > k at growth
+  /// time s.
+  [[nodiscard]] CertifiedBracket mass_bracket(PageId p);
   /// Grow every walked page but `p` to time s; rebuilds partial_ and
   /// moved_ (with p, whose x went from `p_from` to 0, merged in order).
   void grow_to(double s, PageId p, double p_from);

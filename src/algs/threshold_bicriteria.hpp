@@ -68,6 +68,10 @@ class ThresholdBicriteriaPolicy final : public OnlinePolicy {
     return frac_->block_fetch_cost();
   }
 
+  /// The substrate's bisection counts (FractionalWeightedPaging::Counts)
+  /// as policy_growth_*_total counters.
+  void export_metrics(obs::MetricRegistry& registry) const override;
+
  private:
   Mode mode_;
   std::optional<FractionalWeightedPaging> frac_;

@@ -258,28 +258,44 @@ TEST(Fractional, MatchesFrozenTwinBitForBit) {
 }
 
 TEST(Fractional, StdExpStaysWithinTheBracketsUlpAssumption) {
-  // The saturation bracket's error model assumes std::exp is within
-  // kExpUlps ulps over the arguments the bisection hands it: r * d in
-  // [0, ln(k beta + 1) + 1], and beyond that for terms it caps at 1. Sample
-  // [0, 64] uniformly and (0, 1] log-uniformly against expl.
+  // Every certified bracket over a std::exp reading assumes std::exp is
+  // within kExpUlps ulps of exp (util/certified_bracket.hpp), over every
+  // argument the bisections hand it or certify through: the saturation
+  // bracket's r * d in [0, ln(k beta + 1) + 1], the growth bracket's y
+  // near log g* (g* can sit a few ulps below 1, so y can be a little
+  // below 0), and the mass bracket's s / c for every cost class, up to
+  // exp's overflow point ln(DBL_MAX) ~ 709.78 (a term it caps at 1 relies
+  // on the reading there). Sample [0, 64] and [0, 709.78] uniformly and
+  // (0, 1] and [-1, 0) log-uniformly against expl.
   if (std::numeric_limits<long double>::digits < 64)
     GTEST_SKIP() << "no wider long double to measure against";
   Xoshiro256pp rng(85);
-  double worst = 0;
+  double worst = 0;           // in ulps of the result
+  long double worst_rel = 0;  // relative to exp
   const auto measure = [&](double x) {
     const double got = std::exp(x);
     const long double want = expl(static_cast<long double>(x));
     const double ulp = std::nextafter(got, std::numeric_limits<double>::infinity()) - got;
-    const long double err =
-        (static_cast<long double>(got) - want) / static_cast<long double>(ulp);
-    worst = std::max(worst, static_cast<double>(err < 0 ? -err : err));
+    const long double err = static_cast<long double>(got) - want;
+    const long double abs_err = err < 0 ? -err : err;
+    worst = std::max(
+        worst, static_cast<double>(abs_err / static_cast<long double>(ulp)));
+    worst_rel = std::max(worst_rel, abs_err / want);
   };
+  const double overflow = std::log(std::numeric_limits<double>::max());
   for (int i = 0; i < 200000; ++i) {
     measure(64.0 * rng.uniform());
-    measure(std::exp2(-60.0 * rng.uniform()));
+    measure(overflow * rng.uniform());
+    const double tiny = std::exp2(-60.0 * rng.uniform());
+    measure(tiny);
+    measure(-tiny);
   }
-  EXPECT_LE(worst, FractionalBlockAware::kExpUlps)
-      << "std::exp is less accurate than the saturation bracket assumes";
+  EXPECT_LE(worst, kExpUlps)
+      << "std::exp is less accurate than the certified brackets assume";
+  // kExpModel, the relative form the growth and mass brackets certify
+  // under, holds with it.
+  EXPECT_LE(worst_rel, static_cast<long double>(kExpModel.rel))
+      << "std::exp is less accurate than kExpModel says";
   EXPECT_GT(worst, 0.0);  // the comparison measured something
 }
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "algs/policies/classical.hpp"
@@ -42,6 +43,16 @@ TEST(FractionalPaging, MaintainsInvariants) {
     ASSERT_LE(cached, static_cast<double>(inst.k) + 1e-6)
         << "fractional cache overflow at t=" << t;
   }
+}
+
+TEST(FractionalPaging, RejectsANonPositiveCacheSize) {
+  // k = 0 would divide by zero for 1/k, and k < 0 would grow x towards
+  // -inf; both fail at construction, before any request.
+  const BlockMap blocks = BlockMap::contiguous(8, 2);
+  for (const int k : {0, -3})
+    EXPECT_THROW(FractionalWeightedPaging(blocks, k), std::invalid_argument)
+        << "k=" << k;
+  EXPECT_NO_THROW(FractionalWeightedPaging(blocks, 1));
 }
 
 TEST(FractionalPaging, HitsAreFree) {
@@ -109,18 +120,56 @@ std::string g17(double v) {
   return buf;
 }
 
+/// Where a step's one-cost threshold g* (the least growth whose mass
+/// fits) fell: at most 1, or within 2^-40 above 1, where y* = log g* is
+/// tiny. Read from x before the step as the substrate computes it: the
+/// cached mass over the pages with x < 1, and the mass at growth g over
+/// every seen page, both ascending.
+struct GrowthRegimes {
+  int at_most_one = 0;
+  int near_one = 0;
+};
+
+void classify_step(const std::vector<double>& before,
+                   const std::vector<char>& seen, PageId p, int k,
+                   GrowthRegimes& regimes) {
+  const double inv_k = 1.0 / static_cast<double>(k);
+  const auto page = [&](std::size_t q) { return static_cast<PageId>(q); };
+  double cached = 0;
+  for (std::size_t q = 0; q < before.size(); ++q)
+    if (page(q) == p) cached += 1.0;
+    else if (before[q] < 1.0) cached += 1.0 - before[q];
+  if (!(cached > static_cast<double>(k))) return;  // no bisection
+  const auto fits_at = [&](double g) {
+    double mass = 0;
+    for (std::size_t q = 0; q < before.size(); ++q)
+      if (seen[q] && page(q) != p)
+        mass += 1.0 - std::min(1.0, (before[q] + inv_k) * g - inv_k);
+    return mass + 1.0 <= static_cast<double>(k);
+  };
+  if (fits_at(1.0)) ++regimes.at_most_one;
+  else if (fits_at(1.0 + 0x1p-40)) ++regimes.near_one;
+}
+
 /// Replay `inst` through the production substrate and its frozen twin;
 /// fail on the first step where x or a cost accumulator differs in any
 /// bit, or where moved() is not exactly the ascending list of pages
 /// whose x changed. Returns how many times a page that was not requested
-/// left x = 1 (only the walk over every seen page can do that).
-int expect_matches_twin(const Instance& inst, const std::string& label) {
+/// left x = 1 (only the walk over every seen page can do that), and adds
+/// each bisecting step's g* regime to `regimes`. With `check_counts`, also
+/// fails when the bracket left most questions to be evaluated.
+int expect_matches_twin(const Instance& inst, const std::string& label,
+                        GrowthRegimes* regimes = nullptr,
+                        bool check_counts = true) {
   FractionalWeightedPaging fast(inst.blocks, inst.k);
   verify::ReferenceFractionalWeightedPaging twin(inst);
   std::vector<double> before = twin.x();
+  std::vector<char> seen(before.size(), 0);
   int left_one = 0;
   for (Time t = 1; t <= inst.horizon(); ++t) {
     const PageId p = inst.request_at(t);
+    seen[static_cast<std::size_t>(p)] = 1;
+    if (regimes) classify_step(before, seen, p, inst.k, *regimes);
     const std::vector<double>& x = fast.step(p);
     const std::vector<double>& want = twin.step(p);
     std::vector<PageId> changed;
@@ -151,6 +200,17 @@ int expect_matches_twin(const Instance& inst, const std::string& label) {
     }
     before = want;
   }
+  // The bracket decided most questions: with one cost, fewer std::exp
+  // readings than questions; with several, at most half as many mass
+  // evaluations.
+  const FractionalWeightedPaging::Counts& c = fast.counts();
+  if (check_counts && c.bisections > 100) {
+    if (c.exp_reads > 0) {
+      EXPECT_LT(c.exp_reads, c.halvings) << label;
+    } else {
+      EXPECT_LT(2 * c.mass_evals, c.halvings) << label;
+    }
+  }
   return left_one;
 }
 
@@ -158,15 +218,20 @@ TEST(FractionalPaging, MatchesFrozenTwinBitForBit) {
   // k = 11, 12, 34 and 48 have fl(fl(1 + 1/k) - 1/k) < 1: a step whose
   // root s is tiny moves pages at x = 1 too, through the walk over every
   // seen page rather than the x < 1 list. The other k never take it.
-  // Instances with one block cost decide every halving against the exact
-  // growth threshold g*; the dyadic and log-uniform cells have several
-  // costs and evaluate the mass instead.
-  const char* trace_names[] = {"zipf", "uniform", "blocklocal", "scan"};
+  // Instances with one block cost decide the halvings outside a bracket
+  // certified by two std::exp readings and compare the rest with the
+  // exact growth threshold g*; the dyadic, decimal and log-uniform cells
+  // have several costs and evaluate the mass inside a bracket certified
+  // by two evaluations at bounds on every class's growth.
+  const char* trace_names[] = {"zipf", "uniform", "blocklocal", "scan",
+                               "cycle"};
   int left_one_at_fallback_k = 0;
   const auto run_cell = [&](int k, int beta, const auto& costs_of,
                             const std::string& cost_name, int shape, Time T,
-                            Xoshiro256pp& rng) {
-    const int n = k + 2 * beta + 6;
+                            Xoshiro256pp& rng, int min_pages = 0,
+                            GrowthRegimes* regimes = nullptr,
+                            bool check_counts = true) {
+    const int n = std::max(k + 2 * beta + 6, min_pages);
     const BlockMap blocks = BlockMap::contiguous_weighted(
         n, beta, costs_of((n + beta - 1) / beta));
     std::vector<PageId> req;
@@ -175,37 +240,51 @@ TEST(FractionalPaging, MatchesFrozenTwinBitForBit) {
     if (shape == 2)
       req = block_local_trace(blocks, T, 0.75, 0.9, rng.substream(2));
     if (shape == 3) req = scan_trace(n, T);
+    if (shape == 4) {
+      // Every page once, then a cycle over k of them: the other pages
+      // grow to x = 1 and the cycle's x shrink towards 0, so each step
+      // overflows by less, down to a few ulps (g* next to 1, and below).
+      for (Time t = 0; t < T; ++t)
+        req.push_back(static_cast<PageId>(t < n ? t : t % k));
+    }
     const Instance inst{blocks, std::move(req), k};
     const int left_one = expect_matches_twin(
-        inst, "k=" + std::to_string(k) + " beta=" + std::to_string(beta) +
-                  " " + cost_name + " " + trace_names[shape] +
-                  " T=" + std::to_string(T));
+        inst,
+        "k=" + std::to_string(k) + " beta=" + std::to_string(beta) + " " +
+            cost_name + " " + trace_names[shape] + " T=" + std::to_string(T),
+        regimes, check_counts);
     if (k == 11 || k == 12 || k == 34 || k == 48)
       left_one_at_fallback_k += left_one;
     else
       EXPECT_EQ(left_one, 0) << "k=" << k << " has no fallback";
   };
 
-  enum CostKind { kUnit, kDyadic, kLogUniform };
-  const char* cost_names[] = {"unit", "dyadic", "log-uniform"};
+  enum CostKind { kUnit, kDyadic, kLogUniform, kDecimal };
+  const char* cost_names[] = {"unit", "dyadic", "log-uniform", "decimal"};
+  const auto costs_for = [](CostKind kind, Xoshiro256pp& rng) {
+    return [kind, &rng](int n_blocks) {
+      std::vector<Cost> costs(static_cast<std::size_t>(n_blocks), 1.0);
+      for (int b = 0; b < n_blocks; ++b) {
+        const auto i = static_cast<std::size_t>(b);
+        if (kind == kDyadic) costs[i] = std::ldexp(1.0, b % 4);
+        if (kind == kDecimal)
+          costs[i] = b % 3 == 0 ? 0.1 : b % 3 == 1 ? 0.3 : 0.7;
+      }
+      if (kind == kLogUniform)
+        costs = log_uniform_costs(n_blocks, 16.0, rng.substream(1));
+      return costs;
+    };
+  };
   int trial = 0;
   for (int k : {1, 2, 3, 11, 12, 32, 34, 48}) {
     for (int beta : {1, 3, 8}) {
       for (CostKind kind : {kUnit, kDyadic, kLogUniform}) {
         ++trial;
         Xoshiro256pp rng(300 + static_cast<std::uint64_t>(trial));
-        const auto costs_of = [&](int n_blocks) {
-          std::vector<Cost> costs(static_cast<std::size_t>(n_blocks), 1.0);
-          if (kind == kDyadic)
-            for (int b = 0; b < n_blocks; ++b)
-              costs[static_cast<std::size_t>(b)] = std::ldexp(1.0, b % 4);
-          if (kind == kLogUniform)
-            costs = log_uniform_costs(n_blocks, 16.0, rng.substream(1));
-          return costs;
-        };
         // Each (k, beta, cost) cell gets one trace shape, rotating so all
         // four meet every k and every cost model.
-        run_cell(k, beta, costs_of, cost_names[kind], trial % 4, 160, rng);
+        run_cell(k, beta, costs_for(kind, rng), cost_names[kind], trial % 4,
+                 160, rng);
       }
     }
   }
@@ -227,6 +306,61 @@ TEST(FractionalPaging, MatchesFrozenTwinBitForBit) {
         run_cell(k, beta, costs_of, "one-class c=" + g17(c), shape, 3000,
                  rng);
       }
+    }
+  }
+
+  // One cost on cycles, where g* comes within a few ulps of 1 (y* tiny)
+  // and, once the overflow is rounding alone, at or below 1.
+  GrowthRegimes regimes;
+  for (int k : {2, 3, 4, 11, 12}) {
+    for (double c : {1.0, 0.1}) {
+      ++trial;
+      Xoshiro256pp rng(300 + static_cast<std::uint64_t>(trial));
+      const auto costs_of = [c](int n_blocks) {
+        return std::vector<Cost>(static_cast<std::size_t>(n_blocks), c);
+      };
+      run_cell(k, trial % 2 == 0 ? 1 : 3, costs_of, "one-class c=" + g17(c),
+               4, 3000, rng, 0, &regimes);
+    }
+  }
+  EXPECT_GT(regimes.near_one, 0) << "no step had g* within 2^-40 above 1";
+  EXPECT_GT(regimes.at_most_one, 0) << "no step had g* at or below 1";
+
+  // Several costs on long traces, so each cell bisects thousands of times
+  // through the mass bracket: log-uniform over at least 64 blocks (64
+  // distinct costs), decimal costs {0.1, 0.3, 0.7} and dyadic costs.
+  for (int k : {3, 11, 12, 32, 34, 48}) {
+    for (CostKind kind : {kLogUniform, kDecimal, kDyadic}) {
+      ++trial;
+      Xoshiro256pp rng(300 + static_cast<std::uint64_t>(trial));
+      const int beta = kind == kLogUniform ? 1 : trial % 2 == 0 ? 3 : 8;
+      run_cell(k, beta, costs_for(kind, rng), cost_names[kind],
+               trial % 2 == 0 ? 0 : 2, 3000, rng,
+               kind == kLogUniform ? 64 : 0);
+    }
+  }
+
+  // Several costs far apart, so a class's std::exp reading overflows to
+  // +inf (2^-1000) or the doubling loop carries s far up (2^20, 1e30)
+  // while the bracket's readings bound every class's growth. Bits only:
+  // at 1e-30 and 1e30 one class saturates long before the other moves,
+  // so the mass sits at exactly k over a plateau where no end can be
+  // certified and the questions there are evaluated.
+  for (int k : {2, 11, 34}) {
+    for (const std::vector<double>& spread :
+         {std::vector<double>{std::ldexp(1.0, -20), 1.0, std::ldexp(1.0, 20)},
+          std::vector<double>{1e-30, 1e30},
+          std::vector<double>{std::ldexp(1.0, -1000), 3.0}}) {
+      ++trial;
+      Xoshiro256pp rng(300 + static_cast<std::uint64_t>(trial));
+      const auto costs_of = [&spread](int n_blocks) {
+        std::vector<Cost> costs(static_cast<std::size_t>(n_blocks));
+        for (std::size_t b = 0; b < costs.size(); ++b)
+          costs[b] = spread[b % spread.size()];
+        return costs;
+      };
+      run_cell(k, 2, costs_of, "spread c=" + g17(spread.front()), 0, 2000,
+               rng, 40, nullptr, false);
     }
   }
   EXPECT_GT(left_one_at_fallback_k, 0)

@@ -435,5 +435,45 @@ TEST(Sweep, RandOnlineCountersMatchOneThreadRuns) {
             serial.counter("policy_separation_scored_total").value());
 }
 
+TEST(Sweep, ThresholdFetchCountersMatchOneThreadRuns) {
+  // threshold_fetch's bisection counters, folded by a sweep whose cells
+  // run on the 4-thread pool, equal the same cells run one after another
+  // on this thread: every count is a function of the cell's seed.
+  driver::SweepConfig config;
+  config.policies = {"threshold_fetch"};
+  config.workloads = {"blocklocal", "zipf0.9"};
+  config.ks = {16};
+  config.n = 64;
+  config.beta = 4;
+  config.T = 3000;
+  obs::MetricRegistry pooled;
+  config.metrics = &pooled;
+  driver::run_sweep(config, nullptr);
+
+  obs::MetricRegistry serial;
+  for (const std::string& workload : config.workloads) {
+    auto source = driver::make_workload_source(workload, config, 16);
+    auto policy = make_policy("threshold_fetch");
+    SimOptions options;
+    options.seed = config.seed;
+    options.metrics = &serial;
+    simulate(*source, *policy, options);
+  }
+  for (const char* name :
+       {"policy_growth_bisections_total", "policy_growth_halvings_total",
+        "policy_growth_exp_reads_total", "policy_growth_mass_evals_total"})
+    EXPECT_EQ(pooled.counter(name).value(), serial.counter(name).value())
+        << name;
+  // Unit costs: one cost class, so the halvings read std::exp, and the
+  // bracket decides most of them without a reading.
+  const auto bisections =
+      serial.counter("policy_growth_bisections_total").value();
+  EXPECT_GT(bisections, 1000u);
+  EXPECT_LT(serial.counter("policy_growth_exp_reads_total").value(),
+            serial.counter("policy_growth_halvings_total").value() / 2);
+  EXPECT_GT(serial.counter("policy_growth_mass_evals_total").value(),
+            bisections);  // the g* search walks the mass
+}
+
 }  // namespace
 }  // namespace bac

@@ -1,16 +1,21 @@
 // Unit tests for util: RNG determinism/quality smoke checks, the zipf
-// sampler's exactness, streaming statistics, tables, thread pool.
+// sampler's exactness, streaming statistics, tables, thread pool, and the
+// certified bracket's tests, ends and bisection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "util/certified_bracket.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -358,6 +363,157 @@ TEST(ThreadPool, ConcurrentShutdownBothObserveQuiescence) {
     EXPECT_TRUE(b_ok.load()) << "round " << round;
     EXPECT_EQ(pool.size(), 0u);
   }
+}
+
+// --- certified bracket -------------------------------------------------------
+
+/// The last double in [lo, hi] where `holds` is true, for `holds` true at
+/// lo, false at hi and monotone between (positive doubles order like
+/// their bit patterns).
+double last_true(double lo, double hi,
+                 const std::function<bool(double)>& holds) {
+  auto a = std::bit_cast<std::uint64_t>(lo);
+  auto b = std::bit_cast<std::uint64_t>(hi);
+  while (b - a > 1) {
+    const std::uint64_t mid = a + (b - a) / 2;
+    if (holds(std::bit_cast<double>(mid))) a = mid;
+    else b = mid;
+  }
+  return std::bit_cast<double>(a);
+}
+
+TEST(CertifiedBracket, CertifiesBelowAndAboveAtTheirBounds) {
+  // Each test flips at one double. There it is sound: in long double,
+  // every reading its model allows on its side is below (above) rhs. One
+  // ulp past it the test refuses, and the flip sits within a few rel *
+  // rhs + abs of rhs, so the test is not needlessly strict either.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const ErrorModel e : {kExpModel, ErrorModel{0x1p-40, 0x1p-30},
+                             ErrorModel{1e-12, 1e-13}}) {
+    for (const double rhs : {1.0, 3.7, 512.0}) {
+      using Long = long double;
+      const Long rel = e.rel, abs = e.abs;
+      const double below = last_true(0.0, rhs, [&](double v) {
+        return certifies_below(v, rhs, e);
+      });
+      EXPECT_TRUE(certifies_below(below, rhs, e));
+      EXPECT_FALSE(certifies_below(std::nextafter(below, kInf), rhs, e));
+      EXPECT_LT((below + abs) * (1 + rel) / (1 - rel) + abs, Long{rhs});
+      EXPECT_GT(below, rhs - 8.0 * (e.rel * rhs + e.abs));
+
+      // certifies_above is false up to its flip and true from it on.
+      const double above = std::nextafter(
+          last_true(0.0, 2.0 * rhs,
+                    [&](double v) { return !certifies_above(v, rhs, e); }),
+          kInf);
+      EXPECT_TRUE(certifies_above(above, rhs, e));
+      EXPECT_FALSE(certifies_above(std::nextafter(above, 0.0), rhs, e));
+      EXPECT_GE((above - abs) * (1 - rel) / (1 + rel) - abs, Long{rhs});
+      EXPECT_LT(above, rhs + 8.0 * (e.rel * rhs + e.abs));
+    }
+  }
+}
+
+/// A rounded evaluation of a monotone F: F(x) (1 + rel h(x)), h in
+/// [-1, 1] scrambled from x's bits, so f^ is not monotone at its last
+/// digits and a bracket must not trust it there.
+double noisy(double f, double x, double rel) {
+  std::uint64_t h = std::bit_cast<std::uint64_t>(x) * 0x9E3779B97F4A7C15ULL;
+  h ^= h >> 29;
+  const double unit = static_cast<double>(h >> 11) * 0x1p-53;  // [0, 1)
+  return f * (1.0 + rel * (2.0 * unit - 1.0));
+}
+
+/// The 64-halving bisection of [lo, hi] with its fixed-point stop, asking
+/// `below(mid)`; returns its hi.
+double bisect(double lo, double hi, const std::function<bool(double)>& below) {
+  for (int iter = 0; iter < 64; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    const bool fixed_point = mid == lo || mid == hi;
+    if (below(mid)) lo = mid;
+    else hi = mid;
+    if (fixed_point) break;
+  }
+  return hi;
+}
+
+TEST(CertifiedBracket, WrongEstimatesLeaveTheirEndsOpen) {
+  // Rising F(x) = x^2 + 1 on [0, 4] and falling G(x) = 9.6 - x^2, read
+  // through f^ within rel of F, asking "F below 5.3?" and "G above 5.3?"
+  // (root sqrt(4.3) for both). An end a reading cannot certify stays
+  // open; kept anyway, it would decide midpoints the plain bisection
+  // decides the other way. Through any of these brackets the bisection
+  // ends on the plain bisection's bits.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kRel = 1e-10;
+  const ErrorModel e{kRel, 0.0};
+  const double rhs = 5.3;
+  const double root = std::sqrt(4.3);
+  for (const bool rising : {true, false}) {
+    const auto read = [&](double x) {
+      return noisy(rising ? x * x + 1.0 : 9.6 - x * x, x, kRel);
+    };
+    const auto reads_below = [&](double x) {
+      return rising ? read(x) < rhs : read(x) >= rhs;
+    };
+    const auto certifies = [&](double end, bool lower) {
+      const double v = read(end);
+      return lower == rising ? certifies_below(v, rhs, e)
+                             : certifies_above(v, rhs, e);
+    };
+    const double plain = bisect(0.0, 4.0, reads_below);
+    struct Case {
+      double estimate, width;
+      bool below_open, above_open;
+    };
+    for (const Case c : {Case{root, 1e-6, false, false},   // right
+                         Case{3.0, 0.5, true, false},      // too high
+                         Case{1.0, 0.5, false, true},      // too low
+                         Case{root, 1e-13, true, true}}) { // too narrow
+      const CertifiedBracket b =
+          certify_bracket(c.estimate, c.width, 0.0, 4.0, certifies);
+      EXPECT_EQ(b.below == -kInf, c.below_open)
+          << (rising ? "rising" : "falling") << " estimate " << c.estimate;
+      EXPECT_EQ(b.above == kInf, c.above_open)
+          << (rising ? "rising" : "falling") << " estimate " << c.estimate;
+      int evaluations = 0;
+      const double through = bisect(0.0, 4.0, [&](double x) {
+        return b.below_at(x, [&](double y) {
+          ++evaluations;
+          return reads_below(y);
+        });
+      });
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(through),
+                std::bit_cast<std::uint64_t>(plain))
+          << (rising ? "rising" : "falling") << " estimate " << c.estimate;
+      if (!c.below_open && !c.above_open) {
+        EXPECT_LT(evaluations, 40);
+      }
+    }
+  }
+}
+
+TEST(CertifiedBracket, QuotientPreimageEndsAreTheExtremeXs) {
+  // For y = fl(x / c): the lower end is the largest x with fl(x / c) <=
+  // y.below and the upper end the smallest x with fl(x / c) >= y.above,
+  // so moving either one ulp outward leaves its side. Open ends stay open.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Xoshiro256pp rng(86);
+  for (int i = 0; i < 20000; ++i) {
+    const double c = std::exp2(60.0 * rng.uniform() - 30.0);
+    const double y = std::exp2(40.0 * rng.uniform() - 30.0);
+    const CertifiedBracket in_y{y, y * (1.0 + 0x1p-40)};
+    const CertifiedBracket x = quotient_preimage(in_y, c);
+    ASSERT_LE(x.below / c, in_y.below) << "c=" << c << " y=" << y;
+    ASSERT_GT(std::nextafter(x.below, kInf) / c, in_y.below)
+        << "c=" << c << " y=" << y;
+    ASSERT_GE(x.above / c, in_y.above) << "c=" << c << " y=" << y;
+    ASSERT_LT(std::nextafter(x.above, -kInf) / c, in_y.above)
+        << "c=" << c << " y=" << y;
+  }
+  const CertifiedBracket open = quotient_preimage(CertifiedBracket{}, 3.0);
+  EXPECT_EQ(open.below, -kInf);
+  EXPECT_EQ(open.above, kInf);
 }
 
 }  // namespace
