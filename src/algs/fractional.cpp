@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace bac {
@@ -42,22 +43,35 @@ const std::vector<FractionalIncrement>& FractionalBlockAware::step(Time t,
     if (!violation) break;
     const FlushSet& sprime = violation->sprime;
 
-    // Gather alive flushes and their capped marginals w.r.t. S'.
+    // Gather alive flushes and their capped marginals w.r.t. S', one walk
+    // per block (see the header).
     alive_.clear();
     rates_.clear();
     rate_slots_.reset();
+    const int room = cov_->cap() - sprime.g();
     for (BlockId b = 0; b < blocks_->n_blocks(); ++b) {
       const double eta = log_term_ / blocks_->cost(b);
-      cov_->alive_times(b, alive_times_);
-      for (Time at : alive_times_) {
+      const Time m = sprime.max_flush(b);
+      const int base = m == kNeverRequested ? 0 : cov_->count_below(b, m);
+      const std::span<const Time> last = cov_->sorted_last(b);
+      const auto& entries = vars_.entries(b);
+      auto e = entries.begin();
+      for (std::size_t j = 0; j < last.size(); ++j) {
+        if (j + 1 < last.size() && last[j + 1] == last[j]) continue;
+        const Time at = last[j] == kNeverRequested ? 0 : last[j] + 1;
         if (at > t) continue;  // flush strictly in the future: untouchable
-        const int coeff = sprime.f_marginal(b, at);
+        // At or before m_B (r < m_B, so j < base) the g-marginal is <= 0.
+        const int coeff = std::min(static_cast<int>(j) + 1 - base, room);
         if (coeff <= 0) continue;
+        e = std::lower_bound(
+            e, entries.end(), at,
+            [](const FlushVars::Entry& x, Time u) { return x.t < u; });
+        const double phi = e != entries.end() && e->t == at ? e->phi : 0.0;
         const double rate = eta * coeff;
         const auto [slot, fresh] = rate_slots_.try_emplace(
             std::bit_cast<std::uint64_t>(rate), rates_.size());
         if (fresh) rates_.push_back(rate);
-        alive_.push_back({b, at, coeff, vars_.get(b, at), rate, *slot});
+        alive_.push_back({b, at, coeff, phi, rate, *slot});
       }
     }
     growth_.resize(rates_.size());

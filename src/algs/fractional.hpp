@@ -36,8 +36,20 @@
 // its lower end reads below rhs and every mid at or above its upper end
 // does not. The halvings consult the bracket first and evaluate lhs_at
 // only between its ends, so they take the branches the plain bisection
-// takes. verify::ReferenceFractionalBlockAware is that plain bisection;
+// takes. verify::ReferenceFractionalBlockAware is that plain bisection
+// (and the gather below by alive_times, f_marginal and FlushVars::get);
 // tests and the policy_equivalence fuzz family diff the two bit for bit.
+//
+// Gathering the alive flushes. Block B's alive times are r(p) + 1 over its
+// pages (0 for a page never requested), and the flush at one of them has
+// g-marginal count_below(B, r + 1) - count_below(B, m_B) w.r.t. S', where
+// it lies after m_B. In B's sorted last requests, the run of equal r that
+// ends at index j holds every r' <= r, so its count_below(B, r + 1) is
+// j + 1; the never-requested run (r = -1, below every request time) has
+// alive time 0 and count_below(B, 0) = j + 1 as well. So one count_below
+// for m_B and one pass over the sorted list give every coefficient, in
+// alive-time order, and each phi comes from a search of B's entries that
+// resumes where the previous alive time's ended.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +134,6 @@ class FractionalBlockAware {
     std::size_t slot;  // index of rate in rates_
   };
   std::vector<Candidate> alive_;
-  std::vector<Time> alive_times_;
   std::vector<double> rates_;   // distinct rates of alive_
   FlatMap<std::uint64_t, std::size_t> rate_slots_;  // rate bits -> slot
   std::vector<double> growth_;  // exp(rate * d) per rates_ entry

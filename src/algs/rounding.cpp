@@ -164,6 +164,9 @@ void RandomizedBlockAware::export_metrics(
   inc("policy_separation_calls_total", c.separation_calls);
   inc("policy_separation_scored_total", sc.scored);
   inc("policy_separation_exact_total", sc.exact);
+  inc("policy_separation_net_builds_total", sc.net_builds);
+  inc("policy_separation_net_kept_total", sc.net_kept);
+  inc("policy_separation_net_points_total", sc.net_points);
   inc("policy_saturation_bisections_total", c.bisections);
   inc("policy_saturation_lhs_evals_total", c.lhs_evals);
   inc("policy_alterations_total", alterations_);

@@ -1,6 +1,7 @@
 #include "submodular/separation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -25,9 +26,29 @@ auto first_live(const std::vector<FlushVars::Entry>& list, Time m) {
 /// integer speed (no floating-point compare latency in a min/max chain).
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// The octave of v >= 0: its biased binary exponent (subnormals and 0
-/// share octave 0).
-int octave(double v) { return static_cast<int>(bits(v) >> 52); }
+/// Whether values holds more than 40 distinct values, counted until 41;
+/// if not, all of them, descending, into out.
+bool distinct_descending(const std::vector<double>& values,
+                         std::vector<double>& out) {
+  // Open addressing on the bits over 128 slots, at most 41 of them used; 0
+  // marks a free slot, as the values are > 0.
+  std::array<std::uint64_t, 128> seen{};
+  int count = 0;
+  for (const double v : values) {
+    const std::uint64_t b = bits(v);
+    std::size_t i = (b * 0x9E3779B97F4A7C15u) >> 57;
+    while (seen[i] != 0 && seen[i] != b) i = (i + 1) % seen.size();
+    if (seen[i] == 0) {
+      seen[i] = b;
+      if (++count > 40) return true;
+    }
+  }
+  out.clear();
+  for (const std::uint64_t b : seen)
+    if (b != 0) out.push_back(std::bit_cast<double>(b));
+  std::sort(out.begin(), out.end(), std::greater<>());
+  return false;
+}
 
 }  // namespace
 
@@ -137,89 +158,64 @@ void ThresholdSeparation::sum_terms(Block& blk) {
   fill(0, blk.base);
 }
 
-void ThresholdSeparation::build_net() {
+void ThresholdSeparation::refresh_net(const FlushVars& phi, bool kills_only) {
+  // Kills keep the stored points if no killed value is one of them: each
+  // point is the largest value <= the previous one / 1.3 (the first the
+  // largest of all), and removing other values leaves every such maximum.
+  bool keep = kills_only;
+  for (std::size_t b = 0; keep && b < blocks_.size(); ++b) {
+    const Block& blk = blocks_[b];
+    const auto& list = phi.entries(static_cast<BlockId>(b));
+    for (int i = blk.net_first; keep && i < blk.first; ++i) {
+      const double v = list[static_cast<std::size_t>(i)].phi;
+      keep = !(v > 0) || std::find(thresholds_.begin(), thresholds_.end(),
+                                   v) == thresholds_.end();
+    }
+  }
   active_phi_.clear();
+  std::uint64_t top = 0;
   for (const Block& blk : blocks_)
     for (const Active& e : blk.active)
-      if (e.phi > 0) active_phi_.push_back(e.phi);  // not NaN
+      if (e.phi > 0) {  // not NaN
+        active_phi_.push_back(e.phi);
+        top = std::max(top, bits(e.phi));
+      }
 
-  // Every distinct non-dead phi, descending, or -- past 40 of them -- the
-  // largest, then repeatedly the largest <= last / 1.3, then the
-  // smallest.
-  if (!collect_distinct()) return;
-  bucket_active();
-  double last = octave_below_.back();
-  thresholds_.clear();
-  for (;;) {
-    thresholds_.push_back(last);
-    const double x = last / 1.3;
-    // A subnormal last can round back to itself; then the next point is
-    // the largest value < last.
-    last = predecessor(x < last ? x : std::nextafter(last, 0.0));
-    if (last <= 0) break;
+  if (!distinct_descending(active_phi_, distinct_)) {
+    thresholds_.swap(distinct_);  // at most 40: the net is every value
+    ++counts_.net_builds;
+  } else if (keep) {
+    ++counts_.net_kept;
+  } else {
+    thresholds_.assign(1, std::bit_cast<double>(top));
+    ++counts_.net_builds;
+    ++counts_.net_points;
   }
-  if (thresholds_.back() != active_min_) thresholds_.push_back(active_min_);
+  for (Block& blk : blocks_) {
+    blk.net_phi_stamp = blk.phi_stamp;
+    blk.net_first = blk.first;
+  }
 }
 
-void ThresholdSeparation::bucket_active() {
-  octave_phi_.resize(active_phi_.size());
-  std::uint64_t lo = bits(active_phi_.front());
-  std::uint64_t hi = lo;
+bool ThresholdSeparation::extend_net() {
+  const double last = thresholds_.back();
+  const double x = last / 1.3;
+  // A subnormal last can round back to itself; then the next point is the
+  // largest value < last.
+  const std::uint64_t cut = bits(x < last ? x : std::nextafter(last, 0.0));
+  std::uint64_t next = 0;
   for (const double v : active_phi_) {
-    lo = std::min(lo, bits(v));
-    hi = std::max(hi, bits(v));
+    const std::uint64_t b = bits(v);
+    next = std::max(next, b <= cut ? b : 0);  // conditional moves, no branch
   }
-  active_min_ = std::bit_cast<double>(lo);
-  lo_octave_ = octave(active_min_);
-  // A counting sort by octave: count, prefix-sum each octave's end, then
-  // place every value just below its octave's end, which leaves
-  // octave_begin_[i] at octave i's start.
-  const auto n = static_cast<std::size_t>(
-      octave(std::bit_cast<double>(hi)) - lo_octave_ + 1);
-  octave_begin_.assign(n + 1, 0);
-  for (const double v : active_phi_)
-    ++octave_begin_[static_cast<std::size_t>(octave(v) - lo_octave_)];
-  for (std::size_t i = 1; i <= n; ++i)
-    octave_begin_[i] += octave_begin_[i - 1];
-  for (const double v : active_phi_)
-    octave_phi_[static_cast<std::size_t>(--octave_begin_[
-        static_cast<std::size_t>(octave(v) - lo_octave_)])] = v;
-  octave_below_.resize(n + 1);
-  std::uint64_t below = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    octave_below_[i] = std::bit_cast<double>(below);
-    for (int j = octave_begin_[i]; j < octave_begin_[i + 1]; ++j)
-      below = std::max(below, bits(octave_phi_[static_cast<std::size_t>(j)]));
+  if (next == 0) {  // last was the last such point: then the smallest
+    next = bits(last);
+    for (const double v : active_phi_) next = std::min(next, bits(v));
+    if (next == bits(last)) return false;
   }
-  octave_below_[n] = std::bit_cast<double>(hi);
-}
-
-bool ThresholdSeparation::collect_distinct() {
-  // Inserts each value into the descending thresholds_ unless it is there
-  // already, stopping once that makes 41 values.
-  thresholds_.clear();
-  for (const double v : active_phi_) {
-    const auto it = std::lower_bound(thresholds_.begin(), thresholds_.end(),
-                                     v, std::greater<>());
-    if (it == thresholds_.end() || *it != v) thresholds_.insert(it, v);
-    if (thresholds_.size() > 40) return true;
-  }
-  return false;
-}
-
-double ThresholdSeparation::predecessor(double x) const {
-  // Lower octaves hold only values < x, higher ones only values > x.
-  const int i = octave(x) - lo_octave_;
-  const int n = static_cast<int>(octave_below_.size()) - 1;
-  if (i >= n) return octave_below_.back();
-  if (i < 0) return 0;
-  const auto o = static_cast<std::size_t>(i);
-  std::uint64_t best = 0;
-  for (int j = octave_begin_[o]; j < octave_begin_[o + 1]; ++j) {
-    const std::uint64_t v = bits(octave_phi_[static_cast<std::size_t>(j)]);
-    best = std::max(best, v <= bits(x) ? v : 0);
-  }
-  return best > 0 ? std::bit_cast<double>(best) : octave_below_[o];
+  thresholds_.push_back(std::bit_cast<double>(next));
+  ++counts_.net_points;
+  return true;
 }
 
 void ThresholdSeparation::merge_steps() {
@@ -312,7 +308,10 @@ std::optional<Violation> ThresholdSeparation::find_violated(
     restepped_.clear();
   }
 
+  // The net is stale when some block's phi stamp or first non-dead entry
+  // moved; when only firsts moved, and forward, entries were only killed.
   bool net_stale = false;
+  bool kills_only = true;
   terms_ = 0;
   for (std::size_t b = 0; b < n_blocks; ++b) {
     Block& blk = blocks_[b];
@@ -325,16 +324,13 @@ std::optional<Violation> ThresholdSeparation::find_violated(
       restep_[b] = 1;
       restepped_.push_back(block);
     }
-    net_stale |= blk.net_phi_stamp != phi_stamp || blk.net_first != blk.first;
+    if (blk.net_phi_stamp != phi_stamp || blk.net_first != blk.first) {
+      net_stale = true;
+      kills_only &= blk.net_phi_stamp == phi_stamp && blk.net_first < blk.first;
+    }
     terms_ += static_cast<long long>(blk.active.size());
   }
-  if (net_stale) {
-    build_net();
-    for (Block& blk : blocks_) {
-      blk.net_phi_stamp = blk.phi_stamp;
-      blk.net_first = blk.first;
-    }
-  }
+  if (net_stale) refresh_net(phi, kills_only);
   // Before S is checked: that check may answer, and the next call
   // rebuilds only the blocks whose keys change again.
   if (!restepped_.empty()) merge_steps();
@@ -347,10 +343,15 @@ std::optional<Violation> ThresholdSeparation::find_violated(
   if (const auto l = violated_lhs(cap, g))
     return Violation{S, *l, static_cast<double>(cap - g)};
 
+  // A theta that passes no step gives the S' just scored, so once every
+  // step is passed no later theta scores anything.
   const auto width = static_cast<std::size_t>(beta_);
   std::size_t next = 0;
-  for (const double theta : thresholds_) {
-    if (next == steps_.size() || steps_[next].phi < theta) continue;
+  for (std::size_t i = 0; next < steps_.size(); ++i) {
+    // Steps hold non-dead phi > 0, so the net is not empty here.
+    if (i == thresholds_.size() && !extend_net()) break;
+    const double theta = thresholds_[i];
+    if (steps_[next].phi < theta) continue;
     for (; next < steps_.size() && steps_[next].phi >= theta; ++next) {
       const Step& st = steps_[next];
       const auto b = static_cast<std::size_t>(st.b);

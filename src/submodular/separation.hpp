@@ -49,9 +49,10 @@
 //     requested block.
 //   * The net depends only on the multiset of non-dead phi, so only on
 //     each block's (phi stamp, index of its first non-dead entry): it is
-//     rebuilt only when one of those differs from the net's own record
-//     of what it was built from. A request changes neither unless it
-//     kills an entry (the page's old r(p) leaves [m_B, t)).
+//     stale only when one of those differs from the net's own record of
+//     what it was built from. A request changes neither unless it kills
+//     an entry (the page's old r(p) leaves [m_B, t)), and a stale net is
+//     often kept (below).
 //   * The steps (every block's maxima, sorted by phi) change only when
 //     some rebuilt block's maxima changed, and then only those blocks'
 //     steps move: they are dropped, and the blocks' new maxima are sorted
@@ -81,12 +82,30 @@
 // scored and how many of them the chain had to decide.
 //
 // No dead value is kept anywhere, so the oracle's state is O(non-dead
-// entries + blocks) however long the trace. Building the net sorts
-// nothing: the non-dead values are grouped by octave (binary exponent)
-// with one counting pass, keeping each octave's max. Whether there are
-// more than 40 distinct values is a count that stops at 41, and each
-// point of a thinned net is a predecessor query: a scan of x's own
-// octave, or else the max of the next lower non-empty one.
+// entries + blocks) however long the trace. The net's points are found
+// only as a scan reads them. A stale net's refresh gathers the non-dead
+// phi into one flat array and counts their distinct values, stopping at
+// 41; with at most 40 the net is all of them, descending. Past 40 it
+// stores only the largest, and a scan that reaches the last stored point
+// asks for the next: the largest value <= last / 1.3 (or < last, where a
+// subnormal last / 1.3 rounds back to last), found by one branch-free
+// pass over the values' bits, and after the last such point the smallest
+// value, found by another. Stored points serve later calls until the net
+// goes stale. A scan stops once it has passed every step: no later theta
+// can give a new S'.
+//
+// A stale net keeps its stored points across kills. When every block's
+// phi stamp still matches the net's record and no first non-dead index
+// moved back, the values that left the net are the killed entries,
+// entries(b)[recorded first, first) of each block. If none of them is a
+// stored point and more than 40 distinct values remain, the points stay
+// exact: each is the largest value <= the previous point / 1.3 (the first
+// the largest of all), and removing other values leaves every such
+// maximum. Later points, the smallest value among them, are found from the
+// values that remain, so none is stale. Otherwise, and when a first moved
+// back (a reused oracle asked about a smaller S on the same phi, which
+// brings values back), the net is found afresh. counts() says how many
+// nets were found afresh and kept, and how many points were found.
 //
 // So a reused oracle (other phi, other coverages, other FlushVars)
 // returns exactly what the stateless scan returns. The stateless scan is
@@ -120,6 +139,9 @@ struct Violation {
 struct SeparationCounts {
   long long scored = 0;  ///< S' whose violation was decided
   long long exact = 0;   ///< of those, decided by the exact add chain
+  long long net_builds = 0;  ///< threshold nets found afresh
+  long long net_kept = 0;    ///< stale nets kept across kills
+  long long net_points = 0;  ///< thinned-net points found, the largest too
 };
 
 class SeparationOracle {
@@ -170,7 +192,8 @@ class ThresholdSeparation final : public SeparationOracle {
     std::uint64_t phi_stamp = 0;
     std::uint64_t cov_stamp = 0;
     Time m = 0;
-    // The net's record: the phi stamp and first it was last built from.
+    // The net's record: the phi stamp and first it was last refreshed
+    // from.
     std::uint64_t net_phi_stamp = 0;
     int net_first = 0;
     int base = 0;   ///< count_below(b, m_b)
@@ -188,16 +211,12 @@ class ThresholdSeparation final : public SeparationOracle {
                const FlushCoverage& cov, Time m);
   /// blk.sums from its active entries and maxima.
   void sum_terms(Block& blk);
-  /// The net over every block's non-dead phi, into thresholds_.
-  void build_net();
-  /// Group active_phi_ (not empty) by octave into octave_phi_ (for
-  /// predecessor).
-  void bucket_active();
-  /// The distinct net candidates, descending, into thresholds_, stopping
-  /// at 41 of them; returns whether there are more than 40.
-  bool collect_distinct();
-  /// Largest net candidate <= x; 0 if none.
-  [[nodiscard]] double predecessor(double x) const;
+  /// Bring the stale net up to date with every block's non-dead phi,
+  /// keeping its points if kills_only allows (see the header).
+  void refresh_net(const FlushVars& phi, bool kills_only);
+  /// Append the thinned net's next point to thresholds_ (not empty);
+  /// returns false if it has none.
+  bool extend_net();
   /// Replace the restepped_ blocks' steps by their current maxima,
   /// keeping steps_ sorted by descending phi.
   void merge_steps();
@@ -214,7 +233,9 @@ class ThresholdSeparation final : public SeparationOracle {
   int beta_ = 0;        ///< the sums' row length
   long long terms_ = 0; ///< active entries over all blocks
   std::vector<Block> blocks_;
-  std::vector<double> thresholds_;  ///< the net, descending
+  std::vector<double> thresholds_;  ///< the net's points found, descending
+  /// The non-dead phi > 0 the net is over; later points come from these.
+  std::vector<double> active_phi_;
   std::vector<Step> steps_;         ///< descending phi
   // Per-call buffers, kept for their capacity.
   std::vector<int> chosen_;  ///< per block: index into its maxima or -1
@@ -226,16 +247,7 @@ class ThresholdSeparation final : public SeparationOracle {
   std::vector<Step> fresh_;         ///< merge_steps' new steps
   std::vector<Step> merged_;        ///< merge_steps' output
   std::vector<double> level_;       ///< sum_terms' per-gm phi sums
-  std::vector<double> active_phi_;  ///< the active phi that are > 0
-  // active_phi_ by octave, lowest first: octave lo_octave_ + i holds
-  // octave_phi_[octave_begin_[i], octave_begin_[i + 1]), and
-  // octave_below_[i] is the largest value in a lower octave (0 if none),
-  // so octave_below_.back() is the largest of all.
-  std::vector<double> octave_phi_;
-  std::vector<int> octave_begin_;
-  std::vector<double> octave_below_;
-  int lo_octave_ = 0;
-  double active_min_ = 0;
+  std::vector<double> distinct_;    ///< refresh_net's distinct values
 };
 
 /// *Exact* polynomial-time separation. Because the uncapped coverage g_tau

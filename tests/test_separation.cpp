@@ -585,6 +585,200 @@ TEST(Separation, ReusedOracleTellsCoveragesApart) {
   EXPECT_GT(differ, 20) << "the swapped request should change answers";
 }
 
+/// What an oracle sees of one (S, phi): per block the index of its first
+/// non-dead entry, and the distinct non-dead phi > 0, descending.
+struct NetView {
+  std::vector<int> first;
+  std::vector<double> values;
+};
+
+NetView net_view(const FlushSet& S, const FlushVars& phi) {
+  NetView v;
+  const int n_blocks = S.coverage().blocks().n_blocks();
+  for (BlockId b = 0; b < n_blocks; ++b) {
+    int dead = 0;
+    for (const FlushVars::Entry& e : phi.entries(b)) {
+      if (e.t > S.max_flush(b) && S.g_marginal(b, e.t) > 0) {
+        if (e.phi > 0) v.values.push_back(e.phi);
+      } else {
+        ++dead;  // dead entries are a prefix
+      }
+    }
+    v.first.push_back(dead);
+  }
+  std::sort(v.values.begin(), v.values.end(), std::greater<>());
+  v.values.erase(std::unique(v.values.begin(), v.values.end()),
+                 v.values.end());
+  return v;
+}
+
+/// The twin's thinned net over distinct values, descending (> 40 of them).
+std::vector<double> thinned(const std::vector<double>& values) {
+  std::vector<double> net;
+  double last = std::numeric_limits<double>::infinity();
+  for (const double v : values)
+    if (v <= last / 1.3) net.push_back(last = v);
+  if (net.back() != values.back()) net.push_back(values.back());
+  return net;
+}
+
+/// One reused ThresholdSeparation and what a test knows of its net: the
+/// last state it saw and how many thinned-net points it has stored since
+/// it last found its net afresh.
+struct NetWalker {
+  explicit NetWalker(double tolerance)
+      : tolerance(tolerance), oracle(tolerance), twin(tolerance) {}
+  double tolerance;
+  ThresholdSeparation oracle;
+  verify::ReferenceThresholdSeparation twin;
+  NetView seen;
+  std::size_t stored = 0;
+};
+
+TEST(Separation, KeptNetMatchesReferenceAcrossKills) {
+  // One phi and flush sets that grow by one flush at a time, so each step
+  // kills the non-dead entries at or before the new flush: reused oracles
+  // walk S_0, S_1, S_0, S_1, S_2, S_1, S_2, ..., so every step is asked
+  // once after a kill and once after the smaller S before it (firsts
+  // that move back). Some flushes kill the largest value, a point of
+  // every thinned net; where one exists, a flush that leaves exactly 40
+  // distinct non-dead values is taken. Each oracle's tolerance puts its
+  // first violated S' at a different net point, so later calls read
+  // deeper into kept nets than earlier ones. Every answer must be the
+  // twin's; a net is kept exactly when only entries were killed, none of
+  // them a stored point, and more than 40 distinct values remain; and a
+  // reused oracle's points since its net was last found afresh must be
+  // as many as a fresh oracle finds, or as it had stored before.
+  Xoshiro256pp rng(4242);
+  int kept = 0, deeper = 0, stored_kills = 0, forty = 0, moved_back = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const BlockMap blocks = BlockMap::contiguous(64, 4);
+    FlushCoverage cov(blocks, 8);
+    const Time T = 160;
+    for (Time t = 1; t <= T; ++t)
+      cov.advance(static_cast<PageId>(rng.below(64)), t);
+    FlushVars phi(blocks.n_blocks());
+    for (int i = 0; i < 160; ++i)
+      phi.raise_to(static_cast<BlockId>(rng.below(16)),
+                   static_cast<Time>(1 + rng.below(T)),
+                   std::exp(-9.0 * rng.uniform()));
+    std::vector<FlushSet> sets = {FlushSet(cov)};
+    NetView view = net_view(sets[0], phi);
+    if (view.values.size() <= 44) continue;
+
+    // S_{i+1}: S_i plus a flush at a non-dead entry's time.
+    for (int step = 0; step < 10 && view.values.size() > 30; ++step) {
+      const FlushSet& S = sets.back();
+      std::vector<std::pair<BlockId, Time>> options;
+      std::pair<BlockId, Time> top{-1, 0}, leaves_forty{-1, 0};
+      double top_phi = 0;
+      for (BlockId b = 0; b < blocks.n_blocks(); ++b)
+        for (const FlushVars::Entry& e : phi.entries(b)) {
+          if (!(e.t > S.max_flush(b) && S.g_marginal(b, e.t) > 0)) continue;
+          options.emplace_back(b, e.t);
+          if (e.phi > top_phi) top = {b, e.t}, top_phi = e.phi;
+          if (view.values.size() > 40 && leaves_forty.first < 0) {
+            FlushSet next = S;
+            next.add_flush(b, e.t);
+            if (net_view(next, phi).values.size() == 40)
+              leaves_forty = {b, e.t};
+          }
+        }
+      const auto [b, t] = leaves_forty.first >= 0 ? leaves_forty
+                          : step % 3 == 1          ? top
+                              : options[rng.below(options.size())];
+      FlushSet next = S;
+      next.add_flush(b, t);
+      sets.push_back(next);
+      view = net_view(next, phi);
+    }
+
+    std::vector<std::size_t> walk = {0};
+    for (std::size_t i = 0; i + 1 < sets.size(); ++i)
+      walk.insert(walk.end(), {i + 1, i, i + 1});
+    // Tolerances just below the slacks of S_0's first net points.
+    const NetView start = net_view(sets[0], phi);
+    const std::vector<double> net0 = thinned(start.values);
+    std::vector<NetWalker> walkers;
+    for (const std::size_t i : {0, 1, 3, 6, 12})
+      if (i < net0.size()) {
+        const FlushSet sp = sprime_at(sets[0], phi, net0[i]);
+        const double slack = static_cast<double>(cov.cap() - sp.f()) -
+                             constraint_lhs(sp, phi);
+        walkers.emplace_back(slack - 1e-6 * std::abs(slack) - 1e-9);
+      }
+
+    for (NetWalker& w : walkers) {
+      for (std::size_t c = 0; c < walk.size(); ++c) {
+        const FlushSet& S = sets[walk[c]];
+        const std::string where = "trial " + std::to_string(trial) +
+                                  " tolerance " +
+                                  std::to_string(w.tolerance) + " call " +
+                                  std::to_string(c) + " (S_" +
+                                  std::to_string(walk[c]) + ")";
+        const NetView now = net_view(S, phi);
+        const SeparationCounts before = w.oracle.counts();
+        expect_same(w.oracle.find_violated(S, phi),
+                    w.twin.find_violated(S, phi), where);
+        const SeparationCounts after = w.oracle.counts();
+        const long long builds = after.net_builds - before.net_builds;
+        const long long kept_now = after.net_kept - before.net_kept;
+        const auto points =
+            static_cast<std::size_t>(after.net_points - before.net_points);
+
+        // What the kill rule must decide: the stored points are the first
+        // of the net over the values last seen (all of them, <= 40).
+        std::vector<double> stored = w.seen.values;
+        if (stored.size() > 40) {
+          stored = thinned(stored);
+          stored.resize(w.stored);
+        }
+        bool stale = c == 0, forward = c > 0, hit = false;
+        for (std::size_t b = 0; c > 0 && b < now.first.size(); ++b) {
+          const int from = w.seen.first[b], to = now.first[b];
+          stale |= from != to;
+          forward &= from <= to;
+          const auto& list = phi.entries(static_cast<BlockId>(b));
+          for (int i = from; i < to; ++i)
+            hit |= std::find(stored.begin(), stored.end(),
+                             list[static_cast<std::size_t>(i)].phi) !=
+                   stored.end();
+        }
+        const bool keep = stale && forward && !hit && now.values.size() > 40;
+        EXPECT_EQ(kept_now, keep ? 1 : 0) << where;
+        EXPECT_EQ(builds, stale && !keep ? 1 : 0) << where;
+        if (stale && !forward) ++moved_back;
+        if (stale && forward && hit) ++stored_kills;
+        if (stale && forward && now.values.size() == 40 &&
+            w.seen.values.size() > 40)
+          ++forty;
+        if (keep) {
+          ++kept;
+          if (points > 0) ++deeper;
+        }
+
+        // The points stored since the last fresh net, against a fresh
+        // oracle's (0 for a net of every value).
+        ThresholdSeparation fresh(w.tolerance);
+        (void)fresh.find_violated(S, phi);
+        const auto fresh_points =
+            static_cast<std::size_t>(fresh.counts().net_points);
+        w.stored = builds > 0 ? points : w.stored + points;
+        EXPECT_EQ(w.stored, builds > 0 ? fresh_points
+                                       : std::max(w.stored - points,
+                                                  fresh_points))
+            << where;
+        w.seen = now;
+      }
+    }
+  }
+  EXPECT_GT(kept, 400);
+  EXPECT_GT(deeper, 60);
+  EXPECT_GT(stored_kills, 500);
+  EXPECT_GT(forty, 70);
+  EXPECT_GT(moved_back, 500);
+}
+
 TEST(Separation, LhsSkipsDominatedEntries) {
   World s;
   for (Time t = 1; t <= 6; ++t) s.cov.advance(static_cast<PageId>(t - 1), t);

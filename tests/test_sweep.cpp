@@ -424,7 +424,10 @@ TEST(Sweep, RandOnlineCountersMatchOneThreadRuns) {
   }
   for (const char* name :
        {"policy_separation_calls_total", "policy_separation_scored_total",
-        "policy_separation_exact_total", "policy_saturation_bisections_total",
+        "policy_separation_exact_total", "policy_separation_net_builds_total",
+        "policy_separation_net_kept_total",
+        "policy_separation_net_points_total",
+        "policy_saturation_bisections_total",
         "policy_saturation_lhs_evals_total", "policy_alterations_total",
         "policy_fallback_alterations_total"})
     EXPECT_EQ(pooled.counter(name).value(), serial.counter(name).value())
