@@ -7,9 +7,9 @@
 //
 // Usage: replay_trace [T]      (default 1,000,000 requests)
 //
-// The same flow converts real traces: load a CSV key trace with
-// load_csv_trace / CsvSource, or stream an archived text instance with
-// TextTraceSource, and feed any of them to the same simulate() call.
+// The same flow converts real traces: stream a CSV key trace with
+// CsvSource or an archived text instance with TextTraceSource, and feed
+// either to the same simulate() call.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>

@@ -48,6 +48,8 @@ Cost fractional_block_evict_cost(const Instance& inst,
 
 /// Check x against the LP (A.1) constraints (x[t][p_t] == 0 and
 /// sum_p x >= n-k, within `tol`); returns the first violated time or 0.
+/// Stays for the tests, which check the simplex's and fractional paging's
+/// x with it before rounding them.
 Time check_fractional_feasible(const Instance& inst,
                                const std::vector<std::vector<double>>& x,
                                double tol = 1e-6);

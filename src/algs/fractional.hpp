@@ -90,6 +90,8 @@ class FractionalBlockAware {
   /// Feasible dual objective (lower bound on fractional OPT).
   [[nodiscard]] double dual_objective() const noexcept { return dual_obj_; }
   [[nodiscard]] const FlushVars& vars() const noexcept { return vars_; }
+  /// S, the flushes adopted so far. Stays for the tests, which check with
+  /// it that no constraint is left violated after a step.
   [[nodiscard]] const FlushSet& integral_set() const { return *S_; }
   [[nodiscard]] const FlushCoverage& coverage() const { return *cov_; }
   /// Flushes integrally chosen so far (excluding the free time-0 ones).

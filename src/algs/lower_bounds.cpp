@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "algs/opt.hpp"
-
 namespace bac {
 
 Cost lp_lower_bound(const Instance& inst, CostModel model,
@@ -14,24 +12,15 @@ Cost lp_lower_bound(const Instance& inst, CostModel model,
   return res.objective;
 }
 
-EvictionLowerBound eviction_lower_bound(const Instance& inst,
-                                        int exact_cutoff_pages,
-                                        long long max_lp_cells) {
+EvictionLowerBound eviction_lower_bound(const Instance& inst) {
   EvictionLowerBound out;
-  if (inst.n_pages() <= exact_cutoff_pages) {
-    const OptResult r = exact_opt_eviction(inst);
-    if (r.exact) {
-      out.value = r.cost;
-      out.source = EvictionLowerBound::Source::Exact;
-      return out;
-    }
-  }
   // Dense-simplex budget heuristic: (rows) x (cols) cells of the tableau.
+  constexpr long long kMaxLpCells = 4'000'000;
   const long long T = inst.horizon();
   const long long n = inst.n_pages();
   const long long rows = T * (n + 2);
   const long long cols = T * (n + inst.blocks.n_blocks());
-  if (rows * cols <= max_lp_cells) {
+  if (rows * cols <= kMaxLpCells) {
     out.value = lp_lower_bound(inst, CostModel::Eviction);
     out.source = EvictionLowerBound::Source::Lp;
   }

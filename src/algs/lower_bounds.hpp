@@ -1,10 +1,10 @@
 // Certified lower bounds on OPT for competitive-ratio denominators.
 //
-// Three sources, by instance size:
-//  - exact OPT (algs/opt.hpp) for toy instances,
+// Two sources, by instance size:
 //  - the naive LP (A.1) value via simplex for small instances,
 //  - the dual objectives maintained by the primal-dual algorithms
 //    (DetOnlineBlockAware / FractionalBlockAware) for anything larger.
+// Toy instances can be solved exactly instead (algs/opt.hpp).
 // Every one of them lower-bounds the true optimum in its cost model, so
 // ratios computed against them only over-estimate the competitive ratio —
 // the safe direction for reproducing the paper's upper-bound claims.
@@ -20,16 +20,14 @@ namespace bac {
 Cost lp_lower_bound(const Instance& inst, CostModel model,
                     const SimplexOptions& options = {});
 
-/// Best available lower bound on OPT_evict for an instance: exact OPT when
-/// n_pages <= `exact_cutoff_pages`, otherwise the LP value when the model
-/// is small enough for the dense simplex, otherwise 0 (caller falls back
-/// to a dual objective).
+/// Lower bound on OPT_evict for an instance: the LP value when the model's
+/// dense tableau has at most 4M cells (T(n+2) rows by T(n+#blocks)
+/// columns), otherwise 0 with Source::None (caller falls back to a dual
+/// objective).
 struct EvictionLowerBound {
   Cost value = 0;
-  enum class Source { Exact, Lp, None } source = Source::None;
+  enum class Source { Lp, None } source = Source::None;
 };
-EvictionLowerBound eviction_lower_bound(const Instance& inst,
-                                        int exact_cutoff_pages = 14,
-                                        long long max_lp_cells = 4'000'000);
+EvictionLowerBound eviction_lower_bound(const Instance& inst);
 
 }  // namespace bac

@@ -55,7 +55,8 @@ class S3FifoPolicy final : public OnlinePolicy {
   void export_metrics(obs::MetricRegistry& registry) const override;
 
   [[nodiscard]] double small_frac() const noexcept { return small_frac_; }
-  /// Pages the small queue is allowed before eviction prefers it.
+  /// Pages the small queue is allowed before eviction prefers it (the
+  /// tests' view of how small_frac is rounded).
   [[nodiscard]] int small_target() const noexcept { return small_target_; }
 
  private:

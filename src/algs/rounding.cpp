@@ -23,8 +23,6 @@ void RandomizedBlockAware::reset(const Instance& inst) {
 
   pending_.assign(static_cast<std::size_t>(inst.blocks.n_blocks()), 0.0);
   last_emit_.assign(static_cast<std::size_t>(inst.blocks.n_blocks()), 0);
-  last_request_.assign(static_cast<std::size_t>(inst.n_pages()),
-                       kNeverRequested);
   half_charged_.assign(static_cast<std::size_t>(inst.n_pages()), 0);
   structured_cost_ = 0;
   alterations_ = 0;
@@ -91,8 +89,8 @@ void RandomizedBlockAware::on_request(Time t, PageId p, CacheOps& cache) {
     }
   }
 
-  // 3. Rounding. Requests reset x first so the requested page never leaves.
-  last_request_[static_cast<std::size_t>(p)] = t;
+  // 3. Rounding. Requests reset x first so the requested page never leaves
+  //    (the substrate's step already moved r(p) to t).
   half_charged_[static_cast<std::size_t>(p)] = 0;
 
   for (const auto& [b, mass] : emissions_) {

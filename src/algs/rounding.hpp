@@ -95,7 +95,6 @@ class RandomizedBlockAware final : public OnlinePolicy {
 
   std::vector<double> pending_;     // per block: raw mass not yet emitted
   std::vector<Time> last_emit_;     // per block: last emission step (0 none)
-  std::vector<Time> last_request_;  // per page
   std::vector<char> half_charged_;  // per page: full-evict already charged
   // Per-request buffers of on_request, kept for their capacity.
   std::vector<std::pair<BlockId, double>> emissions_;  // (block, mass)
@@ -104,10 +103,12 @@ class RandomizedBlockAware final : public OnlinePolicy {
   long long alterations_ = 0;
   long long fallback_alterations_ = 0;
 
+  /// q's last request is the fractional substrate's r(q), which its step
+  /// has already advanced to the current request.
   [[nodiscard]] bool x_positive(PageId q, Time now) const {
     const Time e = last_emit_[static_cast<std::size_t>(
         blocks_->block_of(q))];
-    return e > last_request_[static_cast<std::size_t>(q)] && e <= now;
+    return e > frac_->coverage().last_request(q) && e <= now;
   }
   /// Evict every cached page of b with positive structured x (never the
   /// page requested at `now`, whose x is 0). Returns #evicted.

@@ -7,7 +7,7 @@ namespace bac {
 
 BlockMap::BlockMap() {
   static const std::shared_ptr<const Data> empty = std::make_shared<Data>(
-      Data{{}, {}, {}, std::vector<std::size_t>{0}, 0, 0, 0, 0});
+      Data{{}, {}, {}, std::vector<std::size_t>{0}, 0, 0, 0});
   data_ = empty;
 }
 
@@ -45,8 +45,6 @@ BlockMap::BlockMap(std::vector<BlockId> page_to_block,
       *std::min_element(data->block_costs.begin(), data->block_costs.end());
   data->max_cost =
       *std::max_element(data->block_costs.begin(), data->block_costs.end());
-  data->total_cost = 0;
-  for (Cost c : data->block_costs) data->total_cost += c;
   data_ = std::move(data);
 }
 

@@ -70,9 +70,6 @@ class BlockMap {
   [[nodiscard]] double aspect_ratio() const noexcept {
     return data_->max_cost / data_->min_cost;
   }
-  [[nodiscard]] Cost total_block_cost() const noexcept {
-    return data_->total_cost;
-  }
 
   /// True when `other` is a copy sharing this map's physical data (the
   /// k-sweep and the sharded server rely on copies being O(1); tests
@@ -88,7 +85,7 @@ class BlockMap {
     std::vector<PageId> block_pages;        // pages grouped by block
     std::vector<std::size_t> block_offsets; // n_blocks + 1 offsets
     int beta = 0;
-    Cost min_cost = 0, max_cost = 0, total_cost = 0;
+    Cost min_cost = 0, max_cost = 0;
   };
   std::shared_ptr<const Data> data_;
 };

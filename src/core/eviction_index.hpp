@@ -106,12 +106,6 @@ class IntrusiveOrderList {
     return id;
   }
 
-  /// Move id to most-recent, inserting it if absent (the LRU "touch").
-  void touch(std::int32_t id) {
-    if (contains(id)) erase(id);
-    push_back(id);
-  }
-
  private:
   static constexpr std::int32_t kUnlinked = -2;  ///< id not in the list
   std::vector<std::int32_t> prev_;  ///< kNone at head, kUnlinked if absent
@@ -327,11 +321,6 @@ class SegmentedFifo {
   [[nodiscard]] int size(int segment) const noexcept {
     return size_[static_cast<std::size_t>(segment)];
   }
-  [[nodiscard]] int total_size() const noexcept {
-    int total = 0;
-    for (const int s : size_) total += s;
-    return total;
-  }
   /// Oldest id in `segment`, or kNone when that queue is empty.
   [[nodiscard]] std::int32_t front(int segment) const noexcept {
     return head_[static_cast<std::size_t>(segment)];
@@ -418,7 +407,8 @@ class GhostTable {
   /// Oldest remembered ghost, or kNone when empty.
   [[nodiscard]] std::int32_t front() const noexcept { return order_.front(); }
   /// Insertion epoch of a currently remembered id (1-based, monotone).
-  /// Precondition: contains(id).
+  /// Precondition: contains(id). Stays for the tests, which check with it
+  /// that a re-insert re-stamps.
   [[nodiscard]] std::uint64_t stamp_of(std::int32_t id) const noexcept {
     return stamp_[static_cast<std::size_t>(id)];
   }

@@ -26,6 +26,8 @@ class MissRatioCurve {
   /// Record the next request of the stream.
   void add(PageId p);
 
+  /// requests() and compulsory_misses() stay for the tests, which check
+  /// the curve's totals against a brute-force replay with them.
   [[nodiscard]] long long requests() const noexcept { return total_; }
   /// Requests to never-before-seen pages (infinite stack distance).
   [[nodiscard]] long long compulsory_misses() const noexcept {

@@ -85,8 +85,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
           const Cost step_cost = (meter.eviction_cost() - prev_evict) +
                                  (meter.fetch_cost() - prev_fetch);
           step_hist.add(static_cast<double>(step_cost));
-          if (step_cost > result.step_cost_max)
-            result.step_cost_max = step_cost;
         }
         prev_evict = meter.eviction_cost();
         prev_fetch = meter.fetch_cost();
@@ -136,6 +134,7 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
     result.step_cost_p50 = step_hist.quantile(0.50);
     result.step_cost_p90 = step_hist.quantile(0.90);
     result.step_cost_p99 = step_hist.quantile(0.99);
+    if (!step_hist.empty()) result.step_cost_max = step_hist.max();
     result.step_cost_hist = std::move(step_hist);
   }
   return result;

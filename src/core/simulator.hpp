@@ -64,8 +64,8 @@ struct RunResult : CostCounters {
   /// for a fixed (source, policy, seed).
   obs::Histogram step_cost_hist;
   /// Quantile summaries of step_cost_hist (bucket-midpoint estimates,
-  /// NaN when no steps ran) and the exact per-step maximum; filled when
-  /// record_sketch. These replace the former non-mergeable P^2 sketches.
+  /// NaN when no steps ran) and its exact per-step maximum (0 when no
+  /// steps ran); filled when record_sketch.
   double step_cost_p50 = 0;
   double step_cost_p90 = 0;
   double step_cost_p99 = 0;

@@ -103,7 +103,8 @@ std::unique_ptr<RequestSource> make_workload_source(
 /// process sweeping many trace files cannot grow it forever.
 inline constexpr int kCsvMappingCacheCapacity = 8;
 
-/// Current number of cached CSV mappings (introspection for tests).
+/// Current number of cached CSV mappings. Stays for the tests: it is the
+/// seam through which they check the cache's bound.
 int csv_mapping_cache_size();
 
 /// Drop every cached CSV mapping (mappings still referenced by running

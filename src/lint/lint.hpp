@@ -26,9 +26,10 @@
 //     lock-discipline, determinism hazards, hot-path allocation, and
 //     the include-layering DAG.
 //
-// The engine is a library so tests/test_baclint.cpp can drive each rule
-// and pass against fixtures without spawning the CLI; tools/baclint.cpp
-// is a thin front-end over it.
+// The engine is a library of its own, bac_lint (not part of libbac), so
+// tests/test_baclint.cpp can drive each rule and pass against fixtures
+// without spawning the CLI; tools/baclint.cpp is a thin front-end over
+// it, and they are the only two binaries that link it.
 //
 // Three suppression levels, most specific first:
 //   1. inline: `baclint: allow(<rule-or-pass>)` in a comment on the line,

@@ -101,16 +101,9 @@ double Histogram::quantile(double q) const noexcept {
   return max_;  // unreachable when counts are consistent
 }
 
-std::uint64_t Histogram::bucket_count(int b) const noexcept {
-  if (b < 0 || b >= static_cast<int>(counts_.size())) return 0;
-  return counts_[static_cast<std::size_t>(b)];
-}
-
 bool Histogram::same_counts(const Histogram& other) const noexcept {
-  if (count_ != other.count_) return false;
-  for (int b = 0; b < kBucketCount; ++b)
-    if (bucket_count(b) != other.bucket_count(b)) return false;
-  return true;
+  // counts_ is sized by the first observation, so both are sized or empty.
+  return count_ == other.count_ && counts_ == other.counts_;
 }
 
 }  // namespace bac::obs

@@ -51,8 +51,6 @@ class Histogram {
   /// 0-based rank floor(q*count), clamped); NaN when empty.
   [[nodiscard]] double quantile(double q) const noexcept;
 
-  /// Count in bucket `b` (0 when never allocated or out of range).
-  [[nodiscard]] std::uint64_t bucket_count(int b) const noexcept;
   /// Visit (bucket_index, count) for every non-empty bucket in index order.
   template <class Fn>
   void for_each_nonzero(Fn&& fn) const {
@@ -69,7 +67,8 @@ class Histogram {
   [[nodiscard]] static double bucket_upper(int b) noexcept;
 
   /// True when the two histograms hold identical bucket counts (sum is
-  /// deliberately excluded: it is merge-order sensitive).
+  /// deliberately excluded: it is merge-order sensitive). Stays for the
+  /// tests, which check with it that merge() is independent of order.
   [[nodiscard]] bool same_counts(const Histogram& other) const noexcept;
 
  private:

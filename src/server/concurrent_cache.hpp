@@ -52,6 +52,8 @@ class ConcurrentCache {
 
   /// Serve one request; true on hit. Thread-safe for any mix of pages.
   /// Throws std::out_of_range for pages outside the context's universe.
+  /// Stays, though the tools serve batches: it is the per-request
+  /// reference the tests hold get_batch to.
   bool get(PageId p);
 
   /// Serve `n` requests; returns the hit count. Every page is validated
@@ -79,6 +81,8 @@ class ConcurrentCache {
   /// quiesced cache are deterministic); capacity sums to the total k. Not
   /// a consistent point-in-time snapshot while traffic is in flight.
   [[nodiscard]] ServerStats stats() const;
+  /// One shard's snapshot. Stays for the tests, which compare shards one
+  /// by one where stats() would hide a difference in the sum.
   [[nodiscard]] ShardSnapshot shard_snapshot(int shard) const;
 
   /// Fold the current stats() into `registry` under `server_*` names:

@@ -90,7 +90,8 @@ class CacheShard {
   /// Serve one request; true on hit. Thread-safe. Each request is one
   /// step of the shared step kernel, so the shard audits the policy as
   /// simulate() does: std::runtime_error if the requested page is left
-  /// uncached or the shard capacity is exceeded.
+  /// uncached or the shard capacity is exceeded. Stays, though no tool
+  /// calls it: ConcurrentCache::get serves through it.
   bool get(PageId p);
 
   /// Serve `n` requests (all owned by this shard) under ONE lock

@@ -53,7 +53,8 @@ BuiltAdversarial claim21_evict_cheap(int beta, int repeats);
 Instance gap_instance(int beta, int rounds);
 
 /// Classic paging nemesis: cyclic requests over k+1 pages grouped into
-/// blocks of `block_size`.
+/// blocks of `block_size`. Stays for the tests: on it they check that LRU
+/// pays k per round while marking and fractional paging pay O(log k).
 Instance cyclic_nemesis(int k, int block_size, Time T);
 
 /// Adaptive adversary for (h, k) fetching-cost lower bounds (BGM21 Thm 4.3

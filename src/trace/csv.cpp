@@ -395,11 +395,4 @@ int CsvSource::next_batch(PageId* out, int cap) {
 
 void CsvSource::rewind() { reader_.rewind(); }
 
-Instance load_csv_trace(const std::string& path, const CsvOptions& options) {
-  auto map = std::make_shared<const CsvMapping>(
-      build_csv_mapping(path, options));
-  CsvSource src(path, map, options);
-  return materialize(src);
-}
-
 }  // namespace bac

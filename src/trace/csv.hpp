@@ -165,7 +165,4 @@ class CsvSource final : public RequestSource {
   std::string held_key_;
 };
 
-/// Convenience: pass 1 + full materialization (small traces / tests).
-Instance load_csv_trace(const std::string& path, const CsvOptions& options);
-
 }  // namespace bac

@@ -190,12 +190,6 @@ Instance load_instance(std::istream& is) {
   return inst;
 }
 
-Instance load_instance(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("load_instance: cannot open " + path);
-  return load_instance(in);
-}
-
 TextTraceSource::TextTraceSource(const std::string& path)
     : path_(path), in_(path), header_(open_text_header(in_, path, T_)) {
   first_request_ = in_.tellg();

@@ -12,7 +12,7 @@
 // Malformed input (missing/wrong header, non-numeric tokens, out-of-range
 // ids, truncation) throws std::runtime_error with a message naming the
 // offending element. TextTraceSource streams the request section without
-// materializing it; load_instance materializes the whole file.
+// materializing it; load_instance materializes a whole stream.
 #pragma once
 
 #include <fstream>
@@ -24,11 +24,14 @@
 
 namespace bac {
 
+/// Stays, though no tool calls it: it writes the format bacsim's text
+/// traces (TextTraceSource) are read in.
 void save_instance(const Instance& inst, std::ostream& os);
 void save_instance(const Instance& inst, const std::string& path);
 
+/// Stays for the tests: it runs TextTraceSource's parser over an
+/// in-memory stream, so each malformed-input case needs no file.
 Instance load_instance(std::istream& is);
-Instance load_instance(const std::string& path);
 
 /// Streaming source over a v1 text trace file: the header (block
 /// structure, k, request count) is parsed eagerly; requests are decoded

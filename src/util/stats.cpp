@@ -27,25 +27,6 @@ double StreamingStats::variance() const noexcept {
 
 double StreamingStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-void StreamingStats::merge(const StreamingStats& other) noexcept {
-  // Both empty-side guards matter for min/max: an empty accumulator's
-  // min_/max_ fields are unset (the accessors report NaN), so they must
-  // never participate in the std::min/std::max below.
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * n2 / (n1 + n2);
-  m2_ += other.m2_ + delta * delta * n1 * n2 / (n1 + n2);
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
   std::sort(xs.begin(), xs.end());

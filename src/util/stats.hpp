@@ -29,8 +29,6 @@ class StreamingStats {
     return count_ ? max_ : std::numeric_limits<double>::quiet_NaN();
   }
 
-  void merge(const StreamingStats& other) noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -40,6 +38,8 @@ class StreamingStats {
 };
 
 /// Quantile of a sample (linear interpolation); makes its own sorted copy.
+/// Stays for the tests: the exact reference the step-cost sketch's
+/// quantiles are compared against.
 [[nodiscard]] double quantile(std::vector<double> xs, double q);
 
 /// Least-squares slope of y against x; used to check O(log k) style growth.

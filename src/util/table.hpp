@@ -25,14 +25,6 @@ class Table {
   Table& add(int value) { return add(static_cast<long long>(value)); }
   Table& add(std::size_t value) { return add(static_cast<long long>(value)); }
 
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::string>& headers() const noexcept {
-    return headers_;
-  }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& rows() const noexcept {
-    return rows_;
-  }
-
   /// Print with aligned columns, a header rule, and an optional title.
   void print(std::ostream& os, const std::string& title = "") const;
 

@@ -180,9 +180,8 @@ std::vector<Violation> check_cost_sandwich(const GeneratedInstance& gi,
   if (!opt_evict.exact || !opt_fetch.exact) return out;  // state cap hit
 
   // Lower-bound stack: LP (when sized for the dense simplex) <= OPT.
-  // exact_cutoff_pages = 0 skips the redundant exact solve inside.
   try {
-    const EvictionLowerBound lb = eviction_lower_bound(inst, 0);
+    const EvictionLowerBound lb = eviction_lower_bound(inst);
     if (lb.source != EvictionLowerBound::Source::None &&
         !leq(lb.value, opt_evict.cost))
       report(out, "cost_sandwich",

@@ -44,7 +44,6 @@ TEST(BlockMap, AspectRatio) {
   EXPECT_DOUBLE_EQ(m.aspect_ratio(), 4.0);
   EXPECT_DOUBLE_EQ(m.min_cost(), 1.0);
   EXPECT_DOUBLE_EQ(m.max_cost(), 4.0);
-  EXPECT_DOUBLE_EQ(m.total_block_cost(), 7.0);
 }
 
 TEST(BlockMap, RejectsBadInput) {

@@ -83,18 +83,6 @@ TEST(IntrusiveOrderListTest, EraseHeadMiddleTail) {
   EXPECT_EQ(list.pop_front(), 0);
 }
 
-TEST(IntrusiveOrderListTest, TouchMovesToBack) {
-  IntrusiveOrderList list;
-  list.reset(4);
-  for (int id = 0; id < 3; ++id) list.push_back(id);
-  list.touch(0);     // present: move to back
-  list.touch(3);     // absent: plain insert
-  EXPECT_EQ(list.pop_front(), 1);
-  EXPECT_EQ(list.pop_front(), 2);
-  EXPECT_EQ(list.pop_front(), 0);
-  EXPECT_EQ(list.pop_front(), 3);
-}
-
 TEST(IntrusiveOrderListTest, ResetDropsStateAndKeepsStorage) {
   IntrusiveOrderList list;
   list.reset(64);
@@ -280,7 +268,6 @@ TEST(SegmentedFifoTest, PerSegmentFifoOrder) {
   q.push_back(1, 7);
   EXPECT_EQ(q.size(0), 3);
   EXPECT_EQ(q.size(1), 1);
-  EXPECT_EQ(q.total_size(), 4);
   EXPECT_EQ(q.segment_of(5), 0);
   EXPECT_EQ(q.segment_of(7), 1);
   EXPECT_EQ(q.segment_of(2), SegmentedFifo::kNone);

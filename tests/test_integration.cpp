@@ -13,7 +13,6 @@
 #include "algs/fractional.hpp"
 #include "algs/lower_bounds.hpp"
 #include "algs/opt.hpp"
-#include "algs/opt.hpp"
 #include "algs/rounding.hpp"
 #include "algs/zoo.hpp"
 #include "core/simulator.hpp"
@@ -147,16 +146,23 @@ TEST(Integration, AdaptiveAdversaryRatioExceedsClassicalBound) {
 }
 
 TEST(Integration, EvictionLowerBoundHelperPicksSources) {
+  // Inside the dense simplex's 4M-cell budget the helper solves LP (A.1),
+  // which bounds exact OPT_evict from below.
   Xoshiro256pp rng(106);
-  Instance tiny = make_instance(8, 2, 4, uniform_trace(8, 20, rng));
-  const auto lb_tiny = eviction_lower_bound(tiny);
-  EXPECT_EQ(lb_tiny.source, EvictionLowerBound::Source::Exact);
+  Instance small = make_instance(8, 2, 4, uniform_trace(8, 20, rng));
+  const auto lb = eviction_lower_bound(small);
+  EXPECT_EQ(lb.source, EvictionLowerBound::Source::Lp);
+  EXPECT_GT(lb.value, 0.0);
+  const OptResult opt = exact_opt_eviction(small);
+  ASSERT_TRUE(opt.exact);
+  EXPECT_LE(lb.value, opt.cost + 1e-9);
 
-  Instance medium = make_instance(24, 3, 8,
-                                  uniform_trace(24, 60, rng.substream(1)));
-  const auto lb_med = eviction_lower_bound(medium, /*exact_cutoff_pages=*/14);
-  EXPECT_EQ(lb_med.source, EvictionLowerBound::Source::Lp);
-  EXPECT_GT(lb_med.value, 0.0);
+  // Past it (200 * 66 rows by 200 * 80 columns) it solves nothing.
+  Instance large = make_instance(64, 4, 16,
+                                 uniform_trace(64, 200, rng.substream(1)));
+  const auto none = eviction_lower_bound(large);
+  EXPECT_EQ(none.source, EvictionLowerBound::Source::None);
+  EXPECT_DOUBLE_EQ(none.value, 0.0);
 }
 
 /// Keeps the one page it is asked for: the cheapest policy a kernel can

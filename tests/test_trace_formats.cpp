@@ -325,7 +325,8 @@ TEST_F(CsvTrace, NumericKeysGetExtentBlocks) {
   EXPECT_EQ(mapping.blocks.block_of(p200), mapping.blocks.block_of(p201));
   EXPECT_NE(mapping.blocks.block_of(p100), mapping.blocks.block_of(p200));
 
-  const Instance inst = load_csv_trace(file, options);
+  CsvSource src(file, std::make_shared<const CsvMapping>(mapping), options);
+  const Instance inst = materialize(src);
   EXPECT_EQ(inst.horizon(), 7);
   EXPECT_EQ(inst.requests[0], p100);
   EXPECT_EQ(inst.requests[4], p100);
@@ -360,10 +361,10 @@ TEST_F(CsvTrace, StreamingMatchesMaterialized) {
   CsvOptions options;
   options.block_pages = 4;
   options.k = 8;
-  const Instance inst = load_csv_trace(file, options);
-
   auto mapping = std::make_shared<const CsvMapping>(
       build_csv_mapping(file, options));
+  CsvSource once(file, mapping, options);
+  const Instance inst = materialize(once);
   CsvSource src(file, mapping, options);
   EXPECT_EQ(src.horizon_hint(), 400);
 

@@ -139,7 +139,7 @@ TEST(TraceIo, NonPositiveBlockCostRejected) {
 
 TEST(TraceIo, MissingFileNamesThePath) {
   try {
-    load_instance(std::string("/nonexistent/bac_trace.txt"));
+    TextTraceSource src("/nonexistent/bac_trace.txt");
     FAIL() << "expected runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_TRUE(mentions(e.what(), "/nonexistent/bac_trace.txt"));

@@ -195,43 +195,6 @@ TEST(Stats, EmptyMinMaxAreNaNNotZero) {
   EXPECT_DOUBLE_EQ(s.max(), -2.5);
 }
 
-TEST(Stats, MergeWithEmptySidesPreservesExtremes) {
-  StreamingStats full;
-  full.add(3.0);
-  full.add(-1.0);
-
-  StreamingStats lhs = full, empty;
-  lhs.merge(empty);  // empty-into-nonempty must not disturb min/max
-  EXPECT_EQ(lhs.count(), 2u);
-  EXPECT_DOUBLE_EQ(lhs.min(), -1.0);
-  EXPECT_DOUBLE_EQ(lhs.max(), 3.0);
-
-  StreamingStats rhs;
-  rhs.merge(full);  // nonempty-into-empty adopts the other side wholesale
-  EXPECT_EQ(rhs.count(), 2u);
-  EXPECT_DOUBLE_EQ(rhs.min(), -1.0);
-  EXPECT_DOUBLE_EQ(rhs.max(), 3.0);
-
-  StreamingStats both;
-  both.merge(StreamingStats{});  // empty-into-empty stays empty
-  EXPECT_EQ(both.count(), 0u);
-  EXPECT_TRUE(std::isnan(both.min()));
-}
-
-TEST(Stats, MergeEqualsConcatenation) {
-  Xoshiro256pp rng(9);
-  StreamingStats all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform() * 10 - 3;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
 TEST(Stats, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(quantile({1, 2, 3, 4}, 0.0), 1);
   EXPECT_DOUBLE_EQ(quantile({1, 2, 3, 4}, 1.0), 4);
@@ -257,7 +220,7 @@ TEST(Table, PrintsAlignedAndCsvRoundtrips) {
   EXPECT_NE(s.find("demo"), std::string::npos);
   EXPECT_NE(s.find("LRU"), std::string::npos);
   EXPECT_NE(s.find("12.35"), std::string::npos);
-  EXPECT_EQ(t.num_rows(), 2u);
+  EXPECT_NE(s.find("Opt"), std::string::npos);
 }
 
 TEST(ThreadPool, RunsAllIndices) {
