@@ -53,7 +53,6 @@ void DetOnlineBlockAware::reset(const Instance& inst) {
 }
 
 void DetOnlineBlockAware::on_request(Time t, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request bookkeeping must stay allocation-free
   if (t <= now_)
     throw std::invalid_argument("DetOnline: time must increase");
   now_ = t;

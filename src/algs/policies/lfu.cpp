@@ -8,7 +8,6 @@ void LfuPolicy::reset(const Instance& inst) {
 }
 
 void LfuPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   auto& f = freq_[static_cast<std::size_t>(p)];
   if (cache.contains(p)) {
     by_freq_.update(p, ++f);

@@ -7,7 +7,6 @@ void LruPolicy::reset(const Instance& inst) {
 }
 
 void LruPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   if (cache.contains(p)) {
     by_recency_.erase(p);
   } else {

@@ -26,7 +26,6 @@ void MarkingPolicy::set_unmarked(PageId p, bool unmarked) {
 }
 
 void MarkingPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   if (cache.contains(p)) {
     if (!marked_[static_cast<std::size_t>(p)]) {
       marked_[static_cast<std::size_t>(p)] = 1;

@@ -44,7 +44,6 @@ void S3FifoPolicy::reset(const Instance& inst) {
 }
 
 void S3FifoPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   if (cache.contains(p)) {
     freq_[p] = capped_inc(freq_[p]);
     return;

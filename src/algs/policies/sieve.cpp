@@ -14,7 +14,6 @@ void SievePolicy::reset(const Instance& inst) {
 }
 
 void SievePolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   if (cache.contains(p)) {
     visited_[p] = 1;  // the whole hit path: one bit, no list surgery
     return;

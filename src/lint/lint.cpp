@@ -82,9 +82,9 @@ const std::vector<Rule>& rule_table() {
        R"(std::unordered_(?:map|set|multimap|multiset)\b)",
        {"algs/policies/", "core/", "server/"},
        kLintHome,
-       "use bac::FlatMap/FlatSet (util/flat_hash.hpp), the flat "
-       "primitives in core/eviction_index.hpp, a plain vector keyed by "
-       "dense page id, or keep the map out of the hot path"},
+       "use bac::FlatMap (util/flat_hash.hpp), the flat primitives in "
+       "core/eviction_index.hpp, a plain vector keyed by dense page id, "
+       "or keep the map out of the hot path"},
       {"float-equality",
        "float equality on cost values is banned outside src/verify/ "
        "(where bit-exact comparison is the differential contract): "

@@ -23,8 +23,9 @@
 //     TokenizerPin* tests compare against.
 //   - Passes (lint/passes.hpp): scope-aware cross-line analyses over
 //     the token stream and brace-scope tree (lint/model.hpp) —
-//     lock-discipline, determinism hazards, hot-path allocation, and
-//     the include-layering DAG.
+//     lock-discipline, determinism hazards, and the include-layering
+//     DAG. That request paths allocate nothing is checked at run time,
+//     by the counting operator new of tests/test_policies.cpp.
 //
 // The engine is a library of its own, bac_lint (not part of libbac), so
 // tests/test_baclint.cpp can drive each rule and pass against fixtures

@@ -193,13 +193,6 @@ int enclosing_function(const FileModel& m, int scope) {
   return -1;
 }
 
-bool in_hot_path(const FileModel& m, int scope) {
-  for (int s = scope; s >= 0; s = m.scopes[static_cast<std::size_t>(s)].parent) {
-    if (m.scopes[static_cast<std::size_t>(s)].hot_path) return true;
-  }
-  return false;
-}
-
 FileModel build_file_model(std::string path, std::vector<std::string> lines) {
   FileModel m;
   m.path = std::move(path);
@@ -271,15 +264,6 @@ FileModel build_file_model(std::string path, std::vector<std::string> lines) {
       m.scope_of_tok[i] = stack.back();
     }
     code.push_back(i);
-  }
-
-  // --- hot-path tags: a comment anywhere inside a scope marks it ---
-  for (std::size_t i = 0; i < m.tokens.size(); ++i) {
-    const Token& t = m.tokens[i];
-    if (t.kind == Tok::Comment &&
-        t.text.find("baclint: hot-path") != std::string::npos) {
-      m.scopes[static_cast<std::size_t>(m.scope_of_tok[i])].hot_path = true;
-    }
   }
 
   // --- declaration harvest over code tokens ---
@@ -450,7 +434,6 @@ FileModel build_file_model(std::string path, std::vector<std::string> lines) {
           v.unordered = unordered;
           v.pointer_key = ptr_key;
           v.line = tok(j).line;
-          v.scope = m.scope_of_tok[cl[static_cast<std::size_t>(j)]];
           m.node_containers.push_back(std::move(v));
         }
       }

@@ -35,8 +35,6 @@ struct Scope {
   std::string name;     ///< Namespace/Record name; Function unqualified name
   std::string record;   ///< Function only: owning record ("" when free)
   bool ctor_dtor = false;
-  bool hot_path = false;  ///< tagged `// baclint: hot-path` (not inherited;
-                          ///< passes walk ancestors)
   int parent = -1;
   std::size_t open_tok = 0;   ///< token index of `{` (File: 0)
   std::size_t close_tok = 0;  ///< token index of `}` (or tokens.size())
@@ -80,7 +78,6 @@ struct ContainerVar {
   bool unordered = false;  ///< unordered_map/set/multimap/multiset
   bool pointer_key = false;  ///< first template argument ends in `*`
   int line = 0;
-  int scope = -1;  ///< scope the declaration lives in
 };
 
 struct FileModel {
@@ -101,8 +98,5 @@ FileModel build_file_model(std::string path, std::vector<std::string> lines);
 
 /// Innermost enclosing scope of kind Function or Lambda, or -1.
 int enclosing_function(const FileModel& m, int scope);
-
-/// True when `scope` or any ancestor carries the hot-path tag.
-bool in_hot_path(const FileModel& m, int scope);
 
 }  // namespace bac::lint

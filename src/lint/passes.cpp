@@ -38,15 +38,6 @@ const std::vector<Pass>& pass_table() {
        "the container by a value type (std::map over ids)",
        {},
        kPassExclude},
-      {"hot-path-alloc",
-       "scopes tagged `// baclint: hot-path` must stay allocation-free: "
-       "no new/make_unique/make_shared and no node-allocating container "
-       "declarations or insert/emplace/operator[] calls",
-       "use the reset-reused flat primitives (bac::FlatMap/FlatSet in "
-       "util/flat_hash.hpp, core/eviction_index.hpp) or hoist the "
-       "allocation out of the request path",
-       {},
-       kPassExclude},
       {"layering",
        "#include edges must follow the declared architecture DAG "
        "(util -> lint/obs -> core -> trace/lp/server -> submodular -> "
@@ -316,69 +307,7 @@ void run_nondet_iteration(const FileModel& m, const Pass& p,
 }
 
 // ---------------------------------------------------------------------
-// Pass 3: hot-path-alloc.
-//
-// A `// baclint: hot-path` comment tags its innermost enclosing scope;
-// nested scopes inherit. Inside, the pass bans operator new,
-// make_unique/make_shared, declarations of node-based containers, and
-// node-allocating member calls (insert/emplace/try_emplace/
-// emplace_hint/operator[]) on harvested node-container variables.
-// Purely lexical: callees are not followed — the dynamic complement is
-// the reset-reuse allocation test in tests/test_policy_contracts.
-// ---------------------------------------------------------------------
-void run_hot_path_alloc(const FileModel& m, const Pass& p,
-                        const std::vector<AllowEntry>& allowlist,
-                        std::vector<Finding>& out) {
-  bool any_hot = false;
-  for (const Scope& s : m.scopes) {
-    if (s.hot_path) {
-      any_hot = true;
-      break;
-    }
-  }
-  if (!any_hot) return;
-
-  std::set<std::string> node_vars;
-  for (const ContainerVar& v : m.node_containers) node_vars.insert(v.name);
-
-  const std::vector<std::size_t> cl = code_list(m);
-  auto tok = [&](std::size_t j) -> const Token& { return m.tokens[cl[j]]; };
-  std::set<int> reported;
-  auto report = [&](int line) {
-    if (reported.insert(line).second) emit(out, m, p, line, allowlist);
-  };
-
-  for (const ContainerVar& v : m.node_containers) {
-    if (in_hot_path(m, v.scope)) report(v.line);
-  }
-  for (std::size_t i = 0; i < cl.size(); ++i) {
-    const Token& t = tok(i);
-    if (t.kind != Tok::Ident) continue;
-    if (!in_hot_path(m, m.scope_of_tok[cl[i]])) continue;
-    if (t.text == "new" || t.text == "make_unique" || t.text == "make_shared") {
-      report(t.line);
-      continue;
-    }
-    if (node_vars.count(t.text) && i + 1 < cl.size()) {
-      const Token& nx = tok(i + 1);
-      if (nx.kind == Tok::Punct && nx.text == "[") {
-        report(t.line);
-        continue;
-      }
-      if (nx.kind == Tok::Punct && (nx.text == "." || nx.text == "->") &&
-          i + 2 < cl.size() && tok(i + 2).kind == Tok::Ident) {
-        const std::string& op = tok(i + 2).text;
-        if (op == "insert" || op == "emplace" || op == "try_emplace" ||
-            op == "emplace_hint" || op == "insert_or_assign" || op == "merge") {
-          report(t.line);
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Pass 4: layering.
+// Pass 3: layering.
 // ---------------------------------------------------------------------
 void run_layering(const FileModel& m, const Pass& p,
                   const std::vector<AllowEntry>& allowlist,
@@ -442,7 +371,6 @@ std::vector<Finding> run_passes(const std::vector<FileModel>& corpus,
     for (const FileModel& m : corpus) {
       if (!path_selected(m.path, p.include, p.exclude)) continue;
       if (p.name == "nondet-iteration") run_nondet_iteration(m, p, allowlist, out);
-      if (p.name == "hot-path-alloc") run_hot_path_alloc(m, p, allowlist, out);
       if (p.name == "layering") run_layering(m, p, allowlist, out);
     }
   }

@@ -30,8 +30,8 @@ struct Pass {
   std::vector<std::string> exclude;  ///< path substrings; exclusion wins
 };
 
-/// The four v2 passes: lock-discipline, nondet-iteration, hot-path-alloc,
-/// layering. Order is stable; CI pins the count.
+/// The three v2 passes: lock-discipline, nondet-iteration, layering.
+/// Order is stable; CI pins the count.
 const std::vector<Pass>& default_passes();
 
 /// One layer of the declared architecture DAG: `name` may include only

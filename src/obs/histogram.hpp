@@ -17,7 +17,8 @@
 // order statistic (0 for the underflow bucket), clamped to the observed
 // [min, max] — deterministic given identical samples, and within one
 // bucket width of the exact sorted-sample answer. All summary accessors
-// return NaN when empty, matching the StreamingStats::min/max convention.
+// return NaN when empty: a default of 0.0 would read as a real
+// observation, e.g. a fake 0.0 minimum latency.
 #pragma once
 
 #include <cstdint>

@@ -103,7 +103,6 @@ long long ConcurrentCache::get_batch(const PageId* ps, int n) {
   // serving allocates nothing once it has seen the largest batch;
   // `offset` is indexed by shard and is all zero between batches, so a
   // batch touches only the entries of the shards it hits.
-  // baclint: hot-path — routing must stay allocation-free after warm-up
   struct Group {
     std::int32_t shard;
     int end;  ///< one past the group's last request in `sorted`

@@ -20,7 +20,6 @@ long long CacheShard::get_batch(const PageId* ps, int n) {
   // — not one sample of the batch mean — is what makes the p99/p999 of
   // latency_us_ meaningful: a single slow request in a 512-batch must
   // show up in the tail, not be diluted 512-fold.
-  // baclint: hot-path — the per-request eviction path must stay allocation-free
   std::uint64_t prev = TickClock::now();
   bool waited = false;
   MutexLock lock(mutex_, waited);

@@ -357,8 +357,6 @@ bool CsvSource::next(PageId& p) {
 }
 
 int CsvSource::next_batch(PageId* out, int cap) {
-  // baclint: hot-path — the per-request decode loop must stay allocation-free
-  //
   // Software-pipelined: split row r+1 and prefetch its probe group while
   // row r's lookup resolves, hiding the interner's cache miss behind the
   // next row's split. Row r's key views the reader's buffer; when the

@@ -11,7 +11,8 @@
 //
 // Malformed input (missing/wrong header, non-numeric tokens, out-of-range
 // ids, truncation) throws std::runtime_error with a message naming the
-// offending element. TextTraceSource streams the request section without
+// offending element, after the prefix "text trace" (and, for a file, its
+// path). TextTraceSource streams the request section without
 // materializing it; load_instance materializes a whole stream.
 #pragma once
 
@@ -53,7 +54,7 @@ class TextTraceSource final : public RequestSource {
   void rewind() override;
 
  private:
-  std::string path_;
+  std::string name_;          ///< "text trace <path>": starts every error
   std::ifstream in_;
   long long T_ = 0;           ///< written by header_'s initializer; keep first
   Instance header_;           ///< blocks + k, empty requests

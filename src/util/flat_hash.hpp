@@ -1,8 +1,8 @@
 // Open-addressing flat hash table for the simulation hot paths.
 //
-// FlatMap<K, V> / FlatSet<K> are SwissTable-style tables: a contiguous
-// control-byte array probed a group (8 bytes) at a time via SWAR bit
-// tricks, with the key/value slots in a parallel flat array. Compared to
+// FlatMap<K, V> is a SwissTable-style table: a contiguous control-byte
+// array probed a group (8 bytes) at a time via SWAR bit tricks, with
+// the key/value slots in a parallel flat array. Compared to
 // std::unordered_map, a lookup touches one control group plus the matching
 // slot instead of a bucket head plus a chain of heap nodes — the pointer
 // chase that dominates CSV key interning and exact-OPT layer DP profiles.
@@ -414,65 +414,6 @@ class FlatMap {
   std::vector<value_type> slots_;
   std::size_t full_ = 0;
   std::size_t deleted_ = 0;
-};
-
-/// Open-addressing hash set: FlatMap's probing with key-only slots. The
-/// iterator yields const keys (mutating a live key would corrupt probing).
-template <typename K, typename Hash = FlatHash<K>, typename Eq = std::equal_to<>>
-class FlatSet {
- private:
-  struct Empty {};
-
- public:
-  void reserve(std::size_t n) { map_.reserve(n); }
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return map_.empty(); }
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return map_.capacity();
-  }
-  void reset() noexcept { map_.reset(); }
-  void clear() noexcept { map_.reset(); }
-
-  template <typename Q>
-  [[nodiscard]] bool contains(const Q& key) const noexcept {
-    return map_.contains(key);
-  }
-  template <typename Q>
-  [[nodiscard]] std::size_t count(const Q& key) const noexcept {
-    return map_.count(key);
-  }
-  /// Returns whether the key was newly inserted.
-  template <typename Q>
-  bool insert(Q&& key) {
-    return map_.try_emplace(std::forward<Q>(key)).second;
-  }
-  template <typename Q>
-  bool erase(const Q& key) noexcept {
-    return map_.erase(key);
-  }
-  void swap(FlatSet& other) noexcept { map_.swap(other.map_); }
-
-  class const_iterator {
-   public:
-    using inner = typename FlatMap<K, Empty, Hash, Eq>::const_iterator;
-    explicit const_iterator(inner it) : it_(it) {}
-    const K& operator*() const { return it_->first; }
-    const K* operator->() const { return &it_->first; }
-    const_iterator& operator++() {
-      ++it_;
-      return *this;
-    }
-    bool operator==(const const_iterator& o) const { return it_ == o.it_; }
-    bool operator!=(const const_iterator& o) const { return it_ != o.it_; }
-
-   private:
-    inner it_;
-  };
-  const_iterator begin() const noexcept { return const_iterator{map_.begin()}; }
-  const_iterator end() const noexcept { return const_iterator{map_.end()}; }
-
- private:
-  FlatMap<K, Empty, Hash, Eq> map_;
 };
 
 }  // namespace bac

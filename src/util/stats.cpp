@@ -8,12 +8,6 @@
 namespace bac {
 
 void StreamingStats::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);

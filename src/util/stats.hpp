@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,22 +18,11 @@ class StreamingStats {
   /// Sample variance (n-1 denominator); 0 for fewer than two samples.
   [[nodiscard]] double variance() const noexcept;
   [[nodiscard]] double stddev() const noexcept;
-  /// Smallest observation; NaN before the first add() (a default of 0.0
-  /// would read as a real observation, e.g. a fake 0.0 minimum latency).
-  [[nodiscard]] double min() const noexcept {
-    return count_ ? min_ : std::numeric_limits<double>::quiet_NaN();
-  }
-  /// Largest observation; NaN before the first add().
-  [[nodiscard]] double max() const noexcept {
-    return count_ ? max_ : std::numeric_limits<double>::quiet_NaN();
-  }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Quantile of a sample (linear interpolation); makes its own sorted copy.

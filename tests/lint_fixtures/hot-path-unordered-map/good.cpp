@@ -1,5 +1,5 @@
 // Negative fixture: the two approved shapes — a dense-id vector, and
-// the open-addressing bac::FlatMap/FlatSet from util/flat_hash.hpp.
+// the open-addressing bac::FlatMap from util/flat_hash.hpp.
 #include <vector>
 
 #include "util/flat_hash.hpp"
@@ -7,5 +7,5 @@
 struct SlotIndex {
   std::vector<int> slot_of;  // keyed by dense page id
   bac::FlatMap<unsigned long long, int> sparse_slot_of;
-  bac::FlatSet<unsigned long long> resident;
+  bac::FlatMap<unsigned long long, bool> resident;
 };

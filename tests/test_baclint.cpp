@@ -71,7 +71,6 @@ std::string synthetic_path_for(const std::string& rule) {
 std::string synthetic_path_for_pass(const std::string& pass) {
   if (pass == "lock-discipline") return "src/server/fixture.cpp";
   if (pass == "nondet-iteration") return "src/obs/fixture.cpp";
-  if (pass == "hot-path-alloc") return "src/algs/policies/fixture.cpp";
   return "src/core/fixture.cpp";  // layering: fixtures pose as core files
 }
 
@@ -523,24 +522,13 @@ TEST(BacLint, FileModelClassifiesScopesAndHarvestsAnnotations) {
   EXPECT_EQ(m.includes[0].target, "util/thread_annotations.hpp");
 }
 
-TEST(BacLint, HotPathTagMarksTheEnclosingScopeChain) {
-  const auto lines = read_lines(fixture_dir() + "/hot-path-alloc/bad.cpp");
-  const auto m = build_file_model("src/algs/policies/fixture.cpp", lines);
-  int hot = -1;
-  for (std::size_t i = 0; i < m.scopes.size(); ++i)
-    if (m.scopes[i].hot_path) hot = static_cast<int>(i);
-  ASSERT_GE(hot, 0) << "no scope picked up the hot-path tag";
-  EXPECT_TRUE(in_hot_path(m, hot));
-  EXPECT_FALSE(in_hot_path(m, 0)) << "file scope must not be hot";
-}
-
 // ---------------------------------------------------------------------
 // Tier 2: the scope-aware pass table.
 // ---------------------------------------------------------------------
 
-TEST(BacLint, PassTableHasFourUniquelyNamedPasses) {
+TEST(BacLint, PassTableHasThreeUniquelyNamedPasses) {
   const auto& passes = default_passes();
-  EXPECT_EQ(passes.size(), 4u);
+  EXPECT_EQ(passes.size(), 3u);
   std::set<std::string> names;
   for (const Pass& p : passes) {
     EXPECT_FALSE(p.name.empty());
@@ -552,7 +540,6 @@ TEST(BacLint, PassTableHasFourUniquelyNamedPasses) {
   }
   EXPECT_TRUE(names.count("lock-discipline"));
   EXPECT_TRUE(names.count("nondet-iteration"));
-  EXPECT_TRUE(names.count("hot-path-alloc"));
   EXPECT_TRUE(names.count("layering"));
 }
 
@@ -779,7 +766,7 @@ TEST(BacLint, V2JsonReportParsesAndCarriesBothTables) {
   ASSERT_NE(agg, nullptr);
   EXPECT_EQ(agg->number_or("rules", -1),
             static_cast<double>(default_rules().size()));
-  EXPECT_EQ(agg->number_or("passes", -1), 4.0);
+  EXPECT_EQ(agg->number_or("passes", -1), 3.0);
   EXPECT_EQ(agg->number_or("violations", -1), 1.0);
   EXPECT_EQ(agg->number_or("allowed", -1), 1.0);
 }

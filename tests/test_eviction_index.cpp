@@ -1,9 +1,8 @@
 // Unit tests for the flat eviction-index primitives (IntrusiveOrderList,
 // LazyMinHeap): ordering and tie-breaking vs std::set, lazy-deletion edge
 // cases (erase-head, stale-pop, epoch wrap, reset reuse), and the
-// repeated-reset allocation guarantee the policy layer relies on when a
-// sweep replays thousands of (workload, k) cells through one policy
-// object.
+// repeated-reset allocation guarantee of each primitive. The policies'
+// own guarantee is tested in test_policies.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,12 +13,8 @@
 #include <utility>
 #include <vector>
 
-#include "algs/policies/classical.hpp"
-#include "core/cost_meter.hpp"
 #include "core/eviction_index.hpp"
-#include "core/instance.hpp"
-#include "core/policy.hpp"
-#include "trace/generators.hpp"
+#include "core/types.hpp"
 #include "util/rng.hpp"
 
 // --- allocation counting ----------------------------------------------------
@@ -386,49 +381,6 @@ TEST(PageMetaTest, ResetFillsAndIndexes) {
   const long long before = g_allocations.load();
   meta.reset(4, 1);  // same shape: storage reused
   EXPECT_EQ(g_allocations.load(), before);
-}
-
-// --- repeated-reset allocation guarantee ------------------------------------
-
-/// Drive one policy over the trace with simulator-grade plumbing but no
-/// allocations of our own, so the measured allocation count isolates the
-/// policy + cache + meter hot path.
-void drive(OnlinePolicy& policy, const Instance& inst, CacheSet& cache,
-           CostMeter& meter) {
-  cache.clear();
-  CacheOps ops(inst.blocks, cache, meter, inst.k);
-  policy.reset(inst);
-  Time t = 0;
-  for (const PageId p : inst.requests) {
-    ++t;
-    meter.begin_step(t);
-    policy.on_request(t, p, ops);
-    ASSERT_TRUE(cache.contains(p));
-    ASSERT_LE(cache.size(), inst.k);
-  }
-}
-
-TEST(ResetReuseTest, PoliciesDoNotAllocateAcrossSweepCells) {
-  Xoshiro256pp rng(11);
-  const Instance inst{BlockMap::contiguous(128, 4),
-                      zipf_trace(128, 4000, 0.9, rng), 32};
-  CacheSet cache(inst.n_pages());
-  CostMeter meter(inst.blocks);
-
-  LruPolicy lru;
-  FifoPolicy fifo;
-  LfuPolicy lfu;
-  GreedyDualPolicy gd;
-  OnlinePolicy* policies[] = {&lru, &fifo, &lfu, &gd};
-  for (OnlinePolicy* policy : policies) {
-    drive(*policy, inst, cache, meter);  // warm-up sizes every index
-    drive(*policy, inst, cache, meter);
-    const long long before = g_allocations.load();
-    for (int round = 0; round < 3; ++round) drive(*policy, inst, cache, meter);
-    EXPECT_EQ(g_allocations.load(), before)
-        << policy->name()
-        << ": reset()+replay across sweep cells must reuse index storage";
-  }
 }
 
 }  // namespace

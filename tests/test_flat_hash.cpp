@@ -1,4 +1,4 @@
-// Unit tests for the open-addressing FlatMap/FlatSet (util/flat_hash.hpp):
+// Unit tests for the open-addressing FlatMap (util/flat_hash.hpp):
 // a 20k-operation mixed fuzz against a std::unordered_map mirror,
 // rehash-under-load and erase/re-insert tombstone edge cases,
 // heterogeneous string_view lookup, and the repeated-reset zero-allocation
@@ -321,39 +321,6 @@ TEST(FlatMapTest, SwapAndPingPongReuse) {
     ASSERT_EQ(layer.size(), 256u);
   }
   EXPECT_EQ(g_allocations.load(), before);
-}
-
-// --- FlatSet ----------------------------------------------------------------
-
-TEST(FlatSetTest, BasicsAndIteration) {
-  FlatSet<std::uint64_t> s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_TRUE(s.insert(3u));
-  EXPECT_FALSE(s.insert(3u));
-  EXPECT_TRUE(s.insert(9u));
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_TRUE(s.contains(3u));
-  EXPECT_EQ(s.count(9u), 1u);
-  EXPECT_FALSE(s.contains(4u));
-  std::uint64_t sum = 0;
-  for (const std::uint64_t k : s) sum += k;
-  EXPECT_EQ(sum, 12u);
-  EXPECT_TRUE(s.erase(3u));
-  EXPECT_FALSE(s.erase(3u));
-  EXPECT_EQ(s.size(), 1u);
-  s.reset();
-  EXPECT_TRUE(s.empty());
-  EXPECT_FALSE(s.contains(9u));
-}
-
-TEST(FlatSetTest, HeterogeneousStringInsertAndLookup) {
-  FlatSet<std::string> s;
-  EXPECT_TRUE(s.insert(std::string_view("alpha")));
-  EXPECT_FALSE(s.insert(std::string_view("alpha")));
-  EXPECT_TRUE(s.contains(std::string_view("alpha")));
-  EXPECT_FALSE(s.contains(std::string_view("beta")));
-  EXPECT_TRUE(s.erase(std::string_view("alpha")));
-  EXPECT_TRUE(s.empty());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 
@@ -231,6 +232,38 @@ TEST(Sweep, ZipfNamedFilesRouteToTraceReaders) {
   driver::SweepConfig config = small_config();
   auto source = driver::make_workload_source(file, config, 8);
   EXPECT_EQ(source->horizon_hint(), 100);
+  std::filesystem::remove(file);
+}
+
+TEST(Sweep, MalformedTextTraceErrorsNameTheTrace) {
+  // A sweep opens text traces through TextTraceSource, not
+  // load_instance; a bad header or a bad request token must name the
+  // trace's path, not a function the sweep never called.
+  const std::string file =
+      (std::filesystem::temp_directory_path() /
+       ("bac_bad_trace_" + std::to_string(::getpid()) + ".txt"))
+          .string();
+  const driver::SweepConfig config = small_config();
+  for (const char* text :
+       {"blockcache-trace v1 n 2 k 2",
+        "blockcache-instance v1 n 2 k 2 blocks 1 block 0 1.0 0 1 "
+        "requests 2 0 x"}) {
+    {
+      std::ofstream out(file);
+      out << text << "\n";
+    }
+    std::string message;
+    try {
+      auto source = driver::make_workload_source(file, config, 2);
+      PageId p = 0;
+      while (source->next(p)) {
+      }
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    EXPECT_NE(message.find(file), std::string::npos) << text << ": " << message;
+    EXPECT_EQ(message.find("load_instance"), std::string::npos) << message;
+  }
   std::filesystem::remove(file);
 }
 

