@@ -365,25 +365,15 @@ TEST(ReferenceTwinsTest, ProductionMatchesFrozenTwinsOnSmallInstances) {
 
 // --- zero-allocation reset-reuse --------------------------------------------
 
-TEST(ResetReuseTest, PoliciesDoNotAllocateAcrossSweepCells) {
+/// A sweep resets one policy object per cell and replays the trace; after
+/// a warm-up cell has sized every index, later cells must allocate nothing.
+void expect_no_allocation_across_sweep_cells(
+    std::initializer_list<OnlinePolicy*> policies) {
   Xoshiro256pp rng(11);
   const Instance inst{BlockMap::contiguous(128, 4),
                       zipf_trace(128, 4000, 0.9, rng), 32};
   CacheSet cache(inst.n_pages());
   CostMeter meter(inst.blocks);
-
-  LruPolicy lru;
-  FifoPolicy fifo;
-  LfuPolicy lfu;
-  GreedyDualPolicy gd;
-  S3FifoPolicy s3;
-  S3FifoPolicy s3_wide(0.25);
-  SievePolicy sieve;
-  ArcPolicy arc;
-  BlockS3FifoPolicy block_s3;
-  BlockSievePolicy block_sieve;
-  OnlinePolicy* policies[] = {&lru, &fifo, &lfu, &gd, &s3, &s3_wide,
-                              &sieve, &arc, &block_s3, &block_sieve};
   for (OnlinePolicy* policy : policies) {
     drive(*policy, inst, cache, meter);  // warm-up sizes every index
     drive(*policy, inst, cache, meter);
@@ -394,6 +384,25 @@ TEST(ResetReuseTest, PoliciesDoNotAllocateAcrossSweepCells) {
         << policy->name()
         << ": reset()+replay across sweep cells must reuse index storage";
   }
+}
+
+TEST(ResetReuseTest, PoliciesDoNotAllocateAcrossSweepCells) {
+  LruPolicy lru;
+  FifoPolicy fifo;
+  LfuPolicy lfu;
+  GreedyDualPolicy gd;
+  expect_no_allocation_across_sweep_cells({&lru, &fifo, &lfu, &gd});
+}
+
+TEST(ResetReuseTest, ModernPoliciesDoNotAllocateAcrossSweepCells) {
+  S3FifoPolicy s3;
+  S3FifoPolicy s3_wide(0.25);
+  SievePolicy sieve;
+  ArcPolicy arc;
+  BlockS3FifoPolicy block_s3;
+  BlockSievePolicy block_sieve;
+  expect_no_allocation_across_sweep_cells(
+      {&s3, &s3_wide, &sieve, &arc, &block_s3, &block_sieve});
 }
 
 TEST(ResetReuseTest, DetOnlineServesAMillionRequestsWithoutAllocating) {
