@@ -159,9 +159,6 @@ class BlockLruPolicy final : public OnlinePolicy {
  private:
   bool prefetch_;
   IntrusiveOrderList by_recency_;  // blocks with cached pages, LRU first
-  std::vector<int> cached_count_;  // cached pages per block
-
-  void note_evicted(BlockId b, int n_evicted);
 };
 
 }  // namespace bac

@@ -23,8 +23,8 @@
 // batch-evict via CacheOps::flush_block, so an eviction decision pays one
 // block eviction no matter how many pages it frees (mirroring BlockLRU's
 // batching). Like BlockLRU they detach/protect the requested block while
-// serving, and shed the requested block's other pages when it is the
-// only resident block left.
+// serving. Every caller enforces beta <= k, so the requested block alone
+// always fits and some other resident block is there to flush.
 //
 // All five are deterministic, clone()-safe (value members only), allocate
 // nothing per request after reset(), and keep structural counters (ghost
@@ -144,7 +144,6 @@ class BlockS3FifoPolicy final : public OnlinePolicy {
   SegmentedFifo queues_;          // resident blocks, small/main order
   GhostTable ghost_;              // recently flushed blocks
   PageMeta<std::uint8_t> freq_;   // per block, capped at 3
-  PageMeta<int> cached_count_;    // cached pages per block
   long long ghost_hits_ = 0;
   long long small_promotions_ = 0;
   long long main_reinserts_ = 0;
@@ -166,7 +165,6 @@ class BlockSievePolicy final : public OnlinePolicy {
  private:
   IntrusiveOrderList by_arrival_;  // resident blocks, front = oldest
   PageMeta<std::uint8_t> visited_;
-  PageMeta<int> cached_count_;     // cached pages per block
   std::int32_t hand_ = IntrusiveOrderList::kNone;
   long long hand_sweeps_ = 0;
   long long block_flushes_ = 0;

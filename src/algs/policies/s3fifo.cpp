@@ -121,7 +121,6 @@ void BlockS3FifoPolicy::reset(const Instance& inst) {
   queues_.reset(m, 2);
   ghost_.reset(m, block_slots);
   freq_.reset(m, 0);
-  cached_count_.reset(m, 0);
   ghost_hits_ = small_promotions_ = main_reinserts_ = 0;
   block_flushes_ = 0;
 }
@@ -150,15 +149,9 @@ void BlockS3FifoPolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
     freq_[b] = 0;
   }
   cache.fetch(p);
-  cached_count_[b] += 1;
-  while (cache.size() > cache.capacity()) {
-    if (queues_.size(kSmall) + queues_.size(kMain) == 0) {
-      // Only the requested block remains: shed its other pages.
-      cached_count_[b] -= cache.flush_block(b, p);
-      break;
-    }
-    evict_one_block(cache);
-  }
+  // Every other block with cached pages is queued, and the requested block
+  // alone fits (beta <= k), so the queues never run dry here.
+  while (cache.size() > cache.capacity()) evict_one_block(cache);
   queues_.push_back(seg, b);
 }
 
@@ -188,7 +181,7 @@ void BlockS3FifoPolicy::evict_one_block(CacheOps& cache) {
       }
       queues_.erase(h);
     }
-    cached_count_[h] -= cache.flush_block(h);
+    cache.flush_block(h);
     ++block_flushes_;
     return;
   }

@@ -51,7 +51,6 @@ void BlockSievePolicy::reset(const Instance& inst) {
   const int m = inst.blocks.n_blocks();
   by_arrival_.reset(m);
   visited_.reset(m, 0);
-  cached_count_.reset(m, 0);
   hand_ = IntrusiveOrderList::kNone;
   hand_sweeps_ = 0;
   block_flushes_ = 0;
@@ -70,13 +69,9 @@ void BlockSievePolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
     visited_[b] = 1;  // a miss on a resident block still touches it
   }
   cache.fetch(p);
-  cached_count_[b] += 1;
+  // Every block with cached pages is in by_arrival_, and the requested
+  // block alone fits (beta <= k), so the hand always finds another block.
   while (cache.size() > cache.capacity()) {
-    if (by_arrival_.size() == 1) {
-      // Only the requested block remains: shed its other pages.
-      cached_count_[b] -= cache.flush_block(b, p);
-      break;
-    }
     // The hand sweeps blocks oldest -> newest; the requested block is
     // skipped without losing its visited bit (it is being served).
     std::int32_t h =
@@ -89,7 +84,7 @@ void BlockSievePolicy::on_request(Time /*t*/, PageId p, CacheOps& cache) {
     }
     hand_ = by_arrival_.next(h);
     by_arrival_.erase(h);
-    cached_count_[h] -= cache.flush_block(h);
+    cache.flush_block(h);
     ++block_flushes_;
   }
 }

@@ -381,22 +381,18 @@ class SegmentedFifo {
 
 /// Fixed-capacity recency ghost list over dense ids [0, n): remembers the
 /// most recent `capacity` inserted ids in insertion order, silently
-/// dropping the oldest when full. Entries are stamped with a monotone
-/// insertion epoch (introspection: "how long ago was this evicted").
-/// No allocation per request — everything lives in arrays sized at
-/// reset(), and the intrusive recency list makes every operation O(1).
+/// dropping the oldest when full. No allocation per request — everything
+/// lives in arrays sized at reset(), and the intrusive recency list makes
+/// every operation O(1).
 class GhostTable {
  public:
   static constexpr std::int32_t kNone = -1;
 
   /// Size for ids [0, n) with room for `capacity` ghosts, dropping all
-  /// entries and restarting the stamp clock. Storage is reused across
-  /// resets at the same n.
+  /// entries. Storage is reused across resets at the same n.
   void reset(int n, int capacity) {
     order_.reset(n);
-    stamp_.assign(static_cast<std::size_t>(n), 0);
     capacity_ = capacity;
-    clock_ = 0;
   }
 
   [[nodiscard]] bool contains(std::int32_t id) const noexcept {
@@ -406,15 +402,10 @@ class GhostTable {
   [[nodiscard]] int capacity() const noexcept { return capacity_; }
   /// Oldest remembered ghost, or kNone when empty.
   [[nodiscard]] std::int32_t front() const noexcept { return order_.front(); }
-  /// Insertion epoch of a currently remembered id (1-based, monotone).
-  /// Precondition: contains(id). Stays for the tests, which check with it
-  /// that a re-insert re-stamps.
-  [[nodiscard]] std::uint64_t stamp_of(std::int32_t id) const noexcept {
-    return stamp_[static_cast<std::size_t>(id)];
-  }
 
-  /// Remember id as the most recent ghost, re-stamping it if already
-  /// present. Returns the id dropped to make room (kNone if none was).
+  /// Remember id as the most recent ghost, moving it to the newest end if
+  /// already present. Returns the id dropped to make room (kNone if none
+  /// was).
   std::int32_t insert(std::int32_t id) {
     std::int32_t dropped = kNone;
     if (order_.contains(id)) {
@@ -425,7 +416,6 @@ class GhostTable {
       dropped = order_.pop_front();
     }
     order_.push_back(id);
-    stamp_[static_cast<std::size_t>(id)] = ++clock_;
     return dropped;
   }
 
@@ -438,10 +428,8 @@ class GhostTable {
   std::int32_t pop_front() { return order_.pop_front(); }
 
  private:
-  IntrusiveOrderList order_;         ///< front = oldest ghost
-  std::vector<std::uint64_t> stamp_;  ///< per id: last insertion epoch
+  IntrusiveOrderList order_;  ///< front = oldest ghost
   int capacity_ = 0;
-  std::uint64_t clock_ = 0;
 };
 
 /// Per-page (or per-block) metadata vector: the freq counters, visited

@@ -41,49 +41,12 @@ class CacheOps {
 
   /// Insert p, charging the fetch side of its block (no-op if present).
   void fetch(PageId p) {
-    if (cache_->insert(p)) {
-      meter_->on_fetch(p);
-      if (capture_fetches_) capture_note(p, *capture_fetches_, *capture_evictions_);
-    }
+    if (cache_->insert(p)) meter_->on_fetch(p);
   }
 
   /// Remove p, charging the eviction side of its block (no-op if absent).
   void evict(PageId p) {
-    if (cache_->erase(p)) {
-      meter_->on_evict(p);
-      if (capture_evictions_) capture_note(p, *capture_evictions_, *capture_fetches_);
-    }
-  }
-
-  /// Route effective fetches/evictions into the given vectors (used by the
-  /// simulator's schedule capture; pass nullptrs to disable). Captured
-  /// steps record the *net* page movement: a fetch-then-evict of the same
-  /// page within one step cancels out, so replays are state-exact (the
-  /// transient's cost is still metered on the live run but not by a
-  /// replay — no policy in this library exhibits that pattern except a
-  /// corner of BlockLRU+Prefetch). Cancellation is O(1) per event via
-  /// per-page slots stamped with the capture epoch; a cancelled entry is
-  /// swap-removed, so order *within* a step's eviction/fetch lists is
-  /// unspecified (replay semantics are order-independent within a step).
-  /// Each call starts a new step (epoch); every step must get fresh
-  /// target vectors.
-  void set_capture(std::vector<PageId>* evictions,
-                   std::vector<PageId>* fetches) {
-    capture_evictions_ = evictions;
-    capture_fetches_ = fetches;
-    if (evictions || fetches) {
-      ++capture_epoch_;
-      if (capture_slots_.empty())
-        capture_slots_.resize(
-            static_cast<std::size_t>(blocks_->n_pages()));
-    }
-  }
-
-  /// Fetch-then-evict (or evict-then-fetch) pairs of the same page within
-  /// one step that were netted out of the captured schedule. When 0, a
-  /// replay of the capture is cost-exact, not just state-exact.
-  [[nodiscard]] long long capture_cancellations() const noexcept {
-    return capture_cancellations_;
+    if (cache_->erase(p)) meter_->on_evict(p);
   }
 
   /// Evict every cached page of block b except `keep` (pass -1 to evict
@@ -101,48 +64,10 @@ class CacheOps {
   }
 
  private:
-  /// Where (if anywhere) page p currently sits in this step's capture.
-  struct CaptureSlot {
-    std::uint64_t epoch = 0;  ///< stamp; stale unless == capture_epoch_
-    std::uint32_t index = 0;  ///< position within the list it sits in
-    bool in_evictions = false;
-  };
-
-  /// Record p landing in `add`; if p already sits in `cancel` this step,
-  /// the pair nets out instead. O(1): the slot stamp replaces the linear
-  /// scan that made flush-heavy record_schedule runs quadratic per step.
-  void capture_note(PageId p, std::vector<PageId>& add,
-                    std::vector<PageId>& cancel) {
-    CaptureSlot& slot = capture_slots_[static_cast<std::size_t>(p)];
-    const bool adding_eviction = &add == capture_evictions_;
-    if (slot.epoch == capture_epoch_ &&
-        slot.in_evictions != adding_eviction) {
-      // Net no-op within this step: swap-remove from the opposite list.
-      const std::uint32_t i = slot.index;
-      const PageId moved = cancel.back();
-      cancel[i] = moved;
-      cancel.pop_back();
-      if (moved != p)
-        capture_slots_[static_cast<std::size_t>(moved)].index = i;
-      slot.epoch = 0;
-      ++capture_cancellations_;
-      return;
-    }
-    slot.epoch = capture_epoch_;
-    slot.index = static_cast<std::uint32_t>(add.size());
-    slot.in_evictions = adding_eviction;
-    add.push_back(p);
-  }
-
   const BlockMap* blocks_;
   CacheSet* cache_;
   CostMeter* meter_;
   int k_;
-  std::vector<PageId>* capture_evictions_ = nullptr;
-  std::vector<PageId>* capture_fetches_ = nullptr;
-  std::vector<CaptureSlot> capture_slots_;  ///< per page, sized lazily
-  std::uint64_t capture_epoch_ = 0;
-  long long capture_cancellations_ = 0;
 };
 
 class OnlinePolicy {

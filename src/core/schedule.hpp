@@ -32,12 +32,12 @@ struct Schedule {
 /// Full accounting of a schedule replay: the counters a live simulate()
 /// run reports (a request is a hit when its page is cached before the
 /// step's actions, as it is before a live policy's on_request), its
-/// feasibility, and the final cache contents. A schedule captured by
-/// SimOptions::record_schedule replayed through this must reproduce the
-/// live run's final state exactly, and its counters exactly whenever the
-/// capture netted out no fetch+evict transients
-/// (RunResult::capture_cancellations == 0) — the verify subsystem's
-/// schedule-replay oracle checks both.
+/// feasibility, and the final cache contents. The net schedule of an
+/// online run (each step's difference of consecutive cache contents, as
+/// verify::record_run reads it) must replay to the run's final cache, and
+/// to its counters whenever no page moved both ways within one step (the
+/// costs up to the order their terms are added in) — the verify
+/// subsystem's schedule-replay oracle checks both.
 struct ReplayResult : CostCounters {
   bool feasible = true;
   std::string infeasibility;       ///< first violation, for diagnostics

@@ -1,6 +1,5 @@
 #include "core/simulator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -33,10 +32,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
   const CostMeter& meter = kernel.meter();
 
   RunResult result;
-  const long long hint = source.horizon_hint();
-  if (options.record_schedule && hint > 0)
-    result.schedule.steps.reserve(static_cast<std::size_t>(hint));
-
   obs::Histogram step_hist;
   std::unique_ptr<MissRatioCurve> mrc;
   if (!options.mrc_ks.empty())
@@ -57,8 +52,7 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
   // The stream is consumed in batches; both lanes serve each request
   // through the same kernel step. The costs-only lane (every Monte-Carlo
   // trial and throughput bench) pays for none of the recording branches.
-  const bool fast_lane =
-      !options.record_schedule && !options.record_sketch && mrc == nullptr;
+  const bool fast_lane = !options.record_sketch && mrc == nullptr;
   Cost prev_evict = 0, prev_fetch = 0;
   PageId batch[kSimBatch];
   for (;;) {
@@ -73,11 +67,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
       for (int i = 0; i < m; ++i) {
         const PageId p = batch[i];
         check_page(p);
-        if (options.record_schedule) {
-          result.schedule.steps.emplace_back();
-          auto& step = result.schedule.steps.back();
-          kernel.ops().set_capture(&step.evictions, &step.fetches);
-        }
         if (mrc) mrc->add(p);
         kernel.serve(p);
 
@@ -94,11 +83,6 @@ RunResult simulate(RequestSource& source, OnlinePolicy& policy,
 
   result.counters() = kernel.counters();
   result.cached_pages = kernel.cache().size();
-  if (options.record_schedule) {
-    result.final_cache = kernel.cache().pages();
-    std::sort(result.final_cache.begin(), result.final_cache.end());
-    result.capture_cancellations = kernel.ops().capture_cancellations();
-  }
   if (mrc)
     for (const int k : options.mrc_ks)
       result.miss_curve.emplace_back(k, mrc->miss_ratio(k));

@@ -23,7 +23,6 @@
 #include "core/instance.hpp"
 #include "core/policy.hpp"
 #include "core/request_source.hpp"
-#include "core/schedule.hpp"
 #include "core/types.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
@@ -31,9 +30,8 @@
 namespace bac {
 
 struct SimOptions {
-  std::uint64_t seed = 1;        ///< forwarded to OnlinePolicy::seed
-  bool record_schedule = false;  ///< capture the policy's actions
-  bool record_sketch = true;     ///< per-step cost histogram (O(1) memory)
+  std::uint64_t seed = 1;     ///< forwarded to OnlinePolicy::seed
+  bool record_sketch = true;  ///< per-step cost histogram (O(1) memory)
   /// Cache sizes to evaluate the single-pass LRU miss-ratio curve at;
   /// empty disables the curve (it costs O(log n) per request).
   std::vector<int> mrc_ks;
@@ -50,15 +48,6 @@ struct RunResult : CostCounters {
   /// Kept so callers' "no violations" checks read the run's own record.
   int violations = 0;
   int cached_pages = 0;  ///< cache occupancy after the last request
-  /// Cached pages after the last request (sorted); filled when
-  /// record_schedule so capture→replay state-exactness is checkable.
-  std::vector<PageId> final_cache;
-  /// Fetch+evict same-page same-step pairs netted out of the captured
-  /// schedule (see CacheOps::capture_cancellations). When 0, replaying
-  /// `schedule` reproduces the run's costs exactly; when > 0 the replay
-  /// is state-exact but may cost strictly less. Filled when
-  /// record_schedule.
-  long long capture_cancellations = 0;
   /// Mergeable log-bucket histogram of per-step total (eviction+fetch)
   /// cost; filled when record_sketch. Bucket counts are deterministic
   /// for a fixed (source, policy, seed).
@@ -72,7 +61,6 @@ struct RunResult : CostCounters {
   double step_cost_max = 0;
   /// (k, LRU miss ratio) per requested mrc_ks entry.
   std::vector<std::pair<int, double>> miss_curve;
-  Schedule schedule;  ///< the policy's actions, when record_schedule
 };
 
 /// Run `policy` over the stream. The cache starts empty (the paper's

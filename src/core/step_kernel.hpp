@@ -72,9 +72,6 @@ class StepKernel {
   [[nodiscard]] int capacity() const noexcept { return k_; }
   [[nodiscard]] const CacheSet& cache() const noexcept { return cache_; }
   [[nodiscard]] const CostMeter& meter() const noexcept { return meter_; }
-  /// The facade the policy mutates the cache through (simulate() routes
-  /// schedule capture through it).
-  [[nodiscard]] CacheOps& ops() noexcept { return ops_; }
 
   /// The last step the kernel serves: t + 1 still fits in Time.
   static constexpr Time kLastStep = std::numeric_limits<Time>::max() - 1;

@@ -168,7 +168,9 @@ AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,
   BlockMap blocks = BlockMap::contiguous(n, block_size);
 
   // Drive the policy step by step; the request stream is chosen online.
+  // The shell is validated before the policy serves a step over it.
   const Instance shell{blocks, {}, k};
+  shell.validate();
   StepKernel kernel(shell, policy, seed);
   const CacheSet& cache = kernel.cache();
 
@@ -198,10 +200,8 @@ AdversaryResult run_adaptive_adversary(OnlinePolicy& policy, int k,
   }
 
   const CostCounters costs = kernel.counters();
-  AdversaryResult out{Instance{std::move(blocks), std::move(req), k},
-                      costs.fetch_cost, costs.eviction_cost};
-  out.instance.validate();
-  return out;
+  return {Instance{std::move(blocks), std::move(req), k}, costs.fetch_cost,
+          costs.eviction_cost};
 }
 
 double bgm21_lower_bound(int k, int block_size, int h) {

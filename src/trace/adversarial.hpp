@@ -64,7 +64,9 @@ Instance cyclic_nemesis(int k, int block_size, Time T);
 /// the block with the most absent pages (ties toward lower ids, so the
 /// sequence is deterministic for deterministic policies). Each request is
 /// a step of the step kernel, so a policy that fails its audit throws
-/// std::runtime_error as under simulate().
+/// std::runtime_error as under simulate(). Throws std::invalid_argument,
+/// before the policy serves a step, unless 1 <= h <= k and
+/// 1 <= block_size <= k.
 struct AdversaryResult {
   Instance instance;      ///< the generated request sequence
   Cost online_fetch = 0;  ///< the policy's batched fetching cost

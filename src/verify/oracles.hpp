@@ -2,11 +2,12 @@
 //
 // The paper's layers sandwich each other — lower bounds <= OPT <=
 // feasible algorithms (Sections 3-5) — and the implementation adds
-// equalities of its own (streaming == materialized replay, capture ==
-// replay, serial == parallel Monte-Carlo, 1 == N server threads). Each
-// oracle family checks one of those relations on an arbitrary instance
-// and reports every violation it can find; the fuzz driver feeds the
-// families randomized instances and shrinks whatever fails.
+// equalities of its own (streaming == materialized replay, recorded
+// schedule == replay, serial == parallel Monte-Carlo, 1 == N server
+// threads). Each oracle family checks one of those relations on an
+// arbitrary instance and reports every violation it can find; the fuzz
+// driver feeds the families randomized instances and shrinks whatever
+// fails.
 //
 // Families (names are the CLI / FuzzConfig identifiers):
 //   cost_sandwich    lb <= OPT_evict <= every feasible policy's eviction
@@ -25,14 +26,16 @@
 //                    every instance (Theorem 4.1).
 //   streaming        simulate() over the materialized instance equals
 //                    simulate() over the streaming twin, field by field.
-//   schedule_replay  record_schedule capture replays through
-//                    replay_schedule() to the same final state, and to
-//                    identical costs when no transient was netted out.
+//   schedule_replay  the net schedule record_run() reads off a live run
+//                    replays through replay_schedule() to the same final
+//                    cache, and, when no page moved both ways within a
+//                    step, to the same counts and costs (these up to the
+//                    order their terms are added in).
 //   policy_equivalence
 //                    every flat-index classical policy (LRU, FIFO, LFU,
 //                    Belady, GreedyDual, BlockLRU±prefetch) replays to
-//                    bit-identical costs, counters, and per-step schedule
-//                    sets against its frozen std::set reference twin
+//                    bit-identical costs, counters, and per-step schedules
+//                    against its frozen std::set reference twin
 //                    (verify/reference_policies.hpp) — the golden-corpus
 //                    semantics, checked on arbitrary fuzzed instances.
 //                    And Algorithm 2's increments bit-identical per step

@@ -6,13 +6,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <list>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/simulator.hpp"
+#include "core/step_kernel.hpp"
 
 namespace bac::verify {
 
@@ -646,13 +647,6 @@ class RefBlockSievePolicy final : public OnlinePolicy {
   std::list<BlockId>::iterator hand_ = order_.end();
 };
 
-// --- run comparison ---------------------------------------------------------
-
-std::vector<PageId> sorted(std::vector<PageId> v) {
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
 }  // namespace
 
 std::vector<std::pair<std::string, std::unique_ptr<OnlinePolicy>>>
@@ -687,52 +681,75 @@ reference_policy_twins() {
   return twins;
 }
 
+// --- run comparison ---------------------------------------------------------
+
+RecordedRun record_run(const Instance& inst, OnlinePolicy& policy,
+                       std::uint64_t seed) {
+  inst.validate();
+  StepKernel kernel(inst, policy, seed);
+  const CostMeter& meter = kernel.meter();
+  RecordedRun out;
+  out.schedule.steps.resize(static_cast<std::size_t>(inst.horizon()));
+  // The cache's sorted contents before and after the current step. The
+  // cache changes only through CacheOps, which meters every page it moves.
+  std::vector<PageId> before, after;
+  for (Time t = 1; t <= inst.horizon(); ++t) {
+    const long long moves = meter.evicted_pages() + meter.fetched_pages();
+    kernel.serve(inst.request_at(t));
+    const long long moved =
+        meter.evicted_pages() + meter.fetched_pages() - moves;
+    if (moved == 0) continue;
+    Schedule::Step& step = out.schedule.steps[static_cast<std::size_t>(t - 1)];
+    after = kernel.cache().pages();
+    std::sort(after.begin(), after.end());
+    std::set_difference(before.begin(), before.end(), after.begin(),
+                        after.end(), std::back_inserter(step.evictions));
+    std::set_difference(after.begin(), after.end(), before.begin(),
+                        before.end(), std::back_inserter(step.fetches));
+    out.transients +=
+        moved - static_cast<long long>(step.evictions.size() +
+                                       step.fetches.size());
+    before.swap(after);
+  }
+  out.counters() = kernel.counters();
+  out.final_cache = std::move(before);
+  return out;
+}
+
 std::vector<std::string> diff_policy_runs(const Instance& inst,
                                           OnlinePolicy& a, OnlinePolicy& b,
                                           std::uint64_t seed,
                                           const std::string& label) {
   std::vector<std::string> out;
-  SimOptions sim;
-  sim.seed = seed;
-  sim.record_schedule = true;
-  sim.record_sketch = false;
-  RunResult ra, rb;
+  RecordedRun ra, rb;
   try {
-    ra = simulate(inst, a, sim);
+    ra = record_run(inst, a, seed);
   } catch (const std::exception& e) {
     out.push_back(label + ": " + a.name() + " failed: " + e.what());
     return out;
   }
   try {
-    rb = simulate(inst, b, sim);
+    rb = record_run(inst, b, seed);
   } catch (const std::exception& e) {
     out.push_back(label + ": " + b.name() + " failed: " + e.what());
     return out;
   }
 
-  if (ra.counters() != rb.counters() || ra.cached_pages != rb.cached_pages) {
+  if (ra.counters() != rb.counters()) {
     std::ostringstream os;
     os << label << ": counters diverge: " << ra.counters() << " vs "
-       << rb.counters() << ", cached " << ra.cached_pages << " vs "
-       << rb.cached_pages;
+       << rb.counters();
     out.push_back(os.str());
   }
   if (ra.final_cache != rb.final_cache)
-    out.push_back(label + ": final cache contents diverge");
-
-  if (ra.schedule.steps.size() != rb.schedule.steps.size()) {
-    out.push_back(label + ": schedule lengths diverge (" +
-                  std::to_string(ra.schedule.steps.size()) + " vs " +
-                  std::to_string(rb.schedule.steps.size()) + ")");
-    return out;
-  }
+    out.push_back(label + ": final cache contents diverge (" +
+                  std::to_string(ra.final_cache.size()) + " vs " +
+                  std::to_string(rb.final_cache.size()) + " pages)");
+  // One step per request on both sides.
   for (std::size_t i = 0; i < ra.schedule.steps.size(); ++i) {
     const auto& sa = ra.schedule.steps[i];
     const auto& sb = rb.schedule.steps[i];
-    // Capture order within one step is unspecified (see
-    // CacheOps::set_capture); compare the step's sets.
-    if (sorted(sa.evictions) != sorted(sb.evictions) ||
-        sorted(sa.fetches) != sorted(sb.fetches)) {
+    if (sa.evictions != sb.evictions || sa.fetches != sb.fetches) {
       out.push_back(label + ": schedules diverge at t=" +
                     std::to_string(i + 1) + " (" +
                     std::to_string(sa.evictions.size()) + "ev/" +

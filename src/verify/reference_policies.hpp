@@ -13,9 +13,9 @@
 // std::set<std::pair<Key, id>> bookkeeping, verbatim from the code the
 // rewrite replaced — deliberately boring, allocation-heavy, and obviously
 // ordered. The oracle replays every fuzzed instance through both and
-// demands bit-identical costs, counters, and (order-normalized) captured
-// schedules, so any tie-breaking drift in the fast indexes diffs red
-// against the textbook structure instead of surviving silently.
+// demands bit-identical costs, counters, and per-step schedules read off
+// the cache (record_run), so any tie-breaking drift in the fast indexes
+// diffs red against the textbook structure instead of surviving silently.
 //
 // Do not "optimize" these: their entire value is staying a frozen
 // specification.
@@ -30,8 +30,10 @@
 
 #include "algs/fractional.hpp"
 #include "algs/threshold_bicriteria.hpp"
+#include "core/cost_meter.hpp"
 #include "core/instance.hpp"
 #include "core/policy.hpp"
+#include "core/schedule.hpp"
 #include "submodular/flush_coverage.hpp"
 #include "submodular/separation.hpp"
 #include "verify/dual_verifier.hpp"
@@ -49,13 +51,35 @@ namespace bac::verify {
 std::vector<std::pair<std::string, std::unique_ptr<OnlinePolicy>>>
 reference_policy_twins();
 
-/// Replay `inst` through both policies (record_schedule on, seed
-/// forwarded) and describe every divergence: different counters (both
-/// records printed whole), a different final cache, or any step whose
-/// eviction/fetch sets differ (compared as sorted sets — capture order
-/// within a step is unspecified). Empty result == the runs are
-/// equivalent. `label` prefixes the messages. A policy throwing is itself
-/// reported as a divergence.
+/// An online run's counters and its net schedule (record_run).
+struct RecordedRun : CostCounters {
+  /// Step t's net moves, read off the cache: the pages cached before the
+  /// step and not after are its evictions, the reverse its fetches, both
+  /// ascending.
+  Schedule schedule;
+  /// Cached pages after the last step, sorted.
+  std::vector<PageId> final_cache;
+  /// Metered page moves the schedule does not hold: a page that moves
+  /// both ways within one step counts twice. When 0, replay_schedule()
+  /// reproduces the run's counts exactly, and its costs but for the order
+  /// their terms are added in; otherwise the replay ends in the same
+  /// state but may cost less.
+  long long transients = 0;
+};
+
+/// Serve `inst` through `policy` (seeded with `seed`) on the step kernel
+/// and read each step's schedule off the cache. A step whose metered page
+/// counts did not move changed nothing, so it is recorded empty without a
+/// scan. Throws std::invalid_argument on an invalid instance, and
+/// std::runtime_error if the policy fails the kernel's audit.
+RecordedRun record_run(const Instance& inst, OnlinePolicy& policy,
+                       std::uint64_t seed);
+
+/// Record `inst` through both policies (seed forwarded) and describe every
+/// divergence: different counters (both records printed whole), a
+/// different final cache, or the first step whose evictions or fetches
+/// differ. Empty result == the runs are equivalent. `label` prefixes the
+/// messages. A policy throwing is itself reported as a divergence.
 std::vector<std::string> diff_policy_runs(const Instance& inst,
                                           OnlinePolicy& a, OnlinePolicy& b,
                                           std::uint64_t seed,

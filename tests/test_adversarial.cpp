@@ -97,6 +97,11 @@ TEST(AdaptiveAdversary, RejectsBadParameters) {
                std::invalid_argument);
   EXPECT_THROW(run_adaptive_adversary(lru, 4, 2, 5, 10),
                std::invalid_argument);
+  // Blocks larger than the cache are refused before a block policy
+  // serves a step over them.
+  BlockLruPolicy block_lru(false);
+  EXPECT_THROW(run_adaptive_adversary(block_lru, 4, 8, 2, 50),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Unit tests for the core model: instances, request indices, cache set,
-// batched cost metering, schedules, and the simulator's auditing.
+// batched cost metering, schedules (and the net schedule an online run
+// records), and the simulator's auditing.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -9,6 +10,7 @@
 #include "core/instance.hpp"
 #include "core/schedule.hpp"
 #include "core/simulator.hpp"
+#include "verify/reference_policies.hpp"
 
 namespace bac {
 namespace {
@@ -178,9 +180,8 @@ TEST(ScheduleTest, ReplayReportsFullAccountingAndFinalState) {
   EXPECT_EQ(r.final_cache, (std::vector<PageId>{0}));
 }
 
-/// Flushes the requested page's whole block, then refetches the request —
-/// every step moves up to beta pages, exercising the capture path that was
-/// quadratic per step before stamp-based cancellation.
+/// Flushes the requested page's whole block, then fetches the request:
+/// each step evicts from and fetches into the same block.
 class FlushHappy final : public OnlinePolicy {
  public:
   [[nodiscard]] std::string name() const override { return "FlushHappy"; }
@@ -192,27 +193,28 @@ class FlushHappy final : public OnlinePolicy {
 };
 
 TEST(SimulatorTest, FlushHeavyCaptureReplaysExactly) {
-  // Regression for the O(step^2) capture: a flush-heavy policy over large
-  // blocks must capture a schedule whose replay is state- and cost-exact.
+  // A flush-heavy policy over large blocks: the net schedule the recorder
+  // reads off the cache must replay state- and cost-exact, and the
+  // recorded run must cost what simulate() reports.
   const int n = 64, beta = 16, k = 32;
   std::vector<PageId> requests;
   for (int i = 0; i < 400; ++i)
     requests.push_back(static_cast<PageId>((i * 7) % n));
   const Instance inst{BlockMap::contiguous(n, beta), std::move(requests), k};
   FlushHappy policy;
-  SimOptions opt;
-  opt.record_schedule = true;
-  const RunResult live = simulate(inst, policy, opt);
-  EXPECT_EQ(live.capture_cancellations, 0);
+  const verify::RecordedRun live = verify::record_run(inst, policy, 1);
+  EXPECT_EQ(live.transients, 0);
   const ReplayResult replay = replay_schedule(inst, live.schedule);
   EXPECT_TRUE(replay.feasible) << replay.infeasibility;
   EXPECT_EQ(replay.counters(), live.counters());
   EXPECT_EQ(replay.final_cache, live.final_cache);
-  EXPECT_EQ(static_cast<int>(replay.final_cache.size()), live.cached_pages);
+  FlushHappy again;
+  EXPECT_EQ(live.counters(), simulate(inst, again).counters());
 }
 
-/// Fetches a victim page then evicts it within the same step: the capture
-/// must net the pair out (state-exact replay) and count the cancellation.
+/// Fetches a victim page then evicts it within the same step: the net
+/// schedule leaves the pair out (state-exact replay), and the recorder
+/// counts its two page moves as transients.
 class TransientChurn final : public OnlinePolicy {
  public:
   [[nodiscard]] std::string name() const override { return "TransientChurn"; }
@@ -240,10 +242,9 @@ class TransientChurn final : public OnlinePolicy {
 TEST(SimulatorTest, TransientFetchEvictPairsAreNettedAndCounted) {
   const Instance inst = tiny_instance();
   TransientChurn policy;
-  SimOptions opt;
-  opt.record_schedule = true;
-  const RunResult live = simulate(inst, policy, opt);
-  EXPECT_GT(live.capture_cancellations, 0);
+  const verify::RecordedRun live = verify::record_run(inst, policy, 1);
+  EXPECT_GT(live.transients, 0);
+  EXPECT_EQ(live.transients % 2, 0);
   // The netted schedule replays to the same final state; its cost can
   // only be at or below the live run's (the transient was metered live).
   const ReplayResult replay = replay_schedule(inst, live.schedule);

@@ -468,16 +468,17 @@ TEST(DetOnline, CloneOutlivesItsSource) {
       std::move(costs));
   const Time half = inst.horizon() / 2;
   DetOnlineBlockAware fresh;
-  const RunResult want = simulate(inst, fresh);
+  const verify::RecordedRun want = verify::record_run(inst, fresh, 1);
   ASSERT_GT(fresh.flushes(), 0);
 
   auto source = std::make_unique<DetOnlineBlockAware>();
   simulate(inst, *source);
   std::unique_ptr<OnlinePolicy> clone = source->clone();
   source.reset();
-  const RunResult got = simulate(inst, *clone);
+  const verify::RecordedRun got = verify::record_run(inst, *clone, 1);
   EXPECT_EQ(g17(got.eviction_cost), g17(want.eviction_cost));
   EXPECT_EQ(got.misses, want.misses);
+  EXPECT_FALSE(want.final_cache.empty());
   EXPECT_EQ(got.final_cache, want.final_cache);
 
   // Mid-run: the clone takes over the second half of the trace.

@@ -5,10 +5,7 @@
 // own guarantee is tested in test_policies.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <set>
 #include <utility>
 #include <vector>
@@ -17,27 +14,7 @@
 #include "core/types.hpp"
 #include "util/rng.hpp"
 
-// --- allocation counting ----------------------------------------------------
-// This binary's global operator new counts allocations, so tests can
-// assert that a code region allocates nothing. The counter is the only
-// addition; storage still comes from malloc.
-
-namespace {
-std::atomic<long long> g_allocations{0};
-
-void* counted_alloc(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace bac {
 namespace {
@@ -325,10 +302,8 @@ TEST(GhostTableTest, RemembersMostRecentCapacityIds) {
   EXPECT_FALSE(g.contains(1));
   EXPECT_TRUE(g.contains(2));
   EXPECT_EQ(g.front(), 2);
-  // Reinserting a remembered id re-stamps it as most recent, no drop.
-  const std::uint64_t stamp2 = g.stamp_of(2);
+  // Reinserting a remembered id moves it to the newest end, no drop.
   EXPECT_EQ(g.insert(2), GhostTable::kNone);
-  EXPECT_GT(g.stamp_of(2), stamp2);
   EXPECT_EQ(g.front(), 3);   // 2 moved to the back
   EXPECT_EQ(g.insert(5), 3);  // now 3 is the oldest
 }

@@ -1,6 +1,6 @@
 // Tests for the extension modules: the dual-feasibility audit harness,
-// schedule capture, GreedyFlush, and the online threshold-bicriteria
-// policy.
+// schedule capture (the net schedule record_run reads off a run),
+// GreedyFlush, and the online threshold-bicriteria policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "algs/greedy_flush.hpp"
 #include "algs/policies/fractional_paging.hpp"
 #include "algs/threshold_bicriteria.hpp"
+#include "core/schedule.hpp"
 #include "core/simulator.hpp"
 #include "core/step_kernel.hpp"
 #include "trace/generators.hpp"
@@ -84,13 +85,13 @@ TEST(ScheduleCapture, ReplayMatchesLiveRun) {
   const Instance inst = make_instance(16, 4, 6,
                                       zipf_trace(16, 300, 0.8, rng));
   DetOnlineBlockAware alg;
-  SimOptions opt;
-  opt.record_schedule = true;
-  const RunResult live = simulate(inst, alg, opt);
+  const verify::RecordedRun live = verify::record_run(inst, alg, 1);
+  EXPECT_EQ(live.transients, 0);
   const ReplayResult replay = replay_schedule(inst, live.schedule);
   EXPECT_TRUE(replay.feasible) << replay.infeasibility;
   EXPECT_DOUBLE_EQ(replay.eviction_cost, live.eviction_cost);
   EXPECT_DOUBLE_EQ(replay.fetch_cost, live.fetch_cost);
+  EXPECT_EQ(replay.final_cache, live.final_cache);
 }
 
 TEST(ScheduleCapture, WorksForClassicalPolicies) {
@@ -98,9 +99,7 @@ TEST(ScheduleCapture, WorksForClassicalPolicies) {
   const Instance inst = make_instance(12, 2, 5,
                                       uniform_trace(12, 200, rng));
   GreedyFlushPolicy alg;
-  SimOptions opt;
-  opt.record_schedule = true;
-  const RunResult live = simulate(inst, alg, opt);
+  const verify::RecordedRun live = verify::record_run(inst, alg, 1);
   const ReplayResult replay = replay_schedule(inst, live.schedule);
   EXPECT_TRUE(replay.feasible);
   EXPECT_DOUBLE_EQ(replay.eviction_cost, live.eviction_cost);
@@ -354,16 +353,17 @@ TEST(ThresholdBicriteria, CloneOutlivesItsSource) {
   using Mode = ThresholdBicriteriaPolicy::Mode;
   for (Mode mode : {Mode::Fetching, Mode::Eviction}) {
     ThresholdBicriteriaPolicy fresh(mode);
-    const RunResult want = simulate(inst, fresh);
+    const verify::RecordedRun want = verify::record_run(inst, fresh, 1);
 
     auto source = std::make_unique<ThresholdBicriteriaPolicy>(mode);
     simulate(inst, *source);
     std::unique_ptr<OnlinePolicy> clone = source->clone();
     source.reset();
-    const RunResult got = simulate(inst, *clone);
+    const verify::RecordedRun got = verify::record_run(inst, *clone, 1);
     EXPECT_EQ(g17(got.eviction_cost), g17(want.eviction_cost));
     EXPECT_EQ(g17(got.fetch_cost), g17(want.fetch_cost));
     EXPECT_EQ(got.misses, want.misses);
+    EXPECT_FALSE(want.final_cache.empty());
     EXPECT_EQ(got.final_cache, want.final_cache);
 
     // Mid-run: the clone takes over the second half of the trace.

@@ -2,14 +2,11 @@
 // a 20k-operation mixed fuzz against a std::unordered_map mirror,
 // rehash-under-load and erase/re-insert tombstone edge cases,
 // heterogeneous string_view lookup, and the repeated-reset zero-allocation
-// guarantee the CSV interner and exact-OPT layer DP rely on (mirroring the
-// counting-operator-new harness in test_eviction_index.cpp).
+// guarantee the CSV interner and exact-OPT layer DP rely on (through the
+// counting operator new in counting_new.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstdint>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -20,27 +17,7 @@
 #include "util/flat_hash.hpp"
 #include "util/rng.hpp"
 
-// --- allocation counting ----------------------------------------------------
-// This binary's global operator new counts allocations, so tests can
-// assert that a code region allocates nothing. The counter is the only
-// addition; storage still comes from malloc.
-
-namespace {
-std::atomic<long long> g_allocations{0};
-
-void* counted_alloc(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace bac {
 namespace {

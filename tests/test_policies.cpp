@@ -11,13 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <new>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -38,26 +35,7 @@
 #include "util/rng.hpp"
 #include "verify/reference_policies.hpp"
 
-// --- allocation counting ----------------------------------------------------
-// Same idiom as test_eviction_index.cpp: this binary's global operator
-// new counts allocations so tests can assert a region allocates nothing.
-
-namespace {
-std::atomic<long long> g_allocations{0};
-
-void* counted_alloc(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_new.hpp"
 
 namespace bac {
 namespace {

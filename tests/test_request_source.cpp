@@ -17,6 +17,7 @@
 #include "core/simulator.hpp"
 #include "trace/generators.hpp"
 #include "util/stats.hpp"
+#include "verify/reference_policies.hpp"
 
 namespace bac {
 namespace {
@@ -328,11 +329,13 @@ TEST(StreamingSimulate, RejectsOfflinePoliciesOnStreams) {
 TEST(StreamingSimulate, SketchTracksStepCosts) {
   const Instance inst = make_instance(32, 4, 8, scan_trace(32, 1500));
   LruPolicy lru;
-  SimOptions options;
-  options.record_schedule = true;
-  const RunResult r = simulate(inst, lru, options);
-  // Nothing netted out of the capture, so it holds every action.
-  ASSERT_EQ(r.capture_cancellations, 0);
+  const RunResult r = simulate(inst, lru);
+  // A second LRU run's net schedule. LRU moves no page both ways within
+  // one step, so the schedule holds every action.
+  LruPolicy twin;
+  const verify::RecordedRun rec = verify::record_run(inst, twin, 1);
+  ASSERT_EQ(rec.transients, 0);
+  ASSERT_EQ(rec.counters(), r.counters());
 
   // A step's exact cost: each distinct block it evicts from, plus each
   // distinct block it fetches into.
@@ -349,7 +352,7 @@ TEST(StreamingSimulate, SketchTracksStepCosts) {
   };
   std::vector<double> step_totals;
   double exact_max = 0;
-  for (const Schedule::Step& step : r.schedule.steps) {
+  for (const Schedule::Step& step : rec.schedule.steps) {
     const double total =
         blocks_cost(step.evictions) + blocks_cost(step.fetches);
     step_totals.push_back(total);

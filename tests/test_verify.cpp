@@ -4,9 +4,12 @@
 // eviction bug is caught, shrunk, and reproduced from its artifact.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <unistd.h>
+#include <utility>
+#include <vector>
 
 #include "algs/policies/classical.hpp"
 #include "algs/zoo.hpp"
@@ -238,6 +241,28 @@ TEST(PolicyEquivalence, DiffDetectsGenuinelyDifferentPolicies) {
   // And agree with itself.
   LruPolicy a, b;
   EXPECT_TRUE(verify::diff_policy_runs(inst, a, b, 1, "lru-lru").empty());
+}
+
+TEST(RecordRun, ReadsEachStepOffTheCache) {
+  // Blocks {0,1} and {2,3}, k = 2: BlockLRU flushes the whole LRU block on
+  // each overflow, and the last request hits.
+  const Instance inst =
+      make_instance(4, 2, 2, std::vector<PageId>{0, 1, 2, 3, 0, 0});
+  BlockLruPolicy policy(false);
+  const verify::RecordedRun run = verify::record_run(inst, policy, 1);
+  using Pages = std::vector<PageId>;
+  const std::vector<std::pair<Pages, Pages>> want = {
+      {{}, {0}}, {{}, {1}}, {{0, 1}, {2}}, {{}, {3}}, {{2, 3}, {0}}, {{}, {}}};
+  ASSERT_EQ(run.schedule.steps.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(run.schedule.steps[i].evictions, want[i].first) << "t=" << i + 1;
+    EXPECT_EQ(run.schedule.steps[i].fetches, want[i].second) << "t=" << i + 1;
+  }
+  EXPECT_EQ(run.final_cache, Pages{0});
+  EXPECT_EQ(run.transients, 0);
+  EXPECT_EQ(run.hits, 1);
+  EXPECT_EQ(run.evicted_pages, 4);
+  EXPECT_EQ(run.fetched_pages, 5);
 }
 
 // --- injected-bug demo ------------------------------------------------------

@@ -5,8 +5,9 @@
 // T < k), replays every feasible policy over each, and checks the oracle
 // battery: cost-sandwich (lower bounds <= OPT <= feasible runs, proven
 // ratios), Section-2 cost-model identities, streaming == materialized
-// simulate(), schedule capture -> replay exactness, Monte-Carlo serial ==
-// parallel, and 1-vs-N-thread ConcurrentCache cost equality.
+// simulate(), recorded net schedule -> replay exactness, policy twins,
+// Monte-Carlo serial == parallel, and 1-vs-N-thread ConcurrentCache cost
+// equality.
 //
 // On a violation the failing instance is shrunk (halve T, drop blocks,
 // shrink k) while the violation persists, and a self-contained repro is
